@@ -10,12 +10,24 @@ sweep but everything user-supplied is verified.
 
 from __future__ import annotations
 
-from .fields import FieldError
-from .linalg import Subspace, express_in_basis, solve, transpose
+from .linalg import Subspace, kron, solve, transpose
 
 
 class AlgebraError(ValueError):
     pass
+
+
+class AxiomReport:
+    def __init__(self):
+        self.holds = True
+        self.failures = []
+
+    def fail(self, msg):
+        self.holds = False
+        self.failures.append(msg)
+
+    def __repr__(self):
+        return "AxiomReport(holds=%s, failures=%r)" % (self.holds, self.failures)
 
 
 class SuperVectorSpace:
@@ -133,7 +145,6 @@ class SuperAlgebra:
         self.field = field
         self.space = SuperVectorSpace(labels, parities)
         self.name = name
-        n = self.space.dim
         self._prod = {}
         for (i, j), terms in products.items():
             terms = {k: c for k, c in terms.items() if c != field.zero}
@@ -257,20 +268,6 @@ class LinearMap:
             [f.sum(r[j] * elem.coords[j] for j in range(self.source.dim)) for r in self.rows],
         )
 
-    def is_algebra_morphism(self):
-        src = self.source
-        if self.apply(src.unit) != self.target.unit:
-            return False
-        for i in range(src.dim):
-            bi = src.basis_element(i)
-            for j in range(src.dim):
-                bj = src.basis_element(j)
-                if self.apply(src.multiply(bi, bj)) != self.target.multiply(
-                    self.apply(bi), self.apply(bj)
-                ):
-                    return False
-        return True
-
 
 class SuperIdeal:
     """A graded two-sided ideal, stored as an echelon Subspace."""
@@ -316,9 +313,6 @@ class SuperIdeal:
     @property
     def dim(self):
         return self.sub.dim
-
-    def basis_elements(self):
-        return [Element(self.algebra, r) for r in self.sub.rows]
 
     def contains(self, elem):
         return self.sub.contains(elem.coords)
@@ -378,26 +372,29 @@ def tensor(A, B):
                 for v, cv in pb.items():
                     terms[u * dimB + v] = sign * cu * cv
             products[(i * dimB + j, k * dimB + l)] = terms
-    unit = [field.zero] * (A.dim * dimB)
-    for i, ca in enumerate(A.unit.coords):
-        for j, cb in enumerate(B.unit.coords):
-            unit[i * dimB + j] = ca * cb
-    T = SuperAlgebra(
+    unit = kron(A.unit.coords, B.unit.coords, field)
+    return SuperAlgebra(
         field, labels, parities, unit, products, check=False,
         name="%s⊗%s" % (A.name or "?", B.name or "?"),
     )
-    T.tensor_factors = (A, B)
-    return T
 
 
 def tensor_pure(T, a, b):
-    """The element a⊗b of a tensor product algebra T."""
-    A, B = T.tensor_factors
-    coords = [T.field.zero] * T.dim
-    for i in a.support():
-        for j in b.support():
-            coords[i * B.dim + j] = a.coords[i] * b.coords[j]
-    return Element(T, coords)
+    """The element a⊗b of the tensor product algebra T = tensor(A, B)."""
+    return Element(T, kron(a.coords, b.coords, T.field))
+
+
+def lift_matrix(R, mat):
+    """A matrix over the field as a matrix over R."""
+    return [[R.unit.scale(x) for x in row] for row in mat]
+
+
+def ground_algebra(field):
+    """The one dimensional algebra K."""
+    return SuperAlgebra(
+        field, ["1"], [0], [field.one], {(0, 0): {0: field.one}},
+        check=False, name="K",
+    )
 
 
 class DualSuperNumbers:
@@ -462,7 +459,6 @@ def quotient_by_ideal(A, ideal):
     comp = [i for i in range(A.dim) if i not in sub.pivots]
     labels = [A.space.labels[i] for i in comp]
     parities = [A.space.parities[i] for i in comp]
-    pos = {i: t for t, i in enumerate(comp)}
 
     def project_coords(coords):
         red = sub.reduce(coords)

@@ -9,7 +9,8 @@
     superkit coinvariants L2 --mode regular
 
 Exit status: 0 on success, 1 when a mathematical check fails, 2 on
-malformed input.  Scalars print exactly, rationals as a/b.
+malformed input (one line on stderr).  Scalars print exactly, rationals
+as a/b.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import re
 import sys
 
 from .fields import FieldError, parse_field
+from .linalg import invert_matrix
 
 
 class CLIError(ValueError):
@@ -61,6 +63,8 @@ def parse_coeff_algebra(field, spec):
     gens = [g.strip() for g in m.group(1).split(",") if g.strip()]
     if not gens:
         raise CLIError("at least one odd generator is required")
+    if len(set(gens)) != len(gens):
+        raise CLIError("repeated generator in %s" % spec.strip())
     return grassmann(field, gens)
 
 
@@ -80,6 +84,8 @@ def parse_element(R, text):
         pos = m.end()
     if not tokens:
         raise CLIError("empty coefficient expression")
+    if tokens[-1] in ("+", "-", "*"):
+        raise CLIError("coefficient expression %r ends with %r" % (text, tokens[-1]))
     out = R.zero()
     idx = 0
     sign = 1
@@ -168,6 +174,8 @@ def parse_word(pair, R, text):
             mat = parse_matrix(field, chunk[1:])
             if len(mat) != pair.group.size:
                 raise CLIError("group matrix has the wrong size")
+            if invert_matrix(mat, field) is None:
+                raise CLIError("group matrix %s is singular" % chunk[1:])
             toks.append(("g", mat))
         else:
             raise CLIError("cannot parse token %r" % chunk)
@@ -224,7 +232,7 @@ def cmd_nf(args, field):
         has_g = any(t[0] == "g" for t in toks)
         if ok and not has_g:
             ok = gamma.oracle_enveloping(pair, toks, R=R) == gamma.oracle_enveloping(u)
-        if ok and pair.mode == "conjugation" and hasattr(pair, "row_parities"):
+        if ok and pair.mode == "conjugation" and pair.row_parities is not None:
             ok = gamma.oracle_supermatrix(pair, toks, R=R) == gamma.oracle_supermatrix(u)
         data["oracle"] = "ok" if ok else "mismatch"
         lines.append("oracle: %s" % data["oracle"])
@@ -312,32 +320,11 @@ def cmd_radical(args, field):
     return 0 if ok else 1
 
 
-def _resolve_decomposable(field, spec):
-    from .hopf import grassmann_hopf
-    from .fixtures import unit_hopf
-    from .hyp import additive_truncation, tensor_hopf
-
-    m = re.fullmatch(r"L(\d+)", spec)
-    if m:
-        t = int(m.group(1))
-        return tensor_hopf(
-            unit_hopf(field),
-            grassmann_hopf(field, ["th%d" % (i + 1) for i in range(t)]),
-        )
-    m = re.fullmatch(r"add(\d+)(?:xL(\d+))?", spec)
-    if m:
-        t = int(m.group(2) or 0)
-        return tensor_hopf(
-            additive_truncation(field, int(m.group(1))).as_hopf(),
-            grassmann_hopf(field, ["th%d" % (i + 1) for i in range(t)]),
-        )
-    raise CLIError("unknown decomposable fixture %r" % spec)
-
-
 def cmd_hyp_decompose(args, field):
+    from .fixtures import resolve_decomposable
     from .hyp import CanonicalDecomposition
 
-    H = _resolve_decomposable(field, args.fixture)
+    H = _load_fixture(resolve_decomposable, field, args.fixture)
     cd = CanonicalDecomposition(H)
     n = H.algebra.dim
     phi = [field.parse(x.strip()) for x in args.phi.split(",")]
@@ -465,7 +452,7 @@ def main(argv=None):
         return 2
     try:
         return args.func(args, field)
-    except CLIError as exc:
+    except (CLIError, FieldError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ValueError as exc:

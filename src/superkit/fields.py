@@ -118,6 +118,14 @@ class Field:
             total = total + x
         return total
 
+    def parse(self, text):
+        """A scalar from text such as "-3/7"; FieldError if it is not one."""
+        try:
+            fr = Fraction(str(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FieldError("bad scalar %r" % (text,)) from exc
+        return self.from_fraction(fr)
+
 
 class Rationals(Field):
     char = 0
@@ -130,12 +138,6 @@ class Rationals(Field):
 
     def from_fraction(self, fr):
         return Fraction(fr)
-
-    def parse(self, text):
-        try:
-            return Fraction(str(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FieldError("bad rational %r" % (text,)) from exc
 
     def render(self, x):
         if x.denominator == 1:
@@ -172,9 +174,6 @@ class PrimeField(Field):
         if fr.denominator % self.p == 0:
             raise FieldError("denominator divisible by %d" % self.p)
         return FpElement(self.p, fr.numerator * pow(fr.denominator, -1, self.p))
-
-    def parse(self, text):
-        return self.from_fraction(Fraction(str(text)))
 
     def render(self, x):
         return str(x.v)

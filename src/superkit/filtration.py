@@ -9,8 +9,8 @@ I_k that survive modulo I_{k+1}, selected in echelon order.
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, Element, SuperAlgebra, SuperIdeal, tensor
-from .linalg import Subspace, invert_matrix
+from .algebra import AxiomReport, Element, SuperAlgebra, tensor
+from .linalg import Subspace, invert_matrix, kron, rank
 
 
 class FiltrationError(ValueError):
@@ -178,14 +178,12 @@ class GradedCompanion:
             field, labels, parities, unit, products, check=False,
             name="gr(%s)" % (A.name or "?"),
         )
-        self.gr.degrees = list(self.degrees)
 
     def verify_well_defined(self):
         """Products of classes do not depend on the chosen representatives."""
         A = self.filtration.algebra
         for i in range(len(self.reps)):
             k = self.degrees[i]
-            base = self.gr.multiply(self.gr.basis_element(i), self.gr.basis_element(i))
             for row in self.filtration.piece(k + 1).rows:
                 shifted = self.reps[i] + Element(A, row)
                 for j in range(len(self.reps)):
@@ -202,44 +200,36 @@ def graded_companion(filtration):
     return GradedCompanion(filtration)
 
 
+def tensor_piece(left, right, k):
+    """sum_{i+j=k} L_i ⊗ R_j for filtrations given by their piece(i) maps."""
+    L0, R0 = left(0), right(0)
+    field = L0.field
+    vecs = [
+        kron(ru, rv, field)
+        for i in range(k + 1)
+        for ru in left(i).rows
+        for rv in right(k - i).rows
+    ]
+    return Subspace(field, L0.dim_ambient * R0.dim_ambient, vecs)
+
+
 def tensor_filtration(FA, FB):
     """T_k = sum_i I_i ⊗ J_{k-i} on the tensor product algebra."""
-    A, B = FA.algebra, FB.algebra
-    T = tensor(A, B)
-    field = T.field
+    T = tensor(FA.algebra, FB.algebra)
     top = (FA.length - 1) + (FB.length - 1)
-    chain = []
-    for k in range(top + 1):
-        vecs = []
-        for i in range(min(k, FA.length - 1) + 1):
-            j = k - i
-            if j > FB.length - 1:
-                continue
-            for ru in FA.piece(i).rows:
-                for rv in FB.piece(j).rows:
-                    coords = [field.zero] * T.dim
-                    for a in range(A.dim):
-                        if ru[a] == field.zero:
-                            continue
-                        for b in range(B.dim):
-                            if rv[b] != field.zero:
-                                coords[a * B.dim + b] = ru[a] * rv[b]
-                    vecs.append(coords)
-        chain.append(Subspace(field, T.dim, vecs))
+    chain = [tensor_piece(FA.piece, FB.piece, k) for k in range(top + 1)]
     if chain[-1].dim != 0:
-        chain.append(Subspace(field, T.dim))
+        chain.append(Subspace(T.field, T.dim))
     return FilteredSuperAlgebra(T, chain, check=False)
 
 
-class GrTensorReport:
-    def __init__(self):
-        self.holds = True
-        self.failures = []
-        self.degree_dims = {}
+class GradedReport(AxiomReport):
+    """An AxiomReport that also records {degree: (source dim, target dim)}
+    for a degreewise comparison of graded objects."""
 
-    def fail(self, msg):
-        self.holds = False
-        self.failures.append(msg)
+    def __init__(self):
+        super().__init__()
+        self.degree_dims = {}
 
 
 def check_gr_tensor_iso(FA, FB):
@@ -248,7 +238,7 @@ def check_gr_tensor_iso(FA, FB):
     Returns a report; .holds means the canonical map is a degreewise
     bijection and multiplies correctly on every basis pair.
     """
-    report = GrTensorReport()
+    report = GradedReport()
     grA = graded_companion(FA)
     grB = graded_companion(FB)
     FT = tensor_filtration(FA, FB)
@@ -256,7 +246,6 @@ def check_gr_tensor_iso(FA, FB):
     source = tensor(grA.gr, grB.gr)
     T = FT.algebra
     field = T.field
-    B = FB.algebra
     nT = T.dim
 
     # columns of the canonical map, indexed like the source basis
@@ -266,11 +255,7 @@ def check_gr_tensor_iso(FA, FB):
         for j in range(grB.gr.dim):
             deg = grA.degrees[i] + grB.degrees[j]
             src_degrees.append(deg)
-            coords = [field.zero] * nT
-            ra, rb = grA.reps[i], grB.reps[j]
-            for a in ra.support():
-                for b in rb.support():
-                    coords[a * B.dim + b] = ra.coords[a] * rb.coords[b]
+            coords = kron(grA.reps[i].coords, grB.reps[j].coords, field)
             try:
                 cols.append(grT.class_coords(Element(T, coords), deg))
             except FiltrationError:
@@ -296,8 +281,6 @@ def check_gr_tensor_iso(FA, FB):
             report.fail("degree %d dimensions differ" % deg)
             continue
         mat = [[cols[s][t] for s in src_idx] for t in tgt_idx]
-        from .linalg import rank
-
         if rank(mat, field) != len(src_idx):
             report.fail("degree %d map is not bijective" % deg)
 

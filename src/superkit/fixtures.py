@@ -1,9 +1,17 @@
-"""Built-in pair fixtures: gl(1|1), gl(2|1) and the pseudoabelian example."""
+"""Built-in pair fixtures: gl(1|1), gl(2|1) and the pseudoabelian example;
+JSON fixtures; and the named fixtures of the command line."""
 
 from __future__ import annotations
 
+import json
+import os
+import re
+
 import sympy
 
+from .algebra import (
+    DualSuperNumbers, SuperAlgebra, SuperIdeal, grassmann, ground_algebra, odd_ideal,
+)
 from .hcp import (
     BasisExpander,
     GenericPoint,
@@ -12,6 +20,7 @@ from .hcp import (
     _flatten,
     pseudoabelian_example,
 )
+from .linalg import mat_bracket
 
 
 def _unit_matrix(field, size, i, j):
@@ -24,20 +33,10 @@ def _unit_matrix(field, size, i, j):
 def _anticommutator_table(field, lie_basis, module_matrices):
     """bracket_VV for matrix fixtures: [v,w] = vw + wv expanded in Lie basis."""
     exp = BasisExpander(field, [_flatten(m) for m in lie_basis])
-    size = len(module_matrices[0])
     table = {}
     for i, Mi in enumerate(module_matrices):
         for j, Mj in enumerate(module_matrices):
-            anti = [
-                [
-                    field.sum(
-                        Mi[a][k] * Mj[k][b] + Mj[a][k] * Mi[k][b]
-                        for k in range(size)
-                    )
-                    for b in range(size)
-                ]
-                for a in range(size)
-            ]
+            anti = mat_bracket(Mi, Mj, -field.one)
             coords = exp.coords_field(_flatten(anti))
             if any(c != field.zero for c in coords):
                 table[(i, j)] = tuple(coords)
@@ -59,11 +58,10 @@ def gl11_pair(field):
     )
     module = [_unit_matrix(field, 2, 0, 1), _unit_matrix(field, 2, 1, 0)]
     vv = _anticommutator_table(field, lie, module)
-    pair = HarishChandraPair(
-        group, ["v+", "v-"], vv, module_matrices=module, name="gl11"
+    return HarishChandraPair(
+        group, ["v+", "v-"], vv, module_matrices=module, row_parities=(0, 1),
+        name="gl11",
     )
-    pair.row_parities = (0, 1)
-    return pair
 
 
 def gl21_pair(field):
@@ -92,11 +90,10 @@ def gl21_pair(field):
         _unit_matrix(field, 3, 2, 1),
     ]
     vv = _anticommutator_table(field, lie, module)
-    pair = HarishChandraPair(
-        group, ["v13", "v23", "v31", "v32"], vv, module_matrices=module, name="gl21"
+    return HarishChandraPair(
+        group, ["v13", "v23", "v31", "v32"], vv, module_matrices=module,
+        row_parities=(0, 0, 1), name="gl21",
     )
-    pair.row_parities = (0, 0, 1)
-    return pair
 
 
 BUILTIN_PAIRS = {
@@ -108,10 +105,6 @@ BUILTIN_PAIRS = {
 
 
 # -- JSON fixtures ------------------------------------------------------
-
-
-def _scalar_to_str(field, x):
-    return field.render(x)
 
 
 def _parse_scalar(field, s):
@@ -136,8 +129,6 @@ def algebra_to_json(A):
 
 
 def algebra_from_json(field, data):
-    from .algebra import SuperAlgebra
-
     products = {}
     for key, terms in data["products"].items():
         i, j = (int(x) for x in key.split(","))
@@ -220,9 +211,8 @@ def pair_to_json(pair):
             for key, coords in sorted(pair._gv.items())
         }
         data["action"] = [[str(e) for e in row] for row in pair.action_expr]
-    rp = getattr(pair, "row_parities", None)
-    if rp is not None:
-        data["row_parities"] = list(rp)
+    if pair.row_parities is not None:
+        data["row_parities"] = list(pair.row_parities)
     return data
 
 
@@ -244,7 +234,7 @@ def pair_from_json(field, data):
     for key, coords in data.get("bracket_vv", {}).items():
         i, j = (int(x) for x in key.split(","))
         vv[(i, j)] = tuple(_parse_scalar(field, c) for c in coords)
-    kwargs = {"name": data.get("name")}
+    kwargs = {"name": data.get("name"), "row_parities": data.get("row_parities")}
     if "module_matrices" in data:
         kwargs["module_matrices"] = [
             [[_parse_scalar(field, x) for x in row] for row in M]
@@ -258,15 +248,10 @@ def pair_from_json(field, data):
         kwargs["bracket_gv"] = gv
         if "action" in data:
             kwargs["action_expr"] = data["action"]
-    pair = HarishChandraPair(group, data["module_labels"], vv, **kwargs)
-    if "row_parities" in data:
-        pair.row_parities = tuple(int(p) for p in data["row_parities"])
-    return pair
+    return HarishChandraPair(group, data["module_labels"], vv, **kwargs)
 
 
 def load_fixture(field, path):
-    import json
-
     with open(path) as fh:
         data = json.load(fh)
     kind = data.get("kind")
@@ -283,8 +268,6 @@ def load_fixture(field, path):
 
 
 def resolve_pair(field, spec):
-    import os
-
     if spec in BUILTIN_PAIRS:
         return BUILTIN_PAIRS[spec](field)
     if os.path.exists(spec):
@@ -297,39 +280,40 @@ def resolve_pair(field, spec):
 
 def unit_hopf(field):
     """The one dimensional Hopf superalgebra K."""
-    from .algebra import SuperAlgebra
     from .hopf import HopfSuperAlgebra
 
-    A = SuperAlgebra(
-        field, ["1"], [0], [field.one], {(0, 0): {0: field.one}},
-        check=False, name="K",
-    )
     return HopfSuperAlgebra(
-        A, [{(0, 0): field.one}], [field.one], [[field.one]], check=True
+        ground_algebra(field), [{(0, 0): field.one}], [field.one], [[field.one]],
+        check=True,
     )
+
+
+def _named_hopf_factors(field, spec):
+    """(B, Λ) for the names L<t>, add<m> and add<m>xL<t>, or None.
+
+    B is K[T]/(T^m) with the binomial coproduct (None for L<t>) and Λ the
+    Grassmann Hopf algebra on t generators (None for add<m>)."""
+    from .hopf import grassmann_hopf
+    from .hyp import additive_truncation
+
+    m = re.fullmatch(r"L(\d+)|add(\d+)(?:xL(\d+))?", spec)
+    if m is None:
+        return None
+    t = m.group(1) or m.group(3)
+    B = additive_truncation(field, int(m.group(2))).as_hopf() if m.group(2) else None
+    L = grassmann_hopf(field, ["th%d" % (i + 1) for i in range(int(t))]) if t else None
+    return B, L
 
 
 def resolve_hopf(field, spec):
-    import os
-    import re
+    from .hyp import tensor_hopf
 
-    from .hopf import grassmann_hopf
-    from .hyp import additive_truncation, tensor_hopf
-
-    m = re.fullmatch(r"L(\d+)", spec)
-    if m:
-        t = int(m.group(1))
-        return grassmann_hopf(field, ["th%d" % (i + 1) for i in range(t)])
-    m = re.fullmatch(r"add(\d+)", spec)
-    if m:
-        return additive_truncation(field, int(m.group(1))).as_hopf()
-    m = re.fullmatch(r"add(\d+)xL(\d+)", spec)
-    if m:
-        t = int(m.group(2))
-        return tensor_hopf(
-            additive_truncation(field, int(m.group(1))).as_hopf(),
-            grassmann_hopf(field, ["th%d" % (i + 1) for i in range(t)]),
-        )
+    factors = _named_hopf_factors(field, spec)
+    if factors is not None:
+        B, L = factors
+        if B is not None and L is not None:
+            return tensor_hopf(B, L)
+        return L if B is None else B
     if os.path.exists(spec):
         from .hopf import HopfSuperAlgebra
 
@@ -340,35 +324,37 @@ def resolve_hopf(field, spec):
     raise ValueError("unknown Hopf fixture %r" % (spec,))
 
 
+def resolve_decomposable(field, spec):
+    """B ⊗ Λ with its tensor splitting: L<t> (B = K), add<m> (Λ = K) or
+    add<m>xL<t>."""
+    from .hopf import grassmann_hopf
+    from .hyp import tensor_hopf
+
+    factors = _named_hopf_factors(field, spec)
+    if factors is None:
+        raise ValueError("unknown decomposable fixture %r" % (spec,))
+    B, L = factors
+    return tensor_hopf(
+        unit_hopf(field) if B is None else B,
+        grassmann_hopf(field, []) if L is None else L,
+    )
+
+
 def resolve_filtered(field, spec):
     """A named or JSON algebra together with a canonical nilpotent chain."""
-    import os
-    import re
-
-    from .algebra import odd_ideal
     from .filtration import adic_filtration
 
     m = re.fullmatch(r"Lambda(\d+)", spec)
     if m:
-        from .algebra import grassmann
-
         t = int(m.group(1))
         A = grassmann(field, ["th%d" % (i + 1) for i in range(t)])
         return adic_filtration(A, odd_ideal(A))
     m = re.fullmatch(r"dual(\d*)", spec)
     if m:
-        from .algebra import SuperAlgebra, DualSuperNumbers, SuperIdeal, Element
-
-        K = SuperAlgebra(
-            field, ["1"], [0], [field.one], {(0, 0): {0: field.one}},
-            check=False, name="K",
-        )
-        D = DualSuperNumbers(K).factor
+        D = DualSuperNumbers(ground_algebra(field)).factor
         gens = [D.basis_element(1), D.basis_element(2)]
         return adic_filtration(D, SuperIdeal(D, gens, close=True))
     if os.path.exists(spec):
-        from .algebra import SuperAlgebra
-
         A = load_fixture(field, spec)
         if not isinstance(A, SuperAlgebra):
             raise ValueError("%s is not an algebra fixture" % spec)

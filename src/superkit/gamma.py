@@ -23,8 +23,9 @@ of R generates a nilpotent ideal.
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, Element
-from .hcp import HCPError
+from .algebra import AlgebraError, Element, ground_algebra
+from .algebra import lift_matrix as _lift_field_matrix
+from .linalg import mat_mul
 
 
 class GammaError(ValueError):
@@ -34,10 +35,6 @@ class GammaError(ValueError):
 _MAX_REWRITE_STEPS = 100000
 
 
-def _lift_field_matrix(R, mat):
-    return [[R.unit.scale(x) for x in row] for row in mat]
-
-
 def rmat_identity(R, n):
     return [
         [R.unit if i == j else R.zero() for j in range(n)] for i in range(n)
@@ -45,17 +42,8 @@ def rmat_identity(R, n):
 
 
 def rmat_mul(R, A, B):
-    n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = R.zero()
-            for k in range(n):
-                acc = acc + R.multiply(A[i][k], B[k][j])
-            row.append(acc)
-        out.append(row)
-    return out
+    """Product of two matrices over R."""
+    return mat_mul(A, B)
 
 
 def rmat_inverse(R, A):
@@ -322,20 +310,11 @@ def conjugate(gmat, u):
 # -- tangent bracket ----------------------------------------------------
 
 
-def _ground_algebra(field):
-    from .algebra import SuperAlgebra
-
-    return SuperAlgebra(
-        field, ["1"], [0], [field.one], {(0, 0): {0: field.one}},
-        check=False, name="K",
-    )
-
-
 def tangent_algebra(field):
     """K[eps0,eps1] ⊗ K[eps0',eps1'] with handles on the four generators."""
     from .algebra import DualSuperNumbers, tensor, tensor_pure
 
-    K = _ground_algebra(field)
+    K = ground_algebra(field)
     D = DualSuperNumbers(K).factor
     R = tensor(D, D)
     eps = {
@@ -521,8 +500,8 @@ def oracle_enveloping(arg, tokens=None, R=None):
 
 
 def _candidate_twists(pair):
-    rp = getattr(pair, "row_parities", None)
-    if rp is None or getattr(pair, "mode", None) != "conjugation":
+    rp = pair.row_parities
+    if rp is None or pair.mode != "conjugation":
         raise GammaError("supermatrix oracle needs a matrix fixture with row parities")
     field = pair.field
     col_twist = [(-field.one if p == 1 else field.one) for p in rp]
@@ -543,7 +522,7 @@ def _e_matrix(pair, R, a, idx, twist):
 
 def calibrate_supermatrix(pair):
     """Choose the column sign twist making relation (1) hold matricially."""
-    if getattr(pair, "_supermatrix_twist", None) is not None:
+    if pair._supermatrix_twist is not None:
         return pair._supermatrix_twist
     from .algebra import grassmann
 

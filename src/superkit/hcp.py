@@ -22,8 +22,10 @@ from itertools import combinations_with_replacement, permutations
 
 import sympy
 
-from .hopf import AxiomReport
-from .linalg import Subspace, express_in_basis, invert_matrix, rank, rref
+from .algebra import AxiomReport, lift_matrix
+from .linalg import (
+    Subspace, express_in_basis, invert_matrix, mat_bracket, mat_mul, rank, rref,
+)
 from .symbolic import Reducer, eval_at, to_sympy
 
 
@@ -56,7 +58,7 @@ class BasisExpander:
             raise HCPError("vector escapes the expansion basis")
         return coords
 
-    def coords_generic(self, vec, scal, add, mul, is_zero):
+    def coords_generic(self, vec, scal, add, is_zero):
         """vec entries live in any commutative ring; returns (coords, ok)."""
         coords = []
         for i in range(len(self.basis)):
@@ -82,7 +84,6 @@ class BasisExpander:
             vec,
             scal=lambda c, x: to_sympy(c) * x,
             add=lambda a, b: a + b,
-            mul=None,
             is_zero=reducer.is_zero,
         )
 
@@ -91,7 +92,6 @@ class BasisExpander:
             vec,
             scal=lambda c, x: x.scale(c),
             add=lambda a, b: a + b,
-            mul=None,
             is_zero=lambda e: e.is_zero(),
         )
 
@@ -189,22 +189,7 @@ class MatrixGroupModel:
 
 
 def _mat_comm(X, Y, field):
-    n = len(X)
-    return [
-        [
-            field.sum(X[i][k] * Y[k][j] - Y[i][k] * X[k][j] for k in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
-def _mat_mul_sym(A, B):
-    n = len(A)
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+    return mat_bracket(X, Y, field.one)
 
 
 class HarishChandraPair:
@@ -214,14 +199,22 @@ class HarishChandraPair:
     or an explicit polynomial matrix in the group entry symbols.
     bracket_gv: "conjugation" (matrix commutator) or an explicit table
     {(lie_index, v_index): V-coordinate tuple}.
+    row_parities: parities of the rows of a matrix realization, needed by
+    the supermatrix oracle (None when there is none).
     """
 
     def __init__(self, group, module_labels, bracket_vv, *, module_matrices=None,
-                 action_expr=None, bracket_gv="conjugation", name=None):
+                 action_expr=None, bracket_gv="conjugation", row_parities=None,
+                 name=None):
         self.group = group
         self.field = group.field
         self.module_labels = tuple(module_labels)
         self.name = name
+        self.row_parities = (
+            None if row_parities is None else tuple(int(p) for p in row_parities)
+        )
+        self._supermatrix_twist = None
+        self._lie = None
         t = len(self.module_labels)
         if module_matrices is not None:
             self.mode = "conjugation"
@@ -249,9 +242,13 @@ class HarishChandraPair:
         if bracket_gv == "conjugation":
             if self.mode != "conjugation":
                 raise HCPError("derived bracket_gV needs a matrix module realization")
-            self._gv = None
-        else:
-            self._gv = {k: tuple(v) for k, v in bracket_gv.items()}
+            bracket_gv = {
+                (k, i): self.module_expander.coords_field(
+                    _flatten(_mat_comm(X, M, self.field)))
+                for k, X in enumerate(group.lie_basis)
+                for i, M in enumerate(self.module_matrices)
+            }
+        self._gv = {k: tuple(v) for k, v in bracket_gv.items()}
 
     @property
     def t(self):
@@ -265,10 +262,7 @@ class HarishChandraPair:
         return self._vv.get((i, j), self._zero_lie)
 
     def gv(self, k, i):
-        if self._gv is not None:
-            return self._gv.get((k, i), tuple([self.field.zero] * self.t))
-        comm = _mat_comm(self.group.lie_basis[k], self.module_matrices[i], self.field)
-        return tuple(self.module_expander.coords_field(_flatten(comm)))
+        return self._gv.get((k, i), tuple([self.field.zero] * self.t))
 
     def apply_gv(self, lie_coords, i):
         """[x, v_i] in V coordinates for x given in Lie coordinates."""
@@ -277,6 +271,16 @@ class HarishChandraPair:
             if c == self.field.zero:
                 continue
             for m, s in enumerate(self.gv(k, i)):
+                out[m] = out[m] + c * s
+        return tuple(out)
+
+    def apply_vv(self, v_coords, j):
+        """[w, v_j] in Lie coordinates for w given in V coordinates."""
+        out = [self.field.zero] * self.lie_dim
+        for i, c in enumerate(v_coords):
+            if c == self.field.zero:
+                continue
+            for m, s in enumerate(self.vv(i, j)):
                 out[m] = out[m] + c * s
         return tuple(out)
 
@@ -295,7 +299,7 @@ class HarishChandraPair:
         cols = []
         for i in range(t):
             M = [[to_sympy(x) for x in row] for row in self.module_matrices[i]]
-            conj = _mat_mul_sym(_mat_mul_sym(point.matrix, M), point.inverse)
+            conj = mat_mul(mat_mul(point.matrix, M), point.inverse)
             coords, ok = self.module_expander.coords_sympy(_flatten(conj), red)
             if not ok:
                 raise HCPError("generic action escapes the module")
@@ -308,7 +312,7 @@ class HarishChandraPair:
         cols = []
         for k in range(g.lie_dim):
             X = [[to_sympy(x) for x in row] for row in g.lie_basis[k]]
-            conj = _mat_mul_sym(_mat_mul_sym(point.matrix, X), point.inverse)
+            conj = mat_mul(mat_mul(point.matrix, X), point.inverse)
             coords, ok = g.lie_expander.coords_sympy(_flatten(conj), red)
             if not ok:
                 raise HCPError("adjoint action escapes the Lie algebra")
@@ -330,79 +334,52 @@ class HarishChandraPair:
             ]
         cols = []
         for i in range(t):
-            M = self.module_matrices[i]
-            conj = _mat_conj_over(R, gmat, M, gmat_inv)
+            M = lift_matrix(R, self.module_matrices[i])
+            conj = mat_mul(mat_mul(gmat, M), gmat_inv)
             coords, ok = self.module_expander.coords_R(_flatten(conj), R)
             if not ok:
                 raise HCPError("action escapes the module over R")
             cols.append(coords)
         return [[cols[j][i] for j in range(t)] for i in range(t)]
 
-    def ad_over(self, R, gmat, gmat_inv):
-        g = self.group
-        cols = []
-        for k in range(g.lie_dim):
-            conj = _mat_conj_over(R, gmat, g.lie_basis[k], gmat_inv)
-            coords, ok = g.lie_expander.coords_R(_flatten(conj), R)
-            if not ok:
-                raise HCPError("adjoint escapes the Lie algebra over R")
-            cols.append(coords)
-        return [[cols[j][i] for j in range(g.lie_dim)] for i in range(g.lie_dim)]
-
     # -- assembled Lie superalgebra -------------------------------------
 
     def assembled_lie(self, *, check=True):
+        """Lie(G) ⊕ V as a Lie superalgebra, built once per pair.  With
+        check=True every call runs the axiom sweep and raises LieError
+        when it fails."""
         from .liesuper import LieSuperAlgebra
 
-        g = self.group
-        field = self.field
-        l, t = g.lie_dim, self.t
-        labels = ["x%d" % (k + 1) for k in range(l)] + list(self.module_labels)
-        parities = [0] * l + [1] * t
-        brackets = {}
+        if self._lie is None:
+            g = self.group
+            field = self.field
+            l, t = g.lie_dim, self.t
+            labels = ["x%d" % (k + 1) for k in range(l)] + list(self.module_labels)
+            parities = [0] * l + [1] * t
+            brackets = {}
 
-        def put(i, j, coords):
-            terms = {k: c for k, c in enumerate(coords) if c != field.zero}
-            if terms:
-                brackets[(i, j)] = terms
+            def put(i, j, coords):
+                terms = {k: c for k, c in enumerate(coords) if c != field.zero}
+                if terms:
+                    brackets[(i, j)] = terms
 
-        for a in range(l):
-            for b in range(l):
-                comm = _mat_comm(g.lie_basis[a], g.lie_basis[b], field)
-                coords = g.lie_expander.coords_field(_flatten(comm))
-                put(a, b, list(coords) + [field.zero] * t)
-        for k in range(l):
+            for a in range(l):
+                for b in range(l):
+                    comm = _mat_comm(g.lie_basis[a], g.lie_basis[b], field)
+                    coords = g.lie_expander.coords_field(_flatten(comm))
+                    put(a, b, list(coords) + [field.zero] * t)
+            for k in range(l):
+                for i in range(t):
+                    coords = self.gv(k, i)
+                    put(k, l + i, [field.zero] * l + list(coords))
+                    put(l + i, k, [field.zero] * l + [-c for c in coords])
             for i in range(t):
-                coords = self.gv(k, i)
-                put(k, l + i, [field.zero] * l + list(coords))
-                put(l + i, k, [field.zero] * l + [-c for c in coords])
-        for i in range(t):
-            for j in range(t):
-                put(l + i, l + j, list(self.vv(i, j)) + [field.zero] * t)
-        return LieSuperAlgebra(field, labels, parities, brackets, check=check)
-
-
-def _mat_conj_over(R, g, M, ginv):
-    n = len(g)
-    MK = [[R.unit.scale(x) for x in row] for row in M]
-
-    def mul(A, B):
-        return [
-            [
-                _sum_elems(R, [R.multiply(A[i][k], B[k][j]) for k in range(n)])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-
-    return mul(mul(g, MK), ginv)
-
-
-def _sum_elems(R, elems):
-    out = R.zero()
-    for e in elems:
-        out = out + e
-    return out
+                for j in range(t):
+                    put(l + i, l + j, list(self.vv(i, j)) + [field.zero] * t)
+            self._lie = LieSuperAlgebra(field, labels, parities, brackets, check=False)
+        if check:
+            self._lie.require_axioms()
+        return self._lie
 
 
 def validate_pair(pair):
@@ -563,21 +540,11 @@ def subordinated_closure(pair, lie_r):
             raise HCPError("fixpoint failed to stabilize within dim V steps")
 
     for row in W.rows:
-        for j in range(t):
-            br = [field.zero] * pair.lie_dim
-            for i, c in enumerate(row):
-                for m, s in enumerate(pair.vv(i, j)):
-                    br[m] = br[m] + c * s
-            if not lie_r.contains(br):
-                raise HCPError("result violates [W,V] in Lie(R)")
-        for j in range(t):
-            for k in range(t):
-                vvk = [field.zero] * t
-                for i, c in enumerate(row):
-                    for m, s in enumerate(pair.apply_gv(pair.vv(i, j), k)):
-                        vvk[m] = vvk[m] + c * s
-                if not W.contains(vvk):
-                    raise HCPError("result violates [[W,V],V] in W")
+        brs = [pair.apply_vv(row, j) for j in range(t)]
+        if not all(lie_r.contains(br) for br in brs):
+            raise HCPError("result violates [W,V] in Lie(R)")
+        if not all(W.contains(pair.apply_gv(br, k)) for br in brs for k in range(t)):
+            raise HCPError("result violates [[W,V],V] in W")
     return Submodule(pair, W)
 
 
@@ -623,11 +590,7 @@ def r_radical(pair, lie_r):
     # [W_R, V] must land in Lie(H_R)
     for row in W.sub.rows:
         for j in range(t):
-            br = [field.zero] * pair.lie_dim
-            for i, c in enumerate(row):
-                for m, s in enumerate(pair.vv(i, j)):
-                    br[m] = br[m] + c * s
-            if not lie_hr.contains(br):
+            if not lie_hr.contains(pair.apply_vv(row, j)):
                 raise HCPError("[W_R, V] escapes Lie(H_R)")
     return W, lie_hr
 
@@ -650,10 +613,7 @@ def brute_force_largest_subordinated(pair, lie_r):
         ok = True
         for row in W.rows:
             for j in range(t):
-                br = [field.zero] * pair.lie_dim
-                for i, c in enumerate(row):
-                    for m, s in enumerate(pair.vv(i, j)):
-                        br[m] = br[m] + c * s
+                br = pair.apply_vv(row, j)
                 if not lie_r.contains(br):
                     ok = False
                     break
@@ -756,11 +716,7 @@ def check_exact_sequence(inner, w_to_v, lie_embed, mid, outer, v_to_u,
     lie_inner = Subspace(field, mid.lie_dim, [tuple(r) for r in lie_embed])
     for row in img.rows:
         for j in range(t_mid):
-            br = [field.zero] * mid.lie_dim
-            for i, c in enumerate(row):
-                for m, s in enumerate(mid.vv(i, j)):
-                    br[m] = br[m] + c * s
-            if not lie_inner.contains(br):
+            if not lie_inner.contains(mid.apply_vv(row, j)):
                 report.fail("(2c) [V, W] escapes Lie(inner)")
                 break
     return report

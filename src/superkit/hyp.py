@@ -22,10 +22,12 @@ deep enough for the result to be trustworthy.
 
 from __future__ import annotations
 
-from .algebra import Element, SuperAlgebra, SuperIdeal, tensor
-from .filtration import FiltrationError, adic_filtration, graded_companion
-from .hopf import AxiomReport, HopfSuperAlgebra
-from .linalg import Subspace, invert_matrix, nullspace, rank, rref, solve
+from .algebra import AxiomReport, Element, SuperAlgebra, SuperIdeal, tensor
+from .filtration import (
+    FiltrationError, GradedReport, adic_filtration, graded_companion, tensor_piece,
+)
+from .hopf import HopfSuperAlgebra
+from .linalg import Subspace, invert_matrix, nullspace, rank, transpose
 
 
 class HypError(ValueError):
@@ -90,12 +92,6 @@ def augmentation_filtration(H):
     return adic_filtration(H.algebra, counit_kernel_ideal(H.algebra, H.eps))
 
 
-def odd_adic_filtration(A):
-    from .algebra import odd_ideal
-
-    return adic_filtration(A, odd_ideal(A))
-
-
 class HypFiltration:
     """hyp_k = annihilator of I_{k+1} for a descending ideal chain I."""
 
@@ -147,26 +143,6 @@ def _dual_coproduct_coords(D, phi):
     return out
 
 
-def _tensor_sum_subspace(field, n, pieces_left, pieces_right, k):
-    """sum_{i+j=k} L_i ⊗ R_j inside field^{n*n}."""
-    vecs = []
-    for i in range(k + 1):
-        j = k - i
-        li = pieces_left(i)
-        rj = pieces_right(j)
-        for ru in li.rows:
-            for rv in rj.rows:
-                coords = [field.zero] * (n * n)
-                for a in range(n):
-                    if ru[a] == field.zero:
-                        continue
-                    for b in range(n):
-                        if rv[b] != field.zero:
-                            coords[a * n + b] = ru[a] * rv[b]
-                vecs.append(coords)
-    return Subspace(field, n * n, vecs)
-
-
 def check_hyp_filtration(H, chain, *, local=True):
     """Structure lemmas for the hyperalgebra filtration of a chain.
 
@@ -178,7 +154,6 @@ def check_hyp_filtration(H, chain, *, local=True):
     - the filtration is increasing and exhausts the full dual.
     """
     report = AxiomReport()
-    field = H.field
     n = H.algebra.dim
     D = dual_hopf(H, check=False)
     F = HypFiltration(H, chain)
@@ -208,7 +183,7 @@ def check_hyp_filtration(H, chain, *, local=True):
             if not ok:
                 report.fail("hyp_%d · hyp_%d escapes hyp_%d" % (k, l, k + l))
     for k in range(F.length):
-        tgt = _tensor_sum_subspace(field, n, F.piece, F.piece, k)
+        tgt = tensor_piece(F.piece, F.piece, k)
         for phi in F.piece(k).rows:
             if not tgt.contains(_dual_coproduct_coords(D, phi)):
                 report.fail("dual coproduct escapes at level %d" % k)
@@ -409,9 +384,8 @@ class CanonicalDecomposition:
                 self.index.append((beta, size_mask))
                 cols.append(acc.coords)
         self.matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
-        try:
-            self.inverse = invert_matrix(self.matrix, field)
-        except Exception:
+        self.inverse = invert_matrix(self.matrix, field)
+        if self.inverse is None:
             raise HypError("recomposition matrix is singular")
 
     def decompose(self, phi):
@@ -451,29 +425,12 @@ def graded_hopf(H, filtration):
     field = A.field
     n = A.dim
     degrees = comp.degrees
-    adapt = comp._adapt_cols
-
-    def adapted_tensor(elem2):
-        # coordinates of an element of A⊗A in the adapted⊗adapted basis
-        out = {}
-        for idx in elem2.support():
-            s, t = divmod(idx, n)
-            c = elem2.coords[idx]
-            cs, ct = adapt[s], adapt[t]
-            for u in range(n):
-                if cs[u] == field.zero:
-                    continue
-                for v in range(n):
-                    if ct[v] != field.zero:
-                        key = (u, v)
-                        out[key] = out.get(key, field.zero) + c * cs[u] * ct[v]
-        return {k: c for k, c in out.items() if c != field.zero}
-
     delta = []
     for b in range(n):
         k = degrees[b]
         table = {}
-        for (u, v), c in adapted_tensor(H.coproduct(comp.reps[b])).items():
+        cop = H.coproduct(comp.reps[b]).coords
+        for (u, v), c in _adapted_tensor(cop, comp._adapt_cols, field).items():
             d = degrees[u] + degrees[v]
             if d < k:
                 raise FiltrationError(
@@ -494,12 +451,6 @@ def graded_hopf(H, filtration):
 # -- gr(hyp) versus hyp(gr) ---------------------------------------------
 
 
-class GrHypReport(AxiomReport):
-    def __init__(self):
-        super().__init__()
-        self.degree_dims = {}
-
-
 def check_gr_hyp_duality(H, filtration):
     """gr of the filtered dual against the dual of the graded companion.
 
@@ -509,7 +460,7 @@ def check_gr_hyp_duality(H, filtration):
     and verifies that the map is bijective and respects unit, counit,
     product, coproduct and antipode.
     """
-    report = GrHypReport()
+    report = GradedReport()
     field = H.field
     n = H.algebra.dim
     grH, comp = graded_hopf(H, filtration)
@@ -531,6 +482,7 @@ def check_gr_hyp_duality(H, filtration):
         return report
     P = [[adapted[j][i] for j in range(n)] for i in range(n)]
     Pinv = invert_matrix(P, field)
+    pinv_cols = transpose(Pinv)
 
     def adapted_coords(vec):
         return [
@@ -613,7 +565,7 @@ def check_gr_hyp_duality(H, filtration):
         cop = _dual_coproduct_coords(D1, adapted[i])
         # class in sum_{u+v=k}: adapted⊗adapted coordinates
         ok = True
-        lhs = _adapted_tensor_vec(cop, Pinv, field, n)
+        lhs = _adapted_tensor(cop, pinv_cols, field)
         for (u, v), c in list(lhs.items()):
             if adeg[u] + adeg[v] > k:
                 report.fail("dual coproduct exceeds level at index %d" % i)
@@ -661,21 +613,22 @@ def check_gr_hyp_duality(H, filtration):
     return report
 
 
-def _adapted_tensor_vec(flat, Pinv, field, n):
-    """Flat A*⊗A* vector re-expressed in the adapted ⊗ adapted basis."""
+def _adapted_tensor(flat, cols, field):
+    """A flat vector of V⊗V re-expressed in the adapted ⊗ adapted basis,
+    where cols[s] holds the adapted coordinates of the basis vector e_s."""
+    n = len(cols)
     out = {}
     for s in range(n):
         for t in range(n):
             c = flat[s * n + t]
             if c == field.zero:
                 continue
+            cs, ct = cols[s], cols[t]
             for u in range(n):
-                cu = Pinv[u][s]
-                if cu == field.zero:
+                if cs[u] == field.zero:
                     continue
                 for v in range(n):
-                    cv = Pinv[v][t]
-                    if cv != field.zero:
+                    if ct[v] != field.zero:
                         key = (u, v)
-                        out[key] = out.get(key, field.zero) + c * cu * cv
+                        out[key] = out.get(key, field.zero) + c * cs[u] * ct[v]
     return {k: c for k, c in out.items() if c != field.zero}

@@ -14,10 +14,10 @@ bracket carries the sign [X⊗r, Y⊗r'] = (-1)^{|r||Y|} [X,Y] ⊗ r r'.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
-from .algebra import AlgebraError, Element, SuperVectorSpace
-from .linalg import express_in_basis
+from .algebra import AxiomReport, SuperVectorSpace
+from .linalg import express_in_basis, mat_bracket
 
 
 class LieError(ValueError):
@@ -28,7 +28,6 @@ class LieSuperAlgebra:
     def __init__(self, field, labels, parities, brackets, *, check=True):
         self.field = field
         self.space = SuperVectorSpace(labels, parities)
-        n = self.space.dim
         self.table = {}
         for (i, j), terms in brackets.items():
             terms = {k: c for k, c in terms.items() if c != field.zero}
@@ -40,9 +39,7 @@ class LieSuperAlgebra:
                 if self.space.parities[k] != want:
                     raise LieError("bracket is not parity additive at (%d,%d)" % (i, j))
         if check:
-            report = self.check_axioms()
-            if not report.holds:
-                raise LieError("axioms fail: %s" % "; ".join(report.failures))
+            self.require_axioms()
 
     @property
     def dim(self):
@@ -91,14 +88,13 @@ class LieSuperAlgebra:
                         out[k] = out[k] + prod.scale(s)
         return out
 
-    def ad_matrix(self, x):
-        """Matrix of ad(x) = [x, -] acting on coordinate columns."""
-        cols = [self.bracket(x, self.basis_coords(j)) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+    def require_axioms(self):
+        """Raise LieError listing the failures unless the axioms hold."""
+        report = self.check_axioms()
+        if not report.holds:
+            raise LieError("axioms fail: %s" % "; ".join(report.failures))
 
     def check_axioms(self):
-        from .hopf import AxiomReport
-
         report = AxiomReport()
         field = self.field
         n = self.dim
@@ -134,8 +130,6 @@ class LieSuperAlgebra:
                         )
         # (B2) with formal commuting coefficients on the odd part
         odd = [i for i in range(n) if par[i] == 1]
-        from itertools import combinations_with_replacement
-
         for multiset in combinations_with_replacement(odd, 3):
             acc = [field.zero] * n
             for (i, j, k) in set(permutations(multiset)):
@@ -177,16 +171,13 @@ class MatrixLieSuper(LieSuperAlgebra):
     def __init__(self, field, labels, parities, matrices, row_parities):
         self.matrices = [tuple(tuple(r) for r in m) for m in matrices]
         self.row_parities = tuple(row_parities)
-        size = len(self.row_parities)
         flat = [self._flatten(m) for m in self.matrices]
         brackets = {}
         n = len(labels)
         for i in range(n):
             for j in range(n):
-                comm = self._supercommutator(
-                    field, self.matrices[i], self.matrices[j],
-                    parities[i], parities[j],
-                )
+                sign = field.one if parities[i] * parities[j] == 0 else -field.one
+                comm = mat_bracket(self.matrices[i], self.matrices[j], sign)
                 coords = express_in_basis(self._flatten(comm), flat, field)
                 if coords is None:
                     raise LieError(
@@ -200,22 +191,6 @@ class MatrixLieSuper(LieSuperAlgebra):
     @staticmethod
     def _flatten(m):
         return [x for row in m for x in row]
-
-    @staticmethod
-    def _supercommutator(field, a, b, pa, pb):
-        size = len(a)
-        ab = [
-            [field.sum(a[i][k] * b[k][j] for k in range(size)) for j in range(size)]
-            for i in range(size)
-        ]
-        ba = [
-            [field.sum(b[i][k] * a[k][j] for k in range(size)) for j in range(size)]
-            for i in range(size)
-        ]
-        sign = field.one if pa * pb == 0 else -field.one
-        return [
-            [ab[i][j] - sign * ba[i][j] for j in range(size)] for i in range(size)
-        ]
 
 
 def gl_super(field, m, n):

@@ -8,6 +8,9 @@ coordinates in index order.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+
 
 def rref(rows, field):
     """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
@@ -125,15 +128,31 @@ def solve(rows, rhs, field):
     return tuple(x)
 
 
-def mat_mul(a, b, field):
+def mat_mul(a, b):
+    """Matrix product over any ring whose entries support + and *: field
+    scalars, sympy expressions or Elements of a coefficient algebra."""
+    cols = list(zip(*b))
+    return [[reduce(add, [x * y for x, y in zip(row, col)]) for col in cols] for row in a]
+
+
+def mat_bracket(a, b, sign):
+    """a·b - sign·b·a: the commutator for sign 1, the anticommutator for -1."""
     return [
-        [field.sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
+        [x - sign * y for x, y in zip(r, s)]
+        for r, s in zip(mat_mul(a, b), mat_mul(b, a))
     ]
 
 
-def mat_vec(a, v, field):
-    return tuple(field.sum(row[k] * v[k] for k in range(len(v))) for row in a)
+def kron(u, v, field):
+    """Coordinates of u ⊗ v on the product basis: entry a·len(v) + b is u[a]·v[b]."""
+    n = len(v)
+    out = [field.zero] * (len(u) * n)
+    for a, x in enumerate(u):
+        if x != field.zero:
+            for b, y in enumerate(v):
+                if y != field.zero:
+                    out[a * n + b] = x * y
+    return out
 
 
 def identity_matrix(n, field):

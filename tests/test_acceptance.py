@@ -438,7 +438,7 @@ def test_06_lie_axiom_suite():
                     continue
                 L = gl_super(field, m, n)
                 report = L.check_axioms()
-                assert report.holds, (field.characteristic, m, n, report.failures)
+                assert report.holds, (field.char, m, n, report.failures)
                 cases += 1
     _report(
         "06 Lie axiom suite",

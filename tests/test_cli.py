@@ -187,6 +187,29 @@ class TestCoinvariants:
         assert "alpha surjective: False" in out
 
 
+class TestMalformedInput:
+    """Malformed input exits 2 with one line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nf", "gl11", "--coeffs", "Lambda(a1)", "e(a1*,v+)"],
+            ["nf", "gl11", "--coeffs", "Lambda(a1)", "e(a1+,v+)"],
+            ["--field", "p=3", "hyp-decompose", "add3", "x,0,0"],
+            ["--field", "p=3", "hyp-decompose", "add3", "1/3,0,0"],
+            ["nf", "gl11", "--coeffs", "Lambda(a1,a1)", "e(a1,v+)"],
+            ["nf", "gl11", "--coeffs", "Lambda(a1)", "g[[1,0],[0,0]] e(a1,v+)"],
+        ],
+        ids=["trailing-star", "trailing-plus", "scalar-not-a-number",
+             "scalar-denominator-p", "repeated-generator", "singular-group-point"],
+    )
+    def test_exit_2_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestFieldOption:
     def test_char2_rejected(self, capsys):
         code, _, _ = run(capsys, ["--field", "p=2", "validate", "gl11"])

@@ -130,6 +130,15 @@ class TestCanonicalDecomposition:
         with pytest.raises(HypError):
             CanonicalDecomposition(H)
 
+    def test_singular_recomposition_matrix(self, monkeypatch):
+        H = tensor_hopf(
+            additive_truncation(F3, 3).as_hopf(), grassmann_hopf(F3, ["t1"])
+        )
+        # invert_matrix reports a singular matrix by returning None
+        monkeypatch.setattr("superkit.hyp.invert_matrix", lambda m, field: None)
+        with pytest.raises(HypError, match="singular"):
+            CanonicalDecomposition(H)
+
 
 class TestGrHyp:
     def test_graded_hopf_of_lambda(self):
