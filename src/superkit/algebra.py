@@ -10,6 +10,9 @@ sweep but everything user-supplied is verified.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+
 from .linalg import Subspace, kron, solve, transpose
 
 
@@ -65,19 +68,26 @@ class Element:
         if self.algebra is not other.algebra:
             raise AlgebraError("elements of different algebras")
 
+    # Most coordinates are zero: the arithmetic below does no scalar
+    # operation on a zero coordinate.
+
     def __add__(self, other):
         self._check_same(other)
-        return Element(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
+        return Element(
+            self.algebra, [a + b if b else a for a, b in zip(self.coords, other.coords)]
+        )
 
     def __sub__(self, other):
         self._check_same(other)
-        return Element(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
+        return Element(
+            self.algebra, [a - b if b else a for a, b in zip(self.coords, other.coords)]
+        )
 
     def __neg__(self):
-        return Element(self.algebra, [-a for a in self.coords])
+        return Element(self.algebra, [-a if a else a for a in self.coords])
 
     def scale(self, c):
-        return Element(self.algebra, [c * a for a in self.coords])
+        return Element(self.algebra, [c * a if a else a for a in self.coords])
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -89,8 +99,7 @@ class Element:
         return self.scale(self.algebra.field.from_int(other) if isinstance(other, int) else other)
 
     def is_zero(self):
-        zero = self.algebra.field.zero
-        return all(c == zero for c in self.coords)
+        return not any(self.coords)
 
     def __eq__(self, other):
         return (
@@ -112,17 +121,39 @@ class Element:
 
     def parity(self):
         """0 or 1 for homogeneous elements (0 for zero), None if mixed."""
-        zero = self.algebra.field.zero
-        seen = {self.algebra.space.parities[i] for i, c in enumerate(self.coords) if c != zero}
+        seen = {self.algebra.space.parities[i] for i, c in enumerate(self.coords) if c}
         if len(seen) > 1:
             return None
         return seen.pop() if seen else 0
 
     def support(self):
-        zero = self.algebra.field.zero
-        return [i for i, c in enumerate(self.coords) if c != zero]
+        return [i for i, c in enumerate(self.coords) if c]
 
     def invert(self):
+        """Multiplicative inverse, or raise AlgebraError.
+
+        Let s be the coordinate of self on the unit, when the unit is a
+        basis vector.  Local case: if s != 0 and m = 1 - self/s is
+        nilpotent (always so over a local algebra such as a Grassmann
+        algebra), the inverse is the finite Neumann series
+        s^-1 (1 + m + m^2 + ...).  Nilpotent case: if s = 0 and self is
+        nilpotent, there is no inverse.  Every other case (an algebra that
+        is not local, a unit that is not a basis vector) falls back to the
+        linear solve of invert_by_solve."""
+        A = self.algebra
+        u = A.unit_index
+        if u is not None:
+            s = self.coords[u]
+            if s:
+                s_inv = A.field.one / s
+                powers = A.nilpotent_powers(A.unit - self.scale(s_inv))
+                if powers is not None:
+                    return reduce(add, powers, A.unit).scale(s_inv)
+            elif A.nilpotent_powers(self) is not None:
+                raise AlgebraError("element is not invertible")
+        return self.invert_by_solve()
+
+    def invert_by_solve(self):
         """Multiplicative inverse via a linear solve, or raise AlgebraError."""
         A = self.algebra
         n = A.space.dim
@@ -147,10 +178,15 @@ class SuperAlgebra:
         self.name = name
         self._prod = {}
         for (i, j), terms in products.items():
-            terms = {k: c for k, c in terms.items() if c != field.zero}
+            terms = {k: c for k, c in terms.items() if c}
             if terms:
                 self._prod[(i, j)] = terms
         self.unit = Element(self, unit_coords)
+        support = self.unit.support()
+        self.unit_index = (
+            support[0] if len(support) == 1 and self.unit.coords[support[0]] == field.one
+            else None
+        )
         if check:
             self._validate(full=True)
         else:
@@ -188,13 +224,27 @@ class SuperAlgebra:
     def multiply(self, a, b):
         field = self.field
         out = [field.zero] * self.dim
+        b_terms = [(j, b.coords[j]) for j in b.support()]
         for i in a.support():
             ca = a.coords[i]
-            for j in b.support():
-                c = ca * b.coords[j]
+            for j, cb in b_terms:
+                c = ca * cb
                 for k, s in self.product_coords(i, j).items():
                     out[k] = out[k] + c * s
         return Element(self, out)
+
+    def nilpotent_powers(self, x):
+        """The nonzero powers x, x^2, ... of x if x is nilpotent, else None.
+
+        Takes at most dim - 1 multiplies: if x^k is the first zero power,
+        1, x, ..., x^(k-1) are independent, so k <= dim."""
+        powers, p = [], x
+        while not p.is_zero():
+            if len(powers) == self.dim - 1:
+                return None
+            powers.append(p)
+            p = self.multiply(p, x)
+        return powers
 
     # -- axioms ---------------------------------------------------------
 
@@ -470,7 +520,7 @@ def quotient_by_ideal(A, ideal):
             prod = A.multiply(A.basis_element(i), A.basis_element(j))
             terms = {}
             for t, c in zip(range(len(comp)), project_coords(prod.coords)):
-                if c != field.zero:
+                if c:
                     terms[t] = c
             if terms:
                 products[(a, b)] = terms

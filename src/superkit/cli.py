@@ -91,13 +91,12 @@ def parse_element(R, text):
     sign = 1
     while idx < len(tokens):
         tok = tokens[idx]
-        if tok == "+":
-            sign = 1
+        if tok in ("+", "-"):
+            sign = 1 if tok == "+" else -1
             idx += 1
-            continue
-        if tok == "-":
-            sign = -1
-            idx += 1
+            # the last token is a factor, so a sign is never the last one
+            if tokens[idx] in ("+", "-", "*"):
+                raise CLIError("expected a factor after %r in %r" % (tok, text))
             continue
         term = R.unit
         while True:
@@ -113,6 +112,8 @@ def parse_element(R, text):
                 idx += 1
                 continue
             break
+        if idx < len(tokens) and tokens[idx] not in ("+", "-"):
+            raise CLIError("expected *, + or - before %r in %r" % (tokens[idx], text))
         out = out + (term if sign > 0 else -term)
         sign = 1
     return out
@@ -145,7 +146,13 @@ def _load_fixture(resolver, field, spec):
 
 
 def parse_word(pair, R, text):
-    """Generator tokens from a whitespace-separated word expression."""
+    """Generator tokens from a whitespace-separated word expression.
+
+    Each token must lie in Gamma(R): an odd e-coefficient, an even
+    f-coefficient of square zero, a group point that passes the
+    membership conditions over R."""
+    from .algebra import lift_matrix
+
     field = pair.field
     toks = []
     for chunk in text.split():
@@ -157,7 +164,10 @@ def parse_word(pair, R, text):
             label = label.strip()
             if label not in pair.module_labels:
                 raise CLIError("unknown module vector %r" % label)
-            toks.append(("e", parse_element(R, expr), pair.module_labels.index(label)))
+            a = parse_element(R, expr)
+            if a.parity() != 1 and not a.is_zero():
+                raise CLIError("e-coefficient %r is not odd" % expr)
+            toks.append(("e", a, pair.module_labels.index(label)))
         elif chunk.startswith("f(") and chunk.endswith(")"):
             body = chunk[2:-1]
             if "," not in body:
@@ -169,13 +179,19 @@ def parse_word(pair, R, text):
                 raise CLIError("unknown Lie basis label %r" % label)
             coords = [field.zero] * pair.lie_dim
             coords[int(m.group(1)) - 1] = field.one
-            toks.append(("f", parse_element(R, expr), tuple(coords)))
+            b = parse_element(R, expr)
+            if b.parity() != 0 or not R.multiply(b, b).is_zero():
+                raise CLIError("f-coefficient %r is not even of square zero" % expr)
+            toks.append(("f", b, tuple(coords)))
         elif chunk.startswith("g[[") and chunk.endswith("]]"):
             mat = parse_matrix(field, chunk[1:])
             if len(mat) != pair.group.size:
                 raise CLIError("group matrix has the wrong size")
             if invert_matrix(mat, field) is None:
                 raise CLIError("group matrix %s is singular" % chunk[1:])
+            if not pair.group.membership_over(R, lift_matrix(R, mat)):
+                raise CLIError("group matrix %s is not a point of %s"
+                               % (chunk[1:], pair.group.name or "the group"))
             toks.append(("g", mat))
         else:
             raise CLIError("cannot parse token %r" % chunk)

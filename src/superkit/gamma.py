@@ -14,11 +14,16 @@ order.  Rewriting uses the defining relations:
   (5) g e(a,v) g^{-1} = e(a, Ad(g)v)
 
 f-factors and group points are absorbed into the even part immediately as
-matrix factors I + bX; moving them left conjugates the e-chain via (5)
-(clean, because the conjugated coefficients all share the same odd factor
-whose square is zero).  Termination: every (1)/(4) correction coefficient
-has strictly larger degree in the odd generators of R, and the odd part
-of R generates a nilpotent ideal.
+matrix factors; moving them left conjugates the e-chain via (5) (clean,
+because the conjugated coefficients all share the same odd factor whose
+square is zero).  A group point g conjugates the chain through rho_over.
+An f-factor I + bX has b^2 = 0, so it conjugates the chain in closed form,
+Ad((I + bX)^{-1}) = rho(I) - b·rho(X), from field matrices rho(X_k)
+computed once per pair (HarishChandraPair.linear_action).
+
+Termination: every (1)/(4) correction coefficient has strictly larger
+degree in the odd generators of R, and the odd part of R generates a
+nilpotent ideal.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ def rmat_mul(R, A, B):
 def rmat_inverse(R, A):
     """Gaussian elimination; pivots must be invertible in R (R local here)."""
     n = len(A)
-    aug = [list(row) + list(rmat_identity(R, n)[i]) for i, row in enumerate(A)]
+    ident = rmat_identity(R, n)
+    aug = [list(row) + ident[i] for i, row in enumerate(A)]
     for col in range(n):
         piv, piv_inv = None, None
         for r in range(col, n):
@@ -76,12 +82,12 @@ def f_matrix(pair, R, b, lie_coords):
     n = pair.group.size
     out = rmat_identity(R, n)
     for k, c in enumerate(lie_coords):
-        if c == pair.field.zero:
+        if not c:
             continue
         X = pair.group.lie_basis[k]
         for i in range(n):
             for j in range(n):
-                if X[i][j] != pair.field.zero:
+                if X[i][j]:
                     out[i][j] = out[i][j] + b.scale(c * X[i][j])
     return out
 
@@ -199,6 +205,34 @@ def _conjugate_chain(pair, R, word, hmat, hmat_inv):
     return out
 
 
+def _conjugate_chain_f(pair, R, word, b, lie_coords):
+    """_conjugate_chain for h = I + bX, X = sum c_k X_k, in closed form.
+
+    b^2 = 0 gives rho(h^{-1}) = rho(I) - b·sum c_k rho(X_k) exactly, so
+    each chain entry costs one product b·a.  The terms and their order
+    are those of _conjugate_chain."""
+    if not word:
+        return []
+    rho_one, rho_x = pair.linear_action()
+    t = pair.t
+    rho_lie = [[pair.field.zero] * t for _ in range(t)]
+    for c, X in zip(lie_coords, rho_x):
+        if c:
+            rho_lie = [[y + c * x if x else y for x, y in zip(xrow, yrow)]
+                       for xrow, yrow in zip(X, rho_lie)]
+    out = []
+    for (a, idx) in word:
+        ba = R.multiply(b, a)
+        for m in range(t):
+            r, s = rho_one[m][idx], rho_lie[m][idx]
+            if not (r or s):
+                continue
+            coeff = a.scale(r) - ba.scale(s)
+            if not coeff.is_zero():
+                out.append((coeff, m))
+    return out
+
+
 def normalize(pair, R, tokens, strategy="leftmost"):
     """Rewrite a generator word to its unique normal form."""
     n = pair.group.size
@@ -206,11 +240,11 @@ def normalize(pair, R, tokens, strategy="leftmost"):
     trace = []
     word = []
 
-    def absorb_even(hmat, hmat_inv, token):
-        nonlocal g, word
-        word = _conjugate_chain(pair, R, word, hmat, hmat_inv)
-        g = rmat_mul(R, g, hmat)
-        trace.append(token)
+    def absorb_f(b, lie_coords, left):
+        nonlocal g
+        g = rmat_mul(R, g, f_matrix(pair, R, b, lie_coords))
+        trace.append(("f", b, lie_coords))
+        return _conjugate_chain_f(pair, R, left, b, lie_coords)
 
     for tok in tokens:
         kind = tok[0]
@@ -226,20 +260,19 @@ def normalize(pair, R, tokens, strategy="leftmost"):
                 continue
             if b.parity() != 0 or not R.multiply(b, b).is_zero():
                 raise GammaError("bad f-coefficient")
-            lie_coords = tuple(lie_coords)
-            fm = f_matrix(pair, R, b, lie_coords)
-            fi = f_matrix(pair, R, -b, lie_coords)
-            absorb_even(fm, fi, ("f", b, lie_coords))
+            word = absorb_f(b, tuple(lie_coords), word)
         elif kind == "g":
             _, hmat = tok
             hmat = [list(r) for r in hmat]
             if hmat and not isinstance(hmat[0][0], Element):
                 hmat = _lift_field_matrix(R, hmat)
-            hinv = rmat_inverse(R, hmat)
-            absorb_even(hmat, hinv, ("g", tuple(tuple(r) for r in hmat)))
+            word = _conjugate_chain(pair, R, word, hmat, rmat_inverse(R, hmat))
+            g = rmat_mul(R, g, hmat)
+            trace.append(("g", tuple(tuple(r) for r in hmat)))
         else:
             raise GammaError("unknown token %r" % (kind,))
 
+    half = pair.field.one / pair.field.from_int(2)
     steps = 0
     while True:
         steps += 1
@@ -255,7 +288,6 @@ def normalize(pair, R, tokens, strategy="leftmost"):
         (a, i), (b, j) = word[p], word[p + 1]
         if i == j:
             corr_b = -R.multiply(a, b)
-            half = pair.field.one / pair.field.from_int(2)
             corr_x = tuple(half * c for c in pair.vv(i, i))
             merged = [(a + b, i)]
         else:
@@ -263,15 +295,10 @@ def normalize(pair, R, tokens, strategy="leftmost"):
             corr_x = pair.vv(i, j)
             merged = [(b, j), (a, i)]
         left, right = word[:p], word[p + 2:]
-        if corr_b.is_zero() or all(c == pair.field.zero for c in corr_x):
+        if corr_b.is_zero() or not any(corr_x):
             word = left + merged + right
             continue
-        fm = f_matrix(pair, R, corr_b, corr_x)
-        fi = f_matrix(pair, R, -corr_b, corr_x)
-        left = _conjugate_chain(pair, R, left, fm, fi)
-        g = rmat_mul(R, g, fm)
-        trace.append(("f", corr_b, corr_x))
-        word = left + merged + right
+        word = absorb_f(corr_b, corr_x, left) + merged + right
 
     coords = [R.zero()] * pair.t
     for (a, i) in word:

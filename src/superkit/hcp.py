@@ -22,9 +22,10 @@ from itertools import combinations_with_replacement, permutations
 
 import sympy
 
-from .algebra import AxiomReport, lift_matrix
+from .algebra import AxiomReport, lift_matrix, polynomial_truncation
 from .linalg import (
-    Subspace, express_in_basis, invert_matrix, mat_bracket, mat_mul, rank, rref,
+    Subspace, identity_matrix, invert_matrix, mat_bracket, mat_mul, rank, rref,
+    transpose,
 )
 from .symbolic import Reducer, eval_at, to_sympy
 
@@ -44,7 +45,6 @@ class BasisExpander:
     def __init__(self, field, basis_vectors):
         self.field = field
         self.basis = [tuple(v) for v in basis_vectors]
-        self.n = len(self.basis[0]) if self.basis else 0
         red, pivots = rref(self.basis, field)
         if len(red) != len(self.basis):
             raise HCPError("expansion basis is not independent")
@@ -53,10 +53,15 @@ class BasisExpander:
         self.pinv = invert_matrix(pm, field) if self.basis else []
 
     def coords_field(self, vec):
-        coords = express_in_basis(vec, self.basis, self.field)
-        if coords is None:
+        coords, ok = self.coords_generic(
+            vec,
+            scal=lambda c, x: c * x,
+            add=lambda a, b: a + b,
+            is_zero=lambda x: not x,
+        )
+        if not ok:
             raise HCPError("vector escapes the expansion basis")
-        return coords
+        return tuple(coords)
 
     def coords_generic(self, vec, scal, add, is_zero):
         """vec entries live in any commutative ring; returns (coords, ok)."""
@@ -64,13 +69,16 @@ class BasisExpander:
         for i in range(len(self.basis)):
             acc = None
             for j, p in enumerate(self.pivots):
-                term = scal(self.pinv[i][j], vec[p])
+                c = self.pinv[i][j]
+                if not c:
+                    continue
+                term = scal(c, vec[p])
                 acc = term if acc is None else add(acc, term)
             coords.append(acc)
-        for t in range(self.n):
+        for t in range(len(vec)):
             recon = None
             for i, b in enumerate(self.basis):
-                if b[t] == self.field.zero:
+                if not b[t]:
                     continue
                 term = scal(b[t], coords[i])
                 recon = term if recon is None else add(recon, term)
@@ -215,6 +223,7 @@ class HarishChandraPair:
         )
         self._supermatrix_twist = None
         self._lie = None
+        self._linear_action = None
         t = len(self.module_labels)
         if module_matrices is not None:
             self.mode = "conjugation"
@@ -243,8 +252,7 @@ class HarishChandraPair:
             if self.mode != "conjugation":
                 raise HCPError("derived bracket_gV needs a matrix module realization")
             bracket_gv = {
-                (k, i): self.module_expander.coords_field(
-                    _flatten(_mat_comm(X, M, self.field)))
+                (k, i): self._module_bracket(X, M)
                 for k, X in enumerate(group.lie_basis)
                 for i, M in enumerate(self.module_matrices)
             }
@@ -253,6 +261,10 @@ class HarishChandraPair:
     @property
     def t(self):
         return len(self.module_labels)
+
+    def _module_bracket(self, X, M):
+        """Module coordinates of the matrix commutator [X, M]."""
+        return self.module_expander.coords_field(_flatten(_mat_comm(X, M, self.field)))
 
     @property
     def lie_dim(self):
@@ -341,6 +353,42 @@ class HarishChandraPair:
                 raise HCPError("action escapes the module over R")
             cols.append(coords)
         return [[cols[j][i] for j in range(t)] for i in range(t)]
+
+    def linear_action(self):
+        """(rho(I), [rho(X_k)]): t x t field matrices, computed once per pair.
+
+        rho(X_k) is the derivative of the action at I along X_k, the
+        eps-coefficient of rho(I + eps X_k) over K[eps]/eps^2.  The action
+        is polynomial in the group entries, so for X = sum c_k X_k and
+        b^2 = 0, rho(I + bX) = rho(I) + b sum c_k rho(X_k) exactly."""
+        if self._linear_action is None:
+            field = self.field
+            if self.mode == "conjugation":
+                # the eps-coefficient of (I + eps X) M (I - eps X) is [X, M]
+                rho_one = identity_matrix(self.t, field)
+                rho_x = [
+                    transpose([self._module_bracket(X, M) for M in self.module_matrices])
+                    for X in self.group.lie_basis
+                ]
+            else:
+                E = polynomial_truncation(field, "eps", 2)
+                eps = E.basis_element(1)
+                ident = lift_matrix(E, identity_matrix(self.group.size, field))
+
+                def shifted(X, sign):
+                    return [[x + eps.scale(sign * c) for x, c in zip(row, xrow)]
+                            for row, xrow in zip(ident, X)]
+
+                def part(mat, k):
+                    return [[x.coords[k] for x in row] for row in mat]
+
+                rho_one = part(self.rho_over(E, ident, ident), 0)
+                rho_x = [
+                    part(self.rho_over(E, shifted(X, field.one), shifted(X, -field.one)), 1)
+                    for X in self.group.lie_basis
+                ]
+            self._linear_action = (rho_one, rho_x)
+        return self._linear_action
 
     # -- assembled Lie superalgebra -------------------------------------
 

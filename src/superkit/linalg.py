@@ -15,23 +15,23 @@ from operator import add
 def rref(rows, field):
     """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
     rows = [list(r) for r in rows]
-    zero, pivots, rank = field.zero, [], 0
+    pivots, rank = [], 0
     ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
         pivot_row = None
         for r in range(rank, len(rows)):
-            if rows[r][col] != zero:
+            if rows[r][col]:
                 pivot_row = r
                 break
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
         inv = field.one / rows[rank][col]
-        rows[rank] = [inv * x for x in rows[rank]]
+        rows[rank] = [inv * x if x else x for x in rows[rank]]
         for r in range(len(rows)):
-            if r != rank and rows[r][col] != zero:
+            if r != rank and rows[r][col]:
                 c = rows[r][col]
-                rows[r] = [a - c * b for a, b in zip(rows[r], rows[rank])]
+                rows[r] = [a - c * b if b else a for a, b in zip(rows[r], rows[rank])]
         pivots.append(col)
         rank += 1
         if rank == len(rows):
@@ -54,16 +54,14 @@ class Subspace:
     def reduce(self, vec):
         """Residue of vec after eliminating all pivot coordinates."""
         vec = list(vec)
-        zero = self.field.zero
         for row, p in zip(self.rows, self.pivots):
             c = vec[p]
-            if c != zero:
-                vec = [a - c * b for a, b in zip(vec, row)]
+            if c:
+                vec = [a - c * b if b else a for a, b in zip(vec, row)]
         return tuple(vec)
 
     def contains(self, vec):
-        zero = self.field.zero
-        return all(x == zero for x in self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def contains_space(self, other):
         return all(self.contains(r) for r in other.rows)
@@ -148,9 +146,9 @@ def kron(u, v, field):
     n = len(v)
     out = [field.zero] * (len(u) * n)
     for a, x in enumerate(u):
-        if x != field.zero:
+        if x:
             for b, y in enumerate(v):
-                if y != field.zero:
+                if y:
                     out[a * n + b] = x * y
     return out
 
@@ -185,6 +183,6 @@ def express_in_basis(vec, basis_vectors, field):
     basis_vectors need not be in echelon form but must be independent.
     """
     if not basis_vectors:
-        return () if all(x == field.zero for x in vec) else None
+        return () if not any(vec) else None
     mat = transpose(basis_vectors)
     return solve(mat, list(vec), field)

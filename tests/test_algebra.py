@@ -1,6 +1,9 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+from unittest import mock
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from superkit import algebra as algebra_module
 from superkit.algebra import (
     AlgebraError,
     DualSuperNumbers,
@@ -134,6 +137,33 @@ class TestIdealsAndQuotients:
             )
 
 
+def idempotent_algebra(field):
+    """K[t]/(t^2 - t): t is idempotent, so the algebra is not local."""
+    one, zero = field.one, field.zero
+    return SuperAlgebra(
+        field, ["1", "t"], [0, 0], [one, zero],
+        {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): {1: one}},
+        check=True, name="K[t]/(t^2-t)",
+    )
+
+
+LOCAL_ALGEBRAS = [
+    A
+    for field in (Q, F5)
+    for A in [grassmann(field, ["a%d" % i for i in range(1, k + 1)]) for k in range(1, 6)]
+    + [
+        polynomial_truncation(field, "t", 4),
+        tensor(grassmann(field, ["a", "b"]), polynomial_truncation(field, "t", 2)),
+        DualSuperNumbers(grassmann(field, ["a"])).algebra,
+    ]
+]
+
+
+def counting_solve():
+    """Patch the linear solve behind Element.invert with a call counter."""
+    return mock.patch.object(algebra_module, "solve", wraps=algebra_module.solve)
+
+
 class TestInversion:
     def test_unipotent_inverse(self):
         A = grassmann(Q, ["a", "b"])
@@ -145,6 +175,50 @@ class TestInversion:
         A = grassmann(Q, ["a", "b"])
         with pytest.raises(AlgebraError):
             A.element({"a": 1}).invert()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_local_inverse_matches_solve(self, data):
+        A = data.draw(st.sampled_from(LOCAL_ALGEBRAS), label="algebra")
+        x = as_element(A, data.draw(small_coords(A.dim), label="coords"))
+        if not x.coords[A.unit_index]:
+            x = x + A.unit.scale(A.field.from_int(data.draw(st.sampled_from([-2, -1, 1, 2]))))
+        with counting_solve() as solve:
+            inv = x.invert()
+        assert solve.call_count == 0
+        assert inv == x.invert_by_solve()
+        assert A.multiply(x, inv) == A.unit
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_nilpotent_raises_without_solve(self, data):
+        A = data.draw(st.sampled_from(LOCAL_ALGEBRAS), label="algebra")
+        coords = data.draw(small_coords(A.dim), label="coords")
+        coords[A.unit_index] = 0
+        x = as_element(A, coords)
+        with counting_solve() as solve, pytest.raises(AlgebraError):
+            x.invert()
+        assert solve.call_count == 0
+        with pytest.raises(AlgebraError):
+            x.invert_by_solve()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([Q, F5]), small_coords(2))
+    def test_non_local_algebra_uses_solve(self, field, ints):
+        # only 0 is nilpotent here, so every x off the line K·1 needs the solve
+        assume(ints[1] != 0)
+        A = idempotent_algebra(field)
+        x = as_element(A, ints)
+        a, b = x.coords
+        if a and a + b:
+            with counting_solve() as solve:
+                inv = x.invert()
+            assert inv == x.invert_by_solve()
+            assert A.multiply(x, inv) == A.unit
+        else:
+            with counting_solve() as solve, pytest.raises(AlgebraError):
+                x.invert()
+        assert solve.call_count == 1
 
 
 class TestValidation:

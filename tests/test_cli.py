@@ -199,9 +199,15 @@ class TestMalformedInput:
             ["--field", "p=3", "hyp-decompose", "add3", "1/3,0,0"],
             ["nf", "gl11", "--coeffs", "Lambda(a1,a1)", "e(a1,v+)"],
             ["nf", "gl11", "--coeffs", "Lambda(a1)", "g[[1,0],[0,0]] e(a1,v+)"],
+            ["nf", "gl11", "--coeffs", "Lambda(a1)", "e(2a1,v+)"],
+            ["nf", "gl11", "--coeffs", "Lambda(a1)", "f(a1,x1)"],
+            ["nf", "gl11", "--coeffs", "Lambda(a1)", "g[[1,1],[0,1]] e(a1,v+)"],
+            ["nf", "gl11", "--coeffs", "Lambda(a1,a2)", "e(a1--a2,v+)"],
         ],
         ids=["trailing-star", "trailing-plus", "scalar-not-a-number",
-             "scalar-denominator-p", "repeated-generator", "singular-group-point"],
+             "scalar-denominator-p", "repeated-generator", "singular-group-point",
+             "juxtaposed-factors", "odd-f-coefficient", "group-point-off-the-group",
+             "repeated-sign"],
     )
     def test_exit_2_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, argv)

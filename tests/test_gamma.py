@@ -1,7 +1,7 @@
 import pytest
 
 from superkit import gamma as G
-from superkit.algebra import grassmann
+from superkit.algebra import Element, grassmann
 from superkit.fields import PrimeField, Rationals
 from superkit.fixtures import gl11_pair, gl21_pair
 from superkit.hcp import pseudoabelian_example
@@ -182,3 +182,58 @@ class TestMatrixHelpers:
     def test_singular_rejected(self, R):
         with pytest.raises(G.GammaError):
             G.rmat_inverse(R, [[R.zero(), R.zero()], [R.zero(), R.unit]])
+
+
+PAIR_BUILDERS = {
+    "gl11": gl11_pair,
+    "gl21": gl21_pair,
+    "pseudoabelian1": lambda field: pseudoabelian_example(field, 1),
+}
+FIELDS = {"Q": Q, "F3": PrimeField(3), "F5": PrimeField(5)}
+
+
+def random_odd(rng, R):
+    coords = [R.field.zero] * R.dim
+    for i in range(R.dim):
+        if R.space.parities[i] == 1:
+            coords[i] = R.field.from_int(rng.randint(-2, 2))
+    return Element(R, coords)
+
+
+class TestClosedFormConjugation:
+    """Ad((I + bX)^{-1}) = rho(I) - b·sum c_k rho(X_k), refereed by rho_over."""
+
+    @pytest.mark.parametrize("field_name", sorted(FIELDS))
+    @pytest.mark.parametrize("pair_name", sorted(PAIR_BUILDERS))
+    def test_matches_rho_over(self, pair_name, field_name, rng):
+        field = FIELDS[field_name]
+        pair = PAIR_BUILDERS[pair_name](field)
+        R = grassmann(field, ["a1", "a2", "a3", "a4"])
+        rho_one, rho_x = pair.linear_action()
+        t = pair.t
+        for _ in range(6):
+            b = R.multiply(random_odd(rng, R), random_odd(rng, R))
+            lie = tuple(field.from_int(rng.randint(-2, 2)) for _ in range(pair.lie_dim))
+            want = pair.rho_over(R, G.f_matrix(pair, R, -b, lie), G.f_matrix(pair, R, b, lie))
+            got = [
+                [
+                    R.unit.scale(rho_one[m][i])
+                    - b.scale(sum((c * X[m][i] for c, X in zip(lie, rho_x)), field.zero))
+                    for i in range(t)
+                ]
+                for m in range(t)
+            ]
+            assert got == want
+            word = [(random_odd(rng, R), rng.randrange(t)) for _ in range(3)]
+            assert G._conjugate_chain_f(pair, R, word, b, lie) == G._conjugate_chain(
+                pair, R, word, G.f_matrix(pair, R, b, lie), G.f_matrix(pair, R, -b, lie)
+            )
+
+    @pytest.mark.parametrize("field_name", sorted(FIELDS))
+    @pytest.mark.parametrize("pair_name", ["gl11", "gl21"])
+    def test_lie_action_table_is_bracket_gv(self, pair_name, field_name):
+        pair = PAIR_BUILDERS[pair_name](FIELDS[field_name])
+        _, rho_x = pair.linear_action()
+        for k, X in enumerate(rho_x):
+            for i in range(pair.t):
+                assert tuple(X[m][i] for m in range(pair.t)) == pair.gv(k, i)
