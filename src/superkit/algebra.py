@@ -181,7 +181,7 @@ class SuperAlgebra:
             terms = {k: c for k, c in terms.items() if c}
             if terms:
                 self._prod[(i, j)] = terms
-        self.unit = Element(self, unit_coords)
+        self._unit_coords = tuple(unit_coords)
         support = self.unit.support()
         self.unit_index = (
             support[0] if len(support) == 1 and self.unit.coords[support[0]] == field.one
@@ -195,6 +195,13 @@ class SuperAlgebra:
     @property
     def dim(self):
         return self.space.dim
+
+    @property
+    def unit(self):
+        # built on each use: an Element kept here would refer back to the
+        # algebra, and the cycle would hold every discarded algebra and its
+        # product table until the cyclic collector runs
+        return Element(self, self._unit_coords)
 
     def basis_element(self, i):
         coords = [self.field.zero] * self.dim

@@ -474,6 +474,9 @@ def main(argv=None):
     except ValueError as exc:
         print("check failed: %s" % exc, file=sys.stderr)
         return 1
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -113,21 +113,6 @@ def _parse_scalar(field, s):
     return field.parse(str(s))
 
 
-def algebra_to_json(A):
-    field = A.field
-    return {
-        "kind": "algebra",
-        "name": A.name,
-        "labels": list(A.space.labels),
-        "parities": list(A.space.parities),
-        "unit": [field.render(c) for c in A.unit.coords],
-        "products": {
-            "%d,%d" % key: {str(k): field.render(c) for k, c in terms.items()}
-            for key, terms in sorted(A._prod.items())
-        },
-    }
-
-
 def algebra_from_json(field, data):
     products = {}
     for key, terms in data["products"].items():
@@ -144,19 +129,6 @@ def algebra_from_json(field, data):
         check=True,
         name=data.get("name"),
     )
-
-
-def hopf_to_json(H):
-    field = H.field
-    out = algebra_to_json(H.algebra)
-    out["kind"] = "hopf"
-    out["delta"] = [
-        {"%d,%d" % key: field.render(c) for key, c in sorted(table.items())}
-        for table in H.delta
-    ]
-    out["eps"] = [field.render(c) for c in H.eps]
-    out["antipode"] = [[field.render(c) for c in col] for col in H.antipode]
-    return out
 
 
 def hopf_from_json(field, data):

@@ -209,8 +209,9 @@ def _conjugate_chain_f(pair, R, word, b, lie_coords):
     """_conjugate_chain for h = I + bX, X = sum c_k X_k, in closed form.
 
     b^2 = 0 gives rho(h^{-1}) = rho(I) - b·sum c_k rho(X_k) exactly, so
-    each chain entry costs one product b·a.  The terms and their order
-    are those of _conjugate_chain."""
+    each chain entry costs one product b·a; with b = None, h = I and the
+    chain is conjugated by rho(I) alone.  The terms and their order are
+    those of _conjugate_chain."""
     if not word:
         return []
     rho_one, rho_x = pair.linear_action()
@@ -222,12 +223,12 @@ def _conjugate_chain_f(pair, R, word, b, lie_coords):
                        for xrow, yrow in zip(X, rho_lie)]
     out = []
     for (a, idx) in word:
-        ba = R.multiply(b, a)
+        ba = None if b is None else R.multiply(b, a)
         for m in range(t):
             r, s = rho_one[m][idx], rho_lie[m][idx]
             if not (r or s):
                 continue
-            coeff = a.scale(r) - ba.scale(s)
+            coeff = a.scale(r) if ba is None else a.scale(r) - ba.scale(s)
             if not coeff.is_zero():
                 out.append((coeff, m))
     return out
@@ -236,7 +237,7 @@ def _conjugate_chain_f(pair, R, word, b, lie_coords):
 def normalize(pair, R, tokens, strategy="leftmost"):
     """Rewrite a generator word to its unique normal form."""
     n = pair.group.size
-    g = rmat_identity(R, n)
+    g = ident = rmat_identity(R, n)
     trace = []
     word = []
 
@@ -266,8 +267,11 @@ def normalize(pair, R, tokens, strategy="leftmost"):
             hmat = [list(r) for r in hmat]
             if hmat and not isinstance(hmat[0][0], Element):
                 hmat = _lift_field_matrix(R, hmat)
-            word = _conjugate_chain(pair, R, word, hmat, rmat_inverse(R, hmat))
-            g = rmat_mul(R, g, hmat)
+            if hmat == ident:
+                word = _conjugate_chain_f(pair, R, word, None, ())
+            else:
+                word = _conjugate_chain(pair, R, word, hmat, rmat_inverse(R, hmat))
+                g = rmat_mul(R, g, hmat)
             trace.append(("g", tuple(tuple(r) for r in hmat)))
         else:
             raise GammaError("unknown token %r" % (kind,))

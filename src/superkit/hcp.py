@@ -19,14 +19,13 @@ exactness condition checks for short sequences of pairs.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, permutations
+from operator import add
 
 import sympy
 
-from .algebra import AxiomReport, lift_matrix, polynomial_truncation
-from .linalg import (
-    Subspace, identity_matrix, invert_matrix, mat_bracket, mat_mul, rank, rref,
-    transpose,
-)
+from . import linalg
+from .algebra import AxiomReport, Element, lift_matrix, polynomial_truncation
+from .linalg import Subspace, identity_matrix, mat_bracket, mat_mul, rank, transpose
 from .symbolic import Reducer, eval_at, to_sympy
 
 
@@ -38,70 +37,19 @@ def _flatten(mat):
     return [x for row in mat for x in row]
 
 
-class BasisExpander:
-    """Expresses vectors in the span of fixed K-vectors, over K, over a
-    coefficient superalgebra R, or symbolically over a polynomial ring."""
+class BasisExpander(linalg.BasisExpander):
+    """linalg.BasisExpander, also symbolically over a polynomial ring and
+    over a coefficient superalgebra R."""
 
-    def __init__(self, field, basis_vectors):
-        self.field = field
-        self.basis = [tuple(v) for v in basis_vectors]
-        red, pivots = rref(self.basis, field)
-        if len(red) != len(self.basis):
-            raise HCPError("expansion basis is not independent")
-        self.pivots = pivots
-        pm = [[self.basis[j][p] for j in range(len(self.basis))] for p in pivots]
-        self.pinv = invert_matrix(pm, field) if self.basis else []
-
-    def coords_field(self, vec):
-        coords, ok = self.coords_generic(
-            vec,
-            scal=lambda c, x: c * x,
-            add=lambda a, b: a + b,
-            is_zero=lambda x: not x,
-        )
-        if not ok:
-            raise HCPError("vector escapes the expansion basis")
-        return tuple(coords)
-
-    def coords_generic(self, vec, scal, add, is_zero):
-        """vec entries live in any commutative ring; returns (coords, ok)."""
-        coords = []
-        for i in range(len(self.basis)):
-            acc = None
-            for j, p in enumerate(self.pivots):
-                c = self.pinv[i][j]
-                if not c:
-                    continue
-                term = scal(c, vec[p])
-                acc = term if acc is None else add(acc, term)
-            coords.append(acc)
-        for t in range(len(vec)):
-            recon = None
-            for i, b in enumerate(self.basis):
-                if not b[t]:
-                    continue
-                term = scal(b[t], coords[i])
-                recon = term if recon is None else add(recon, term)
-            diff = vec[t] if recon is None else add(vec[t], scal(-self.field.one, recon))
-            if not is_zero(diff):
-                return coords, False
-        return coords, True
+    error = HCPError
 
     def coords_sympy(self, vec, reducer):
         return self.coords_generic(
-            vec,
-            scal=lambda c, x: to_sympy(c) * x,
-            add=lambda a, b: a + b,
-            is_zero=reducer.is_zero,
+            vec, lambda c, x: to_sympy(c) * x, add, reducer.is_zero, sympy.Integer(0)
         )
 
     def coords_R(self, vec, R):
-        return self.coords_generic(
-            vec,
-            scal=lambda c, x: x.scale(c),
-            add=lambda a, b: a + b,
-            is_zero=lambda e: e.is_zero(),
-        )
+        return self.coords_generic(vec, lambda c, x: x.scale(c), add, Element.is_zero, R.zero())
 
 
 class GenericPoint:
@@ -459,12 +407,12 @@ def validate_pair(pair):
                     for k in range(t):
                         for l in range(t):
                             c = pair.vv(k, l)[m]
-                            if c != field.zero:
+                            if c:
                                 lhs = lhs + rho[k][i] * rho[l][j] * to_sympy(c)
                     rhs = sympy.Integer(0)
                     for k in range(pair.lie_dim):
                         c = pair.vv(i, j)[k]
-                        if c != field.zero:
+                        if c:
                             rhs = rhs + ad[m][k] * to_sympy(c)
                     if not red.is_zero(lhs - rhs):
                         report.fail(
@@ -482,7 +430,7 @@ def validate_pair(pair):
         for (i, j, k) in set(permutations(multiset)):
             term = pair.apply_gv(pair.vv(i, j), k)
             acc = [a + x for a, x in zip(acc, term)]
-        if any(c != field.zero for c in acc):
+        if any(acc):
             report.fail(
                 "(c) cubic identity fails on coefficient of %s"
                 % "*".join(pair.module_labels[x] for x in multiset)

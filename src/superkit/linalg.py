@@ -9,7 +9,7 @@ coordinates in index order.
 from __future__ import annotations
 
 from functools import reduce
-from operator import add
+from operator import add, mul, not_
 
 
 def rref(rows, field):
@@ -177,12 +177,56 @@ def rank(rows, field):
     return len(rref(rows, field)[0])
 
 
-def express_in_basis(vec, basis_vectors, field):
-    """Coordinates of vec in the span of basis_vectors, or None.
+class BasisExpander:
+    """Coordinates in the span of fixed independent K-vectors, through a
+    pivot inverse computed once; coords_generic works over any commutative
+    ring containing K and checks the vector by rebuilding it.  Subclasses
+    set `error` to their own exception."""
 
-    basis_vectors need not be in echelon form but must be independent.
-    """
-    if not basis_vectors:
-        return () if not any(vec) else None
-    mat = transpose(basis_vectors)
-    return solve(mat, list(vec), field)
+    error = ValueError
+
+    def __init__(self, field, basis_vectors):
+        self.field = field
+        basis = [tuple(v) for v in basis_vectors]
+        red, pivots = rref(basis, field)
+        if len(red) != len(basis):
+            raise self.error("expansion basis is not independent")
+        pinv = invert_matrix([[b[p] for b in basis] for p in pivots], field) if basis else []
+        # coordinate i is the sum of c * vec[p] over reads[i]
+        self.reads = [[(p, c) for p, c in zip(pivots, row) if c] for row in pinv]
+        # entry t of a vector in the span is the sum of b_i[t] * coordinate i
+        self.entries = [
+            [(i, b[t]) for i, b in enumerate(basis) if b[t]]
+            for t in range(len(basis[0]) if basis else 0)
+        ]
+
+    def coords_field(self, vec):
+        coords, ok = self.coords_generic(vec, mul, add, not_, self.field.zero)
+        if not ok:
+            raise self.error("vector escapes the expansion basis")
+        return tuple(coords)
+
+    def coords_generic(self, vec, scal, add, is_zero, zero):
+        """(coords, ok) for vec over a commutative ring containing K whose
+        zero is `zero`; entries that test false are zero and are skipped."""
+        coords = []
+        for reads in self.reads:
+            acc = None
+            for p, c in reads:
+                x = vec[p]
+                if x:
+                    term = scal(c, x)
+                    acc = term if acc is None else add(acc, term)
+            coords.append(zero if acc is None else acc)
+        minus_one = -self.field.one
+        for t, x in enumerate(vec):
+            recon = None
+            for i, b in (self.entries[t] if self.entries else ()):
+                y = coords[i]
+                if y:
+                    term = scal(b, y)
+                    recon = term if recon is None else add(recon, term)
+            diff = x if recon is None else add(x, scal(minus_one, recon))
+            if not is_zero(diff):
+                return coords, False
+        return coords, True

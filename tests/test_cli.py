@@ -216,6 +216,19 @@ class TestMalformedInput:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+class TestInternalError:
+    def test_exit_3_with_one_line(self, capsys, monkeypatch):
+        def broken(args, field):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("superkit.cli.cmd_validate", broken)
+        code, out, err = run(capsys, ["validate", "gl11"])
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == ["internal error: RuntimeError: boom"]
+        assert "Traceback" not in err
+
+
 class TestFieldOption:
     def test_char2_rejected(self, capsys):
         code, _, _ = run(capsys, ["--field", "p=2", "validate", "gl11"])

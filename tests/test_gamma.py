@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 
 from superkit import gamma as G
@@ -237,3 +239,25 @@ class TestClosedFormConjugation:
         for k, X in enumerate(rho_x):
             for i in range(pair.t):
                 assert tuple(X[m][i] for m in range(pair.t)) == pair.gv(k, i)
+
+
+class TestIdentityToken:
+    """A g token equal to the identity conjugates by rho(I), with no rho_over."""
+
+    @pytest.mark.parametrize("pair_name", sorted(PAIR_BUILDERS))
+    def test_multiply_by_identity_skips_rho_over(self, pair_name, rng):
+        pair = PAIR_BUILDERS[pair_name](Q)
+        R = grassmann(Q, ["a1", "a2", "a3", "a4", "a5"])
+        pair.linear_action()
+        one = G.identity(pair, R)
+        for _ in range(3):
+            toks = [("e", random_odd(rng, R), rng.randrange(pair.t)) for _ in range(4)]
+            u = G.normalize(pair, R, toks)
+            with mock.patch.object(
+                type(pair), "rho_over", autospec=True, side_effect=type(pair).rho_over
+            ) as rho_over:
+                prod = G.multiply(u, one)
+            assert rho_over.call_count == 0
+            assert prod == u
+            # the trace keeps both g tokens, u's even part and the identity
+            assert [tok[0] for tok in prod.trace].count("g") == 2

@@ -1,16 +1,22 @@
+import random
+from itertools import combinations_with_replacement, permutations
+
 import pytest
 
 from superkit.algebra import grassmann
 from superkit.fields import PrimeField, Rationals
+from superkit.linalg import mat_bracket, solve, transpose
 from superkit.liesuper import (
     LieError,
     LieSuperAlgebra,
+    MatrixLieSuper,
     check_ad_derivation,
     gl_super,
 )
 
 Q = Rationals()
 F3 = PrimeField(3)
+F5 = PrimeField(5)
 
 
 def test_gl11_bracket_of_odd_pair():
@@ -103,8 +109,6 @@ def test_ad_is_super_derivation():
 
 
 def test_matrix_basis_must_close():
-    from superkit.liesuper import MatrixLieSuper
-
     field = Q
     # E12 alone in gl(2): [E12, E12] = 0 fine; add E21 without E11, E22
     mats = [
@@ -113,3 +117,118 @@ def test_matrix_basis_must_close():
     ]
     with pytest.raises(LieError):
         MatrixLieSuper(field, ["a", "b"], [0, 0], mats, [0, 0])
+
+
+def test_dependent_matrix_basis_rejected():
+    # E11 and 2·E11 close under the commutator but are not independent
+    one, two, zero = Q.one, Q.from_int(2), Q.zero
+    mats = [[[one, zero], [zero, zero]], [[two, zero], [zero, zero]]]
+    with pytest.raises(LieError):
+        MatrixLieSuper(Q, ["a", "b"], [0, 0], mats, [0, 0])
+
+
+# -- the sparse sweep and build against the dense reference ------------------
+
+
+def dense_failures(L):
+    """The axiom sweep over dense basis vectors, three dense brackets per
+    basis triple: the reference for LieSuperAlgebra.check_axioms."""
+    field, n, par = L.field, L.dim, L.space.parities
+    labels = L.space.labels
+    failures = []
+    for i in range(n):
+        for j in range(n):
+            sign = -field.one if par[i] * par[j] == 0 else field.one
+            lhs, rhs = L.bracket_basis(j, i), L.bracket_basis(i, j)
+            if any(lhs.get(k, field.zero) != sign * rhs.get(k, field.zero)
+                   for k in set(lhs) | set(rhs)):
+                failures.append("(B3) fails at (%s,%s)" % (labels[i], labels[j]))
+    basis = [L.basis_coords(i) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            bij = L.bracket(basis[i], basis[j])
+            s2 = field.one if par[i] * par[j] == 0 else -field.one
+            for k in range(n):
+                lhs = L.bracket(bij, basis[k])
+                mid = L.bracket(basis[i], L.bracket(basis[j], basis[k]))
+                rot = L.bracket(basis[j], L.bracket(basis[i], basis[k]))
+                if not all(lhs[t] == mid[t] - s2 * rot[t] for t in range(n)):
+                    failures.append(
+                        "(B4) fails at (%s,%s,%s)" % (labels[i], labels[j], labels[k])
+                    )
+    odd = [i for i in range(n) if par[i] == 1]
+    for multiset in combinations_with_replacement(odd, 3):
+        acc = [field.zero] * n
+        for (i, j, k) in set(permutations(multiset)):
+            term = L.bracket(L.bracket(basis[i], basis[j]), basis[k])
+            acc = [a + t for a, t in zip(acc, term)]
+        if any(acc):
+            failures.append(
+                "(B2) fails on coefficient of %s" % "*".join(labels[t] for t in multiset)
+            )
+    return failures
+
+
+def dense_table(L):
+    """The bracket table of a matrix Lie superalgebra from dense
+    supercommutators and one linear solve per basis pair."""
+    field, par = L.field, L.space.parities
+    flat = [[x for row in m for x in row] for m in L.matrices]
+    table = {}
+    for i, a in enumerate(L.matrices):
+        for j, b in enumerate(L.matrices):
+            sign = field.one if par[i] * par[j] == 0 else -field.one
+            comm = mat_bracket(a, b, sign)
+            coords = solve(transpose(flat), [x for row in comm for x in row], field)
+            assert coords is not None
+            terms = {k: c for k, c in enumerate(coords) if c}
+            if terms:
+                table[(i, j)] = terms
+    return table
+
+
+def table_items(table):
+    return [(key, list(terms.items())) for key, terms in table.items()]
+
+
+def perturbed(L, rng):
+    """L's table with entries scaled and parity-correct terms added."""
+    field, par = L.field, L.space.parities
+    table = {key: dict(terms) for key, terms in L.table.items()}
+    for _ in range(rng.randint(1, 3)):
+        if table and rng.random() < 0.5:
+            key = rng.choice(sorted(table))
+            k = rng.choice(sorted(table[key]))
+            table[key][k] = table[key][k] * field.from_int(rng.randint(2, 4))
+        else:
+            i, j = rng.randrange(L.dim), rng.randrange(L.dim)
+            want = (par[i] + par[j]) % 2
+            k = rng.choice([t for t in range(L.dim) if par[t] == want])
+            terms = table.setdefault((i, j), {})
+            terms[k] = terms.get(k, field.zero) + field.from_int(rng.randint(1, 4))
+    return LieSuperAlgebra(field, L.space.labels, par, table, check=False)
+
+
+SMALL_GL = [(m, n) for m in range(4) for n in range(4) if 2 <= m + n <= 3]
+
+
+@pytest.mark.parametrize("field", [Q, F3, F5], ids=["Q", "F3", "F5"])
+@pytest.mark.parametrize("m,n", SMALL_GL)
+def test_sparse_paths_match_dense_reference(m, n, field):
+    L = gl_super(field, m, n)
+    assert table_items(L.table) == table_items(dense_table(L))
+    assert L.check_axioms().failures == dense_failures(L) == []
+    rng = random.Random(1000 * m + 10 * n + field.char)
+    for _ in range(3):
+        P = perturbed(L, rng)
+        assert P.check_axioms().failures == dense_failures(P)
+
+
+def test_perturbations_are_caught():
+    rng = random.Random(7)
+    caught = sum(
+        bool(perturbed(gl_super(field, 1, 1), rng).check_axioms().failures)
+        for field in (Q, F3, F5)
+        for _ in range(10)
+    )
+    assert caught >= 20
