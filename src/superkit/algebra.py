@@ -211,9 +211,6 @@ class SuperAlgebra:
     def zero(self):
         return Element(self, [self.field.zero] * self.dim)
 
-    def one(self):
-        return self.unit
-
     def element(self, data):
         """Build an element from {label: scalar-or-int-or-str}."""
         coords = [self.field.zero] * self.dim

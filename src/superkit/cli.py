@@ -21,7 +21,7 @@ import re
 import sys
 
 from .fields import FieldError, parse_field
-from .linalg import invert_matrix
+from .linalg import identity_matrix, invert_matrix
 
 
 class CLIError(ValueError):
@@ -290,13 +290,12 @@ def cmd_gr(args, field):
 
 
 def _parse_lie_r(pair, spec):
-    from .hcp import _std_basis
     from .linalg import Subspace
 
     field = pair.field
     l = pair.lie_dim
     if spec == "full":
-        return Subspace(field, l, _std_basis(field, l))
+        return Subspace(field, l, identity_matrix(l, field))
     if spec == "zero":
         return Subspace(field, l)
     rows = parse_matrix(field, spec, square=False) if spec.startswith("[[") else None

@@ -1,16 +1,22 @@
-"""Descending filtrations by super-ideals and the associated graded algebra.
+"""Filtrations by super-ideals, adapted bases and the associated graded algebra.
 
 A filtration is a chain A = I_0 >= I_1 >= ... >= I_N = 0 of graded ideals
 with I_k I_l <= I_{k+l} (pieces beyond the end of the chain are zero).
 The graded companion gr A = (+)_k I_k/I_{k+1} is realized concretely on a
-deterministic adapted basis: for each level the echelon basis vectors of
-I_k that survive modulo I_{k+1}, selected in echelon order.
+deterministic adapted basis.
+
+An AdaptedBasis serves a chain of subspaces in either direction: degree k
+holds the echelon basis vectors of piece k that are new modulo piece k+1
+(a descending chain, the classes I_k/I_{k+1}) or modulo piece k-1 (an
+increasing chain such as the hyperalgebra filtration, hyp_k/hyp_{k-1}),
+selected in echelon order.  Coordinates on it come from one inverse
+matrix, and the class of a vector in degree k drops its other components.
 """
 
 from __future__ import annotations
 
 from .algebra import AxiomReport, Element, SuperAlgebra, tensor
-from .linalg import Subspace, invert_matrix, kron, rank
+from .linalg import Subspace, apply_columns, identity_matrix, invert_matrix, kron, rank
 
 
 class FiltrationError(ValueError):
@@ -77,8 +83,7 @@ class FilteredSuperAlgebra:
 def adic_filtration(algebra, ideal):
     """Powers of a nilpotent ideal: A >= I >= I^2 >= ... >= 0."""
     field = algebra.field
-    chain = [Subspace(field, algebra.dim, [e.coords for e in
-                                           (algebra.basis_element(i) for i in range(algebra.dim))])]
+    chain = [Subspace(field, algebra.dim, identity_matrix(algebra.dim, field))]
     current = ideal.sub
     steps = 0
     while current.dim > 0:
@@ -97,52 +102,83 @@ def adic_filtration(algebra, ideal):
     return FilteredSuperAlgebra(algebra, chain, check=True)
 
 
+class AdaptedBasis:
+    """A basis of field^n adapted to a chain of subspaces piece(0..length-1).
+
+    step = 1 for a descending chain (degree k is piece(k) modulo
+    piece(k+1)), step = -1 for an increasing one (modulo piece(k-1), which
+    must be the zero space for k = 0)."""
+
+    def __init__(self, field, n, piece, length, step):
+        self.field = field
+        self.step = step
+        vecs, degrees = [], []
+        for k in range(length):
+            running = piece(k + step)
+            for row in piece(k).rows:
+                if not running.contains(row):
+                    vecs.append(row)
+                    degrees.append(k)
+                    running = running.add_vectors([row])
+        if len(vecs) != n:
+            raise FiltrationError("adapted basis has wrong size")
+        self.vecs = vecs
+        self.degrees = degrees
+        # row j holds the adapted coordinates of the basis vector e_j
+        self.cols = invert_matrix(vecs, field)
+
+    def coords(self, vec):
+        return apply_columns(self.cols, vec, self.field.zero, len(self.cols))
+
+    def class_coords(self, vec, k):
+        """Coordinates of the class of vec in degree k.
+
+        Components on the far side of k (below it for a descending chain,
+        above it for an increasing one) must vanish; nearer ones are cut off."""
+        zero = self.field.zero
+        ad = self.coords(vec)
+        for c, d in zip(ad, self.degrees):
+            if c and (d - k) * self.step < 0:
+                raise FiltrationError("element is not in filtration level %d" % k)
+        return [c if d == k else zero for c, d in zip(ad, self.degrees)]
+
+    def tensor_coords(self, flat):
+        """{(u, v): c} of a flat vector of V⊗V on the adapted ⊗ adapted basis."""
+        zero = self.field.zero
+        n = len(self.cols)
+        out = {}
+        for st, c in enumerate(flat):
+            if not c:
+                continue
+            s, t = divmod(st, n)
+            for u, x in enumerate(self.cols[s]):
+                if not x:
+                    continue
+                for v, y in enumerate(self.cols[t]):
+                    if y:
+                        out[(u, v)] = out.get((u, v), zero) + c * x * y
+        return {key: c for key, c in out.items() if c}
+
+
 class GradedCompanion:
     """gr A on an adapted basis; also exposes projections to components."""
 
     def __init__(self, filtration):
         self.filtration = filtration
         A = filtration.algebra
-        field = A.field
-        reps, degrees = [], []
-        for k in range(filtration.length - 1):
-            running = Subspace(field, A.dim, filtration.piece(k + 1).rows)
-            for row in filtration.piece(k).rows:
-                if not running.contains(row):
-                    reps.append(Element(A, row))
-                    degrees.append(k)
-                    running = running.add_vectors([row])
-        if len(reps) != A.dim:
-            raise FiltrationError("adapted basis has wrong size")
-        self.reps = reps
-        self.degrees = degrees
-        cols = [r.coords for r in reps]
-        inv = invert_matrix([[cols[j][i] for j in range(A.dim)] for i in range(A.dim)], field)
-        # column j of inv gives the adapted coordinates of basis vector e_j
-        self._adapt_cols = [[inv[i][j] for i in range(A.dim)] for j in range(A.dim)]
+        self.basis = AdaptedBasis(A.field, A.dim, filtration.piece, filtration.length, 1)
+        self.reps = [Element(A, v) for v in self.basis.vecs]
+        self.degrees = self.basis.degrees
         self._build_gr()
 
     def adapted_coords(self, elem):
-        field = elem.algebra.field
-        out = [field.zero] * len(self.reps)
-        for j in elem.support():
-            c = elem.coords[j]
-            col = self._adapt_cols[j]
-            for i in range(len(out)):
-                if col[i] != field.zero:
-                    out[i] = out[i] + c * col[i]
-        return out
+        return self.basis.coords(elem.coords)
 
     def class_coords(self, elem, k):
         """Coordinates of elem + I_{k+1} in the degree-k component.
 
         Requires elem in I_k (components of degree < k must vanish)."""
-        field = elem.algebra.field
-        ad = self.adapted_coords(elem)
-        for i, d in enumerate(self.degrees):
-            if d < k and ad[i] != field.zero:
-                raise FiltrationError("element is not in filtration level %d" % k)
-        return [ad[i] if self.degrees[i] == k else field.zero for i in range(len(ad))]
+        return self.basis.class_coords(elem.coords, k)
 
     def _build_gr(self):
         A = self.filtration.algebra
@@ -263,14 +299,7 @@ def check_gr_tensor_iso(FA, FB):
                 cols.append([field.zero] * nT)
 
     def apply(elem):
-        out = [field.zero] * nT
-        for j in elem.support():
-            c = elem.coords[j]
-            col = cols[j]
-            for t in range(nT):
-                if col[t] != field.zero:
-                    out[t] = out[t] + c * col[t]
-        return Element(grT.gr, out)
+        return Element(grT.gr, apply_columns(cols, elem.coords, field.zero, nT))
 
     # degreewise bijectivity
     for deg in sorted(set(src_degrees) | set(grT.degrees)):

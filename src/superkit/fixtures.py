@@ -105,6 +105,10 @@ BUILTIN_PAIRS = {
 
 
 # -- JSON fixtures ------------------------------------------------------
+#
+# Shapes, lengths and indices are checked where the JSON is read, so that
+# a malformed file raises a plain ValueError (a usage error) before any
+# structure is built from it.
 
 
 def _parse_scalar(field, s):
@@ -113,18 +117,67 @@ def _parse_scalar(field, s):
     return field.parse(str(s))
 
 
+def _typed(value, kind, what):
+    if not isinstance(value, kind):
+        raise ValueError("%s has the wrong type" % what)
+    return value
+
+
+def _entry(data, key, kind=list, optional=False):
+    """data[key] of the given JSON type; an optional key defaults to empty."""
+    if key not in data:
+        if optional:
+            return kind()
+        raise ValueError("fixture lacks %r" % key)
+    return _typed(data[key], kind, "fixture entry %r" % key)
+
+
+def _sized(items, size, what):
+    if not isinstance(items, list) or len(items) != size:
+        raise ValueError("%s must have %d entries" % (what, size))
+    return items
+
+
+def _each(items, kind, what):
+    for x in items:
+        _typed(x, kind, "an entry of " + what)
+    return items
+
+
+def _scalars(field, items, size, what):
+    return [_parse_scalar(field, c) for c in _sized(items, size, what)]
+
+
+def _matrix(rows, nrows, ncols, what):
+    """rows, checked to be an nrows x ncols matrix of strings or integers."""
+    for row in _sized(rows, nrows, what):
+        _each(_sized(row, ncols, what + " row"), (str, int), what)
+    return rows
+
+
+def _key(key, bounds, what):
+    """The indices of an "i,j" table key, each below its bound."""
+    idx = tuple(int(x) for x in key.split(","))
+    if len(idx) != len(bounds) or not all(0 <= i < b for i, b in zip(idx, bounds)):
+        raise ValueError("%s key %r is out of range" % (what, key))
+    return idx
+
+
 def algebra_from_json(field, data):
+    labels = _each(_entry(data, "labels"), str, "labels")
+    n = len(labels)
+    parities = _each(_sized(_entry(data, "parities"), n, "parities"), (int, str), "parities")
     products = {}
-    for key, terms in data["products"].items():
-        i, j = (int(x) for x in key.split(","))
-        products[(i, j)] = {
-            int(k): _parse_scalar(field, c) for k, c in terms.items()
+    for key, terms in _entry(data, "products", dict).items():
+        products[_key(key, (n, n), "product")] = {
+            _key(k, (n,), "product term")[0]: _parse_scalar(field, c)
+            for k, c in _typed(terms, dict, "product %r" % key).items()
         }
     return SuperAlgebra(
         field,
-        list(data["labels"]),
-        [int(p) for p in data["parities"]],
-        [_parse_scalar(field, c) for c in data["unit"]],
+        labels,
+        [int(p) for p in parities],
+        _scalars(field, _entry(data, "unit"), n, "unit"),
         products,
         check=True,
         name=data.get("name"),
@@ -135,15 +188,18 @@ def hopf_from_json(field, data):
     from .hopf import HopfSuperAlgebra
 
     A = algebra_from_json(field, data)
+    n = A.dim
     delta = []
-    for table in data["delta"]:
-        out = {}
-        for key, c in table.items():
-            i, j = (int(x) for x in key.split(","))
-            out[(i, j)] = _parse_scalar(field, c)
-        delta.append(out)
-    eps = [_parse_scalar(field, c) for c in data["eps"]]
-    antipode = [[_parse_scalar(field, c) for c in col] for col in data["antipode"]]
+    for table in _sized(_entry(data, "delta"), n, "delta"):
+        delta.append({
+            _key(key, (n, n), "delta"): _parse_scalar(field, c)
+            for key, c in _typed(table, dict, "delta entry").items()
+        })
+    eps = _scalars(field, _entry(data, "eps"), n, "eps")
+    antipode = [
+        _scalars(field, col, n, "antipode column")
+        for col in _sized(_entry(data, "antipode"), n, "antipode")
+    ]
     return HopfSuperAlgebra(A, delta, eps, antipode, check=True)
 
 
@@ -189,44 +245,57 @@ def pair_to_json(pair):
 
 
 def pair_from_json(field, data):
-    size = int(data["size"])
-    lie = [
-        [[_parse_scalar(field, x) for x in row] for row in M]
-        for M in data["lie_basis"]
-    ]
-    points = [
-        GenericPoint(pt["matrix"], pt["inverse"], pt["relations"])
-        for pt in data["generic_points"]
-    ]
+    size = int(_entry(data, "size", (int, str)))
+
+    def field_matrix(M, what):
+        return [[_parse_scalar(field, x) for x in row] for row in _matrix(M, size, size, what)]
+
+    lie = [field_matrix(M, "Lie basis matrix") for M in _entry(data, "lie_basis")]
+    points = []
+    for pt in _entry(data, "generic_points"):
+        _typed(pt, dict, "generic point")
+        points.append(GenericPoint(
+            _matrix(_entry(pt, "matrix"), size, size, "generic point"),
+            _matrix(_entry(pt, "inverse"), size, size, "generic point inverse"),
+            _each(_entry(pt, "relations"), (str, int), "relations"),
+        ))
     group = MatrixGroupModel(
-        field, size, data["closed_conditions"], lie, points,
+        field, size, _each(_entry(data, "closed_conditions"), (str, int), "closed_conditions"),
+        lie, points,
         name=data.get("name"),
     )
-    vv = {}
-    for key, coords in data.get("bracket_vv", {}).items():
-        i, j = (int(x) for x in key.split(","))
-        vv[(i, j)] = tuple(_parse_scalar(field, c) for c in coords)
-    kwargs = {"name": data.get("name"), "row_parities": data.get("row_parities")}
+    labels = _each(_entry(data, "module_labels"), str, "module_labels")
+    t, l = len(labels), len(lie)
+    vv = {
+        _key(key, (t, t), "bracket_vv"): tuple(_scalars(field, coords, l, "bracket_vv entry"))
+        for key, coords in _entry(data, "bracket_vv", dict, optional=True).items()
+    }
+    row_parities = data.get("row_parities")
+    if row_parities is not None:
+        _each(_sized(row_parities, size, "row_parities"), (int, str), "row_parities")
+    kwargs = {"name": data.get("name"), "row_parities": row_parities}
     if "module_matrices" in data:
         kwargs["module_matrices"] = [
-            [[_parse_scalar(field, x) for x in row] for row in M]
-            for M in data["module_matrices"]
+            field_matrix(M, "module matrix")
+            for M in _sized(data["module_matrices"], t, "module_matrices")
         ]
     else:
-        gv = {}
-        for key, coords in data.get("bracket_gv", {}).items():
-            k, i = (int(x) for x in key.split(","))
-            gv[(k, i)] = tuple(_parse_scalar(field, c) for c in coords)
-        kwargs["bracket_gv"] = gv
+        kwargs["bracket_gv"] = {
+            _key(key, (l, t), "bracket_gv"): tuple(_scalars(field, coords, t, "bracket_gv entry"))
+            for key, coords in _entry(data, "bracket_gv", dict, optional=True).items()
+        }
         if "action" in data:
-            kwargs["action_expr"] = data["action"]
-    return HarishChandraPair(group, data["module_labels"], vv, **kwargs)
+            kwargs["action_expr"] = _matrix(data["action"], t, t, "action")
+    return HarishChandraPair(group, labels, vv, **kwargs)
 
 
 def load_fixture(field, path):
-    with open(path) as fh:
-        data = json.load(fh)
-    kind = data.get("kind")
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError("cannot read %s as JSON: %s" % (path, exc))
+    kind = data.get("kind") if isinstance(data, dict) else None
     if kind == "pair":
         return pair_from_json(field, data)
     if kind == "hopf":
@@ -271,6 +340,8 @@ def _named_hopf_factors(field, spec):
     m = re.fullmatch(r"L(\d+)|add(\d+)(?:xL(\d+))?", spec)
     if m is None:
         return None
+    if m.group(2) and int(m.group(2)) == 0:
+        raise ValueError("add<m> needs m >= 1")
     t = m.group(1) or m.group(3)
     B = additive_truncation(field, int(m.group(2))).as_hopf() if m.group(2) else None
     L = grassmann_hopf(field, ["th%d" % (i + 1) for i in range(int(t))]) if t else None

@@ -25,7 +25,9 @@ import sympy
 
 from . import linalg
 from .algebra import AxiomReport, Element, lift_matrix, polynomial_truncation
-from .linalg import Subspace, identity_matrix, mat_bracket, mat_mul, rank, transpose
+from .linalg import (
+    Subspace, identity_matrix, mat_bracket, mat_mul, nullspace, rank, transpose,
+)
 from .symbolic import Reducer, eval_at, to_sympy
 
 
@@ -129,7 +131,7 @@ class MatrixGroupModel:
         # Lie basis closes under the commutator
         for X in self.lie_basis:
             for Y in self.lie_basis:
-                comm = _mat_comm(X, Y, field)
+                comm = mat_bracket(X, Y, field.one)
                 self.lie_expander.coords_field(_flatten(comm))
 
     def membership_over(self, R, gmat):
@@ -142,10 +144,6 @@ class MatrixGroupModel:
             if not eval_at(cond, assignment, R).is_zero():
                 return False
         return True
-
-
-def _mat_comm(X, Y, field):
-    return mat_bracket(X, Y, field.one)
 
 
 class HarishChandraPair:
@@ -212,7 +210,7 @@ class HarishChandraPair:
 
     def _module_bracket(self, X, M):
         """Module coordinates of the matrix commutator [X, M]."""
-        return self.module_expander.coords_field(_flatten(_mat_comm(X, M, self.field)))
+        return self.module_expander.coords_field(_flatten(mat_bracket(X, M, self.field.one)))
 
     @property
     def lie_dim(self):
@@ -361,7 +359,7 @@ class HarishChandraPair:
 
             for a in range(l):
                 for b in range(l):
-                    comm = _mat_comm(g.lie_basis[a], g.lie_basis[b], field)
+                    comm = mat_bracket(g.lie_basis[a], g.lie_basis[b], field.one)
                     coords = g.lie_expander.coords_field(_flatten(comm))
                     put(a, b, list(coords) + [field.zero] * t)
             for k in range(l):
@@ -503,11 +501,9 @@ def subordinated_closure(pair, lie_r):
             if any(c != field.zero for c in row):
                 constraints.append(row)
     if constraints:
-        from .linalg import nullspace
-
         W = Subspace(field, t, nullspace(constraints, field, t))
     else:
-        W = Subspace(field, t, _std_basis(field, t))
+        W = Subspace(field, t, identity_matrix(t, field))
 
     steps = 0
     while True:
@@ -522,8 +518,6 @@ def subordinated_closure(pair, lie_r):
                     if any(c != field.zero for c in row):
                         constraints.append(row)
         if constraints:
-            from .linalg import nullspace
-
             cut = Subspace(field, t, nullspace(constraints, field, t))
             new = W.intersect(cut)
         else:
@@ -544,15 +538,6 @@ def subordinated_closure(pair, lie_r):
     return Submodule(pair, W)
 
 
-def _std_basis(field, t):
-    out = []
-    for i in range(t):
-        v = [field.zero] * t
-        v[i] = field.one
-        out.append(v)
-    return out
-
-
 def r_radical(pair, lie_r):
     """(W_R, Lie(H_R)) with Lie(H_R) = {x in Lie(R) : x·V in W_R}."""
     field = pair.field
@@ -571,8 +556,6 @@ def r_radical(pair, lie_r):
     if lie_r.dim == 0:
         lie_hr = Subspace(field, pair.lie_dim)
     elif constraints:
-        from .linalg import nullspace
-
         sols = nullspace(constraints, field, lie_r.dim)
         vecs = []
         for sol in sols:
@@ -684,8 +667,6 @@ def check_exact_sequence(inner, w_to_v, lie_embed, mid, outer, v_to_u,
     proj_rows = [tuple(r) for r in v_to_u]
     if rank(proj_rows, field) != t_out:
         report.fail("(1) V -> U is not surjective")
-    from .linalg import nullspace
-
     ker = Subspace(field, t_mid, nullspace(proj_rows, field, t_mid)) if t_mid else Subspace(field, 0)
     img = Subspace(field, t_mid, w_cols)
     if ker != img:

@@ -11,7 +11,7 @@ alpha(a ⊗ a') = a a'_(0) ⊗ a'_(1).
 from __future__ import annotations
 
 from .algebra import AxiomReport, Element, grassmann, tensor, tensor_pure
-from .linalg import Subspace, nullspace, rank
+from .linalg import Subspace, apply_columns, nullspace, rank
 
 
 class HopfError(ValueError):
@@ -21,13 +21,14 @@ class HopfError(ValueError):
 class HopfSuperAlgebra:
     """algebra + (delta, eps, s).
 
-    delta: list, per basis index, of {(i, j): scalar} coefficient tables
-    eps:   list of scalars
-    s:     matrix as list of columns? no: list per basis index of coordinate
-           lists (image of each basis vector).
+    delta:    list, per basis index, of {(i, j): scalar} coefficient tables
+    eps:      list of scalars
+    antipode: list of columns, per basis index the coordinates of its image
+    hopf_factors: (HB, HL) when the algebra is the tensor product B ⊗ Λ
+              built by hyp.tensor_hopf, else None
     """
 
-    def __init__(self, algebra, delta, eps, antipode, *, check=True):
+    def __init__(self, algebra, delta, eps, antipode, *, check=True, hopf_factors=None):
         self.algebra = algebra
         field = algebra.field
         self.delta = [
@@ -35,6 +36,7 @@ class HopfSuperAlgebra:
         ]
         self.eps = list(eps)
         self.antipode = [tuple(col) for col in antipode]
+        self.hopf_factors = hopf_factors
         if len(self.delta) != algebra.dim or len(self.eps) != algebra.dim:
             raise HopfError("coproduct/counit tables have wrong size")
         self.square = tensor(algebra, algebra)
@@ -64,13 +66,7 @@ class HopfSuperAlgebra:
 
     def apply_antipode(self, elem):
         A = self.algebra
-        field = self.field
-        out = [field.zero] * A.dim
-        for i in elem.support():
-            c = elem.coords[i]
-            for t, s in enumerate(self.antipode[i]):
-                out[t] = out[t] + c * s
-        return Element(A, out)
+        return Element(A, apply_columns(self.antipode, elem.coords, self.field.zero, A.dim))
 
 
 def _delta_morphism_report(H, report):

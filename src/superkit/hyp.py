@@ -10,7 +10,8 @@ is local with maximal ideal m = ker eps, the dual carries the increasing
 filtration  hyp_k = annihilator of m^{k+1}  (and the analogous one for the
 ideal generated by the odd part); those filtrations and the canonical
 decomposition over a tensor splitting A = B ⊗ Λ are checked here, together
-with the comparison of gr(hyp A) against hyp(gr A).
+with the comparison of gr(hyp A) against hyp(gr A) on the adapted bases of
+filtration.AdaptedBasis.
 
 Algebras that are only truncations of an infinite dimensional object (for
 instance K[t]/(t^m) with the additive coproduct in characteristic zero)
@@ -24,10 +25,13 @@ from __future__ import annotations
 
 from .algebra import AxiomReport, Element, SuperAlgebra, SuperIdeal, tensor
 from .filtration import (
-    FiltrationError, GradedReport, adic_filtration, graded_companion, tensor_piece,
+    AdaptedBasis, FiltrationError, GradedReport, adic_filtration, graded_companion,
+    tensor_piece,
 )
 from .hopf import HopfSuperAlgebra
-from .linalg import Subspace, invert_matrix, nullspace, rank, transpose
+from .linalg import (
+    Subspace, apply_columns, identity_matrix, invert_matrix, kron, nullspace, rank,
+)
 
 
 class HypError(ValueError):
@@ -43,9 +47,7 @@ def apply_functional(phi, elem):
 def annihilator(field, n, sub):
     """Functionals vanishing on a subspace, as an echelon Subspace."""
     if sub.dim == 0:
-        return Subspace(field, n, [tuple(
-            field.one if i == j else field.zero for j in range(n)
-        ) for i in range(n)])
+        return Subspace(field, n, identity_matrix(n, field))
     mat = [list(row) for row in sub.rows]
     return Subspace(field, n, nullspace(mat, field, n))
 
@@ -96,10 +98,12 @@ class HypFiltration:
     """hyp_k = annihilator of I_{k+1} for a descending ideal chain I."""
 
     def __init__(self, H, chain):
-        self.hopf = H
         self.chain = chain
         field = H.field
         n = H.algebra.dim
+        # no reference to H is kept: a TruncatedLocal holds its own
+        # HypFiltration, and a back reference would make a cycle
+        self.zero_space = Subspace(field, n)
         self.levels = [
             annihilator(field, n, chain.piece(k + 1))
             for k in range(chain.length)
@@ -111,7 +115,7 @@ class HypFiltration:
 
     def piece(self, k):
         if k < 0:
-            return Subspace(self.hopf.field, self.hopf.algebra.dim)
+            return self.zero_space
         if k >= len(self.levels):
             return self.levels[-1]
         return self.levels[k]
@@ -128,19 +132,6 @@ def _dual_product(D, phi, psi):
     x = Element(D.algebra, phi)
     y = Element(D.algebra, psi)
     return D.algebra.multiply(x, y).coords
-
-
-def _dual_coproduct_coords(D, phi):
-    """Coproduct of a dual element as a flat n*n coefficient vector."""
-    n = D.algebra.dim
-    field = D.field
-    out = [field.zero] * (n * n)
-    for k, c in enumerate(phi):
-        if c == field.zero:
-            continue
-        for (s, t), d in D.delta[k].items():
-            out[s * n + t] = out[s * n + t] + c * d
-    return out
 
 
 def check_hyp_filtration(H, chain, *, local=True):
@@ -185,7 +176,7 @@ def check_hyp_filtration(H, chain, *, local=True):
     for k in range(F.length):
         tgt = tensor_piece(F.piece, F.piece, k)
         for phi in F.piece(k).rows:
-            if not tgt.contains(_dual_coproduct_coords(D, phi)):
+            if not tgt.contains(D.coproduct(Element(D.algebra, phi)).coords):
                 report.fail("dual coproduct escapes at level %d" % k)
                 break
         for phi in F.piece(k).rows:
@@ -220,21 +211,14 @@ class TruncatedLocal:
         self.antipode = antipode
         self.name = name
         self.chain = adic_filtration(algebra, counit_kernel_ideal(algebra, eps))
-        n = algebra.dim
-        self.levels = [
-            annihilator(field, n, self.chain.piece(k + 1))
-            for k in range(self.chain.length)
-        ]
+        self.hyp = HypFiltration(self, self.chain)
 
     @property
     def field(self):
         return self.algebra.field
 
     def hyp_level(self, phi):
-        for k, sub in enumerate(self.levels):
-            if sub.contains(phi):
-                return k
-        raise HypError("functional escapes the filtration")
+        return self.hyp.level(phi)
 
     def convolve(self, phi, psi):
         """(value row, exact flag) of the lenient convolution product."""
@@ -313,22 +297,12 @@ def tensor_hopf(HA, HB):
                     )
                     key = (a1 * nB + b1, a2 * nB + b2)
                     delta[k][key] = delta[k].get(key, field.zero) + sign * ca * cb
-    eps = [HA.eps[a] * HB.eps[b] for a in range(nA) for b in range(nB)]
-    antipode = []
-    for a in range(nA):
-        for b in range(nB):
-            sign = -field.one if parA[a] * parB[b] == 1 else field.one
-            col = [field.zero] * n
-            for a2, ca in enumerate(HA.antipode[a]):
-                if ca == field.zero:
-                    continue
-                for b2, cb in enumerate(HB.antipode[b]):
-                    if cb != field.zero:
-                        col[a2 * nB + b2] = sign * ca * cb
-            antipode.append(col)
-    H = HopfSuperAlgebra(T, delta, eps, antipode, check=True)
-    H.hopf_factors = (HA, HB)
-    return H
+    eps = kron(HA.eps, HB.eps, field)
+    # S(a ⊗ b) = S(a) ⊗ S(b): the Koszul signs of S being an anti-morphism
+    # and of the swap in (1 ⊗ S(b))(S(a) ⊗ 1) cancel
+    antipode = [kron(HA.antipode[a], HB.antipode[b], field) for a in range(nA) for b in range(nB)]
+    # both factors are validated Hopf superalgebras, so the product is one
+    return HopfSuperAlgebra(T, delta, eps, antipode, check=False, hopf_factors=(HA, HB))
 
 
 # -- canonical decomposition over a tensor splitting --------------------
@@ -343,7 +317,7 @@ class CanonicalDecomposition:
     """
 
     def __init__(self, H):
-        if not hasattr(H, "hopf_factors"):
+        if H.hopf_factors is None:
             raise HypError("canonical decomposition needs a tensor splitting")
         HB, HL = H.hopf_factors
         field = H.field
@@ -383,36 +357,25 @@ class CanonicalDecomposition:
                         acc = D.multiply(acc, gammas[i])
                 self.index.append((beta, size_mask))
                 cols.append(acc.coords)
-        self.matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
-        self.inverse = invert_matrix(self.matrix, field)
-        if self.inverse is None:
+        # cols[j] is the functional of index j; row j of inv_cols holds the
+        # decomposition of the dual basis vector e_j
+        self.cols = cols
+        self.inv_cols = invert_matrix(cols, field)
+        if self.inv_cols is None:
             raise HypError("recomposition matrix is singular")
 
     def decompose(self, phi):
         """{(beta, subset mask): coefficient} with phi = sum c · phi_beta γ_I."""
-        field = self.H.field
-        n = len(phi)
-        coeffs = [
-            field.sum(self.inverse[i][j] * phi[j] for j in range(n))
-            for i in range(n)
-        ]
-        return {
-            self.index[i]: coeffs[i]
-            for i in range(n)
-            if coeffs[i] != field.zero
-        }
+        coeffs = apply_columns(self.inv_cols, phi, self.H.field.zero, len(phi))
+        return {self.index[i]: c for i, c in enumerate(coeffs) if c}
 
     def recompose(self, table):
         field = self.H.field
-        n = len(self.matrix)
-        vec = [field.zero] * n
         pos = {key: i for i, key in enumerate(self.index)}
+        vec = [field.zero] * len(self.index)
         for key, c in table.items():
             vec[pos[key]] = c
-        return [
-            field.sum(self.matrix[i][j] * vec[j] for j in range(n))
-            for i in range(n)
-        ]
+        return apply_columns(self.cols, vec, field.zero, len(vec))
 
 
 # -- graded companion of a filtered Hopf algebra ------------------------
@@ -421,16 +384,14 @@ class CanonicalDecomposition:
 def graded_hopf(H, filtration):
     """(Hopf structure on gr A, GradedCompanion) for a Hopf-compatible chain."""
     comp = graded_companion(filtration)
-    A = H.algebra
-    field = A.field
-    n = A.dim
+    n = H.algebra.dim
     degrees = comp.degrees
     delta = []
     for b in range(n):
         k = degrees[b]
         table = {}
         cop = H.coproduct(comp.reps[b]).coords
-        for (u, v), c in _adapted_tensor(cop, comp._adapt_cols, field).items():
+        for (u, v), c in comp.basis.tensor_coords(cop).items():
             d = degrees[u] + degrees[v]
             if d < k:
                 raise FiltrationError(
@@ -469,43 +430,18 @@ def check_gr_hyp_duality(H, filtration):
     F = HypFiltration(H, filtration)
 
     # adapted basis of the increasing filtration of the dual
-    adapted, adeg = [], []
-    running = Subspace(field, n)
-    for k in range(F.length):
-        for row in F.piece(k).rows:
-            if not running.contains(row):
-                adapted.append(list(row))
-                adeg.append(k)
-                running = running.add_vectors([row])
-    if len(adapted) != n:
-        report.fail("adapted dual basis has the wrong size")
-        return report
-    P = [[adapted[j][i] for j in range(n)] for i in range(n)]
-    Pinv = invert_matrix(P, field)
-    pinv_cols = transpose(Pinv)
-
-    def adapted_coords(vec):
-        return [
-            field.sum(Pinv[i][j] * vec[j] for j in range(n)) for i in range(n)
-        ]
-
-    def gr_class(vec, k):
-        """Class of a functional of level <= k in degree k (drops lower)."""
-        ac = adapted_coords(vec)
-        for i in range(n):
-            if adeg[i] > k and ac[i] != field.zero:
-                raise HypError("functional exceeds its filtration level")
-        return [ac[i] if adeg[i] == k else field.zero for i in range(n)]
+    basis = AdaptedBasis(field, n, F.piece, F.length, -1)
+    adapted, adeg = basis.vecs, basis.degrees
 
     # Theta columns: adapted functional of degree k -> functional on gr A
-    theta = []
-    for i in range(n):
-        col = [
+    theta = [
+        [
             apply_functional(adapted[i], comp.reps[m]) if comp.degrees[m] == adeg[i]
             else field.zero
             for m in range(n)
         ]
-        theta.append(col)
+        for i in range(n)
+    ]
 
     for deg in sorted(set(adeg)):
         src = sum(1 for d in adeg if d == deg)
@@ -513,26 +449,18 @@ def check_gr_hyp_duality(H, filtration):
         report.degree_dims[deg] = (src, tgt)
         if src != tgt:
             report.fail("degree %d dimensions differ" % deg)
-    if rank([list(c) for c in theta], field) != n:
+    if rank(theta, field) != n:
         report.fail("comparison map is not bijective")
 
     def apply_theta(vec):
-        out = [field.zero] * n
-        for i, c in enumerate(vec):
-            if c == field.zero:
-                continue
-            for m in range(n):
-                if theta[i][m] != field.zero:
-                    out[m] = out[m] + c * theta[i][m]
-        return out
+        return apply_columns(theta, vec, field.zero, n)
 
-    # unit and counit
-    eps_class = gr_class(list(H.eps), 0)
+    # unit and counit; theta[i] is the image of the adapted class i
+    eps_class = basis.class_coords(H.eps, 0)
     if tuple(apply_theta(eps_class)) != D2.algebra.unit.coords:
         report.fail("unit is not preserved")
     for i in range(n):
-        cls = [field.one if j == i else field.zero for j in range(n)]
-        lhs = D2.counit(Element(D2.algebra, apply_theta(cls)))
+        lhs = D2.counit(Element(D2.algebra, theta[i]))
         rhs = apply_functional(adapted[i], H.algebra.unit) if adeg[i] == 0 else field.zero
         if lhs != rhs:
             report.fail("counit differs at adapted index %d" % i)
@@ -542,93 +470,44 @@ def check_gr_hyp_duality(H, filtration):
         for j in range(n):
             prod = _dual_product(D1, adapted[i], adapted[j])
             try:
-                cls = gr_class(list(prod), adeg[i] + adeg[j])
-            except HypError:
+                cls = basis.class_coords(prod, adeg[i] + adeg[j])
+            except FiltrationError:
                 report.fail(
                     "product escapes its filtration degree at (%d,%d)" % (i, j)
                 )
                 continue
             lhs = apply_theta(cls)
             rhs = D2.algebra.multiply(
-                Element(D2.algebra, apply_theta(
-                    [field.one if s == i else field.zero for s in range(n)])),
-                Element(D2.algebra, apply_theta(
-                    [field.one if s == j else field.zero for s in range(n)])),
+                Element(D2.algebra, theta[i]), Element(D2.algebra, theta[j])
             ).coords
-            if tuple(lhs) != tuple(rhs):
+            if tuple(lhs) != rhs:
                 report.fail("product differs at adapted pair (%d,%d)" % (i, j))
                 return report
 
     # coproduct and antipode, classwise
     for i in range(n):
         k = adeg[i]
-        cop = _dual_coproduct_coords(D1, adapted[i])
         # class in sum_{u+v=k}: adapted⊗adapted coordinates
-        ok = True
-        lhs = _adapted_tensor(cop, pinv_cols, field)
-        for (u, v), c in list(lhs.items()):
-            if adeg[u] + adeg[v] > k:
-                report.fail("dual coproduct exceeds level at index %d" % i)
-                ok = False
-                break
-            if adeg[u] + adeg[v] < k:
-                del lhs[(u, v)]
-        if not ok:
+        lhs = basis.tensor_coords(D1.coproduct(Element(D1.algebra, adapted[i])).coords)
+        if any(adeg[u] + adeg[v] > k for u, v in lhs):
+            report.fail("dual coproduct exceeds level at index %d" % i)
             continue
-        got = {}
-        for (u, v), c in lhs.items():
-            tu, tv = apply_theta(
-                [field.one if s == u else field.zero for s in range(n)]
-            ), apply_theta([field.one if s == v else field.zero for s in range(n)])
-            for a, ca in enumerate(tu):
-                if ca == field.zero:
-                    continue
-                for b, cb in enumerate(tv):
-                    if cb != field.zero:
-                        key = (a, b)
-                        got[key] = got.get(key, field.zero) + c * ca * cb
-        want = {}
-        ti = apply_theta([field.one if s == i else field.zero for s in range(n)])
-        for m, c in enumerate(ti):
-            if c == field.zero:
-                continue
-            for (a, b), d in D2.delta[m].items():
-                want[(a, b)] = want.get((a, b), field.zero) + c * d
-        got = {kk: c for kk, c in got.items() if c != field.zero}
-        want = {kk: c for kk, c in want.items() if c != field.zero}
-        if got != want:
+        keep = [(u, v) for u, v in lhs if adeg[u] + adeg[v] == k]
+        got = apply_columns(
+            [kron(theta[u], theta[v], field) for u, v in keep],
+            [lhs[key] for key in keep], field.zero, n * n,
+        )
+        ti = Element(D2.algebra, theta[i])
+        if tuple(got) != D2.coproduct(ti).coords:
             report.fail("coproduct differs at adapted index %d" % i)
             return report
 
         s_img = D1.apply_antipode(Element(D1.algebra, adapted[i])).coords
         try:
-            s_cls = gr_class(list(s_img), k)
-        except HypError:
+            s_cls = basis.class_coords(s_img, k)
+        except FiltrationError:
             report.fail("dual antipode exceeds level at index %d" % i)
             continue
-        lhs_s = apply_theta(s_cls)
-        rhs_s = D2.apply_antipode(Element(D2.algebra, ti)).coords
-        if tuple(lhs_s) != tuple(rhs_s):
+        if tuple(apply_theta(s_cls)) != D2.apply_antipode(ti).coords:
             report.fail("antipode differs at adapted index %d" % i)
     return report
-
-
-def _adapted_tensor(flat, cols, field):
-    """A flat vector of V⊗V re-expressed in the adapted ⊗ adapted basis,
-    where cols[s] holds the adapted coordinates of the basis vector e_s."""
-    n = len(cols)
-    out = {}
-    for s in range(n):
-        for t in range(n):
-            c = flat[s * n + t]
-            if c == field.zero:
-                continue
-            cs, ct = cols[s], cols[t]
-            for u in range(n):
-                if cs[u] == field.zero:
-                    continue
-                for v in range(n):
-                    if ct[v] != field.zero:
-                        key = (u, v)
-                        out[key] = out.get(key, field.zero) + c * cs[u] * ct[v]
-    return {k: c for k, c in out.items() if c != field.zero}

@@ -153,6 +153,18 @@ def kron(u, v, field):
     return out
 
 
+def apply_columns(cols, vec, zero, size):
+    """sum_j vec[j]·cols[j] as a list of `size` scalars: the image of vec
+    under the linear map with columns cols.  Zero entries are skipped."""
+    out = [zero] * size
+    for x, col in zip(vec, cols):
+        if x:
+            for t, y in enumerate(col):
+                if y:
+                    out[t] = out[t] + x * y
+    return out
+
+
 def identity_matrix(n, field):
     return [
         [field.one if i == j else field.zero for j in range(n)] for i in range(n)

@@ -216,6 +216,76 @@ class TestMalformedInput:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def _set(key, value):
+    def mutate(data):
+        data[key] = value
+    return mutate
+
+
+def _drop(key):
+    return lambda data: data.pop(key)
+
+
+def _shorten(key):
+    return lambda data: data[key].pop()
+
+
+def _with_key(table, key, value):
+    return lambda data: data[table].update({key: value})
+
+
+def _module_2x3(data):
+    data["module_matrices"][0] = [["0", "1", "0"], ["0", "0", "0"]]
+
+
+class TestMalformedFixture:
+    """A malformed fixture name or file exits 2 with one stderr line."""
+
+    CASES = {
+        "add0-axioms": (None, None, ["axioms", "add0"]),
+        "add0-hyp-decompose": (None, None, ["hyp-decompose", "add0", "1"]),
+        "alg-product-index": ("grassmann2.alg.json", _with_key("products", "9,0", {"0": "1"}),
+                              ["gr"]),
+        "alg-no-labels": ("grassmann2.alg.json", _drop("labels"), ["gr"]),
+        "alg-short-parities": ("grassmann2.alg.json", _shorten("parities"), ["gr"]),
+        "alg-short-unit": ("grassmann2.alg.json", _set("unit", ["1"]), ["gr"]),
+        "alg-not-json": ("grassmann2.alg.json", "not json {", ["gr"]),
+        "alg-list-parity": ("grassmann2.alg.json", _set("parities", [[0], 1, 1, 0]), ["gr"]),
+        "hopf-short-antipode": ("grassmann3.hopf.json", _shorten("antipode"), ["axioms"]),
+        "hopf-delta-index": ("grassmann3.hopf.json",
+                             lambda data: data["delta"][1].update({"0,99": "1"}), ["axioms"]),
+        "pair-no-size": ("gl11.pair.json", _drop("size"), ["validate"]),
+        "pair-module-2x3": ("gl11.pair.json", _module_2x3, ["validate"]),
+        "pair-vv-index": ("gl11.pair.json", _with_key("bracket_vv", "0,7", ["1", "1"]),
+                          ["validate"]),
+        "pair-short-row-parities": ("gl11.pair.json", _set("row_parities", [0]), ["validate"]),
+        "pair-list-module-label": ("gl11.pair.json", _set("module_labels", ["v+", ["v-"]]),
+                                   ["validate"]),
+        "pair-list-relation": ("gl11.pair.json",
+                               lambda data: data["generic_points"][0].update(relations=[[1]]),
+                               ["validate"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_2_with_one_line(self, capsys, tmp_path, case):
+        source, mutate, argv = self.CASES[case]
+        if source is not None:
+            path = tmp_path / source
+            if isinstance(mutate, str):
+                path.write_text(mutate)
+            else:
+                with open("fixtures/" + source) as fh:
+                    data = json.load(fh)
+                mutate(data)
+                path.write_text(json.dumps(data))
+            argv = argv + [str(path)]
+        code, out, err = run(capsys, argv)
+        assert code == 2, err
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestInternalError:
     def test_exit_3_with_one_line(self, capsys, monkeypatch):
         def broken(args, field):

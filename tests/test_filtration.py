@@ -11,6 +11,7 @@ from superkit.algebra import (
 )
 from superkit.fields import PrimeField, Rationals
 from superkit.filtration import (
+    AdaptedBasis,
     FiltrationError,
     FilteredSuperAlgebra,
     adic_filtration,
@@ -18,9 +19,12 @@ from superkit.filtration import (
     graded_companion,
     tensor_filtration,
 )
-from superkit.linalg import Subspace
+from superkit.hopf import grassmann_hopf
+from superkit.hyp import HypFiltration, additive_truncation, augmentation_filtration, tensor_hopf
+from superkit.linalg import Subspace, identity_matrix, invert_matrix
 
 Q = Rationals()
+F3, F5 = PrimeField(3), PrimeField(5)
 
 
 def test_adic_chain_dims_grassmann2():
@@ -100,3 +104,100 @@ def test_iso_over_prime_field():
     FB = adic_filtration(B, odd_ideal(B))
     report = check_gr_tensor_iso(FA, FB)
     assert report.holds, report.failures
+
+
+# -- AdaptedBasis against the two loops it replaced ---------------------------
+
+
+def _descending_reference(F):
+    """The adapted basis of a descending chain as GradedCompanion built it."""
+    field, n = F.algebra.field, F.algebra.dim
+    vecs, degrees = [], []
+    for k in range(F.length - 1):
+        running = Subspace(field, n, F.piece(k + 1).rows)
+        for row in F.piece(k).rows:
+            if not running.contains(row):
+                vecs.append(row)
+                degrees.append(k)
+                running = running.add_vectors([row])
+    return vecs, degrees
+
+
+def _increasing_reference(field, n, F):
+    """The adapted basis of an increasing chain as check_gr_hyp_duality built
+    it, accumulating one running span over all levels."""
+    vecs, degrees = [], []
+    running = Subspace(field, n)
+    for k in range(F.length):
+        for row in F.piece(k).rows:
+            if not running.contains(row):
+                vecs.append(row)
+                degrees.append(k)
+                running = running.add_vectors([row])
+    return vecs, degrees
+
+
+def _reference_coords(field, vecs, vec):
+    """Adapted coordinates through the inverse of the transposed basis."""
+    n = len(vecs)
+    inv = invert_matrix([[vecs[j][i] for j in range(n)] for i in range(n)], field)
+    return [field.sum(inv[i][j] * vec[j] for j in range(n)) for i in range(n)]
+
+
+def _assert_matches(basis, field, n, vecs, degrees):
+    assert [tuple(v) for v in basis.vecs] == [tuple(v) for v in vecs]
+    assert basis.degrees == degrees
+    for vec in identity_matrix(n, field) + [list(v) for v in vecs]:
+        assert basis.coords(vec) == _reference_coords(field, vecs, vec)
+
+
+def _descending_cases():
+    for t in range(1, 5):
+        A = grassmann(Q, ["a%d" % (i + 1) for i in range(t)])
+        yield "Lambda%d" % t, adic_filtration(A, odd_ideal(A))
+    for m in range(2, 6):
+        A = polynomial_truncation(Q, "t", m)
+        yield "K[t]/t^%d" % m, adic_filtration(A, ideal_generated_by(A, [A.element({"t": 1})]))
+
+
+def _hyp_cases():
+    yield "L2/Q", grassmann_hopf(Q, ["t1", "t2"])
+    yield "add3/F3", additive_truncation(F3, 3).as_hopf()
+    yield "add5/F5", additive_truncation(F5, 5).as_hopf()
+    yield "add3xL1/F3", tensor_hopf(additive_truncation(F3, 3).as_hopf(), grassmann_hopf(F3, ["t1"]))
+
+
+@pytest.mark.parametrize("F", [pytest.param(F, id=name) for name, F in _descending_cases()])
+def test_adapted_basis_descending_matches_reference(F):
+    field, n = F.algebra.field, F.algebra.dim
+    basis = AdaptedBasis(field, n, F.piece, F.length, 1)
+    _assert_matches(basis, field, n, *_descending_reference(F))
+
+
+@pytest.mark.parametrize("H", [pytest.param(H, id=name) for name, H in _hyp_cases()])
+def test_adapted_basis_increasing_matches_reference(H):
+    field, n = H.field, H.algebra.dim
+    F = HypFiltration(H, augmentation_filtration(H))
+    basis = AdaptedBasis(field, n, F.piece, F.length, -1)
+    _assert_matches(basis, field, n, *_increasing_reference(field, n, F))
+
+
+def test_class_coords_far_side_raises_both_ways():
+    A = grassmann(Q, ["a", "b"])
+    F = adic_filtration(A, odd_ideal(A))
+    down = AdaptedBasis(Q, A.dim, F.piece, F.length, 1)
+    a = A.element({"a": 1}).coords
+    with pytest.raises(FiltrationError):
+        down.class_coords(a, 2)
+    # the near side (degree 2 seen from degree 1) is cut off
+    assert not any(down.class_coords(A.element({"a*b": 1}).coords, 1))
+    assert any(down.class_coords(a, 1))
+
+    H = grassmann_hopf(Q, ["a", "b"])
+    G = HypFiltration(H, augmentation_filtration(H))
+    up = AdaptedBasis(Q, H.algebra.dim, G.piece, G.length, -1)
+    top = up.vecs[up.degrees.index(2)]
+    with pytest.raises(FiltrationError):
+        up.class_coords(top, 1)
+    assert not any(up.class_coords(H.eps, 1))
+    assert any(up.class_coords(top, 2))

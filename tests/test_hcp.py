@@ -12,16 +12,15 @@ from superkit.hcp import (
     r_radical,
     subordinated_closure,
     validate_pair,
-    _std_basis,
 )
-from superkit.linalg import Subspace
+from superkit.linalg import Subspace, identity_matrix
 
 Q = Rationals()
 F5 = PrimeField(5)
 
 
 def full_lie(pair):
-    return Subspace(pair.field, pair.lie_dim, _std_basis(pair.field, pair.lie_dim))
+    return Subspace(pair.field, pair.lie_dim, identity_matrix(pair.lie_dim, pair.field))
 
 
 class TestValidation:

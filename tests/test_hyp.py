@@ -101,6 +101,22 @@ class TestLenientTruncation:
         assert out == delta and exact
 
 
+@pytest.mark.parametrize("field", [Q, F3, F5], ids=lambda f: f.name)
+def test_tensor_hopf_satisfies_the_axioms(field):
+    # tensor_hopf builds unchecked; this is its referee, on factors with
+    # odd parts on both sides and on one side only
+    lam = grassmann_hopf
+    pairs = [(lam(field, ["a"]), lam(field, ["b"])),
+             (lam(field, ["a", "b"]), lam(field, ["c"])),
+             (lam(field, ["a"]), lam(field, ["b", "c"]))]
+    if field.char:
+        add = additive_truncation(field, field.char).as_hopf()
+        pairs += [(add, lam(field, ["a", "b"])), (lam(field, ["a", "b"]), add)]
+    for HA, HB in pairs:
+        report = check_hopf_axioms(tensor_hopf(HA, HB))
+        assert report.holds, report.failures
+
+
 class TestCanonicalDecomposition:
     def test_roundtrip_char3(self, rng):
         H = tensor_hopf(

@@ -127,6 +127,14 @@ def test_dependent_matrix_basis_rejected():
         MatrixLieSuper(Q, ["a", "b"], [0, 0], mats, [0, 0])
 
 
+def test_inhomogeneous_matrix_basis_rejected():
+    # gl(1|1) with every parity declared even is ordinary gl(2), which passes
+    # the axiom sweep, but E12 and E21 are odd for the row parities (0, 1)
+    L = gl_super(Q, 1, 1)
+    with pytest.raises(LieError):
+        MatrixLieSuper(Q, list(L.space.labels), [0] * 4, L.matrices, (0, 1))
+
+
 # -- the sparse sweep and build against the dense reference ------------------
 
 
