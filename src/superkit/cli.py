@@ -22,6 +22,7 @@ import sys
 
 from .fields import FieldError, parse_field
 from .linalg import identity_matrix, invert_matrix
+from .symbolic import ParseError, parse
 
 
 class CLIError(ValueError):
@@ -68,55 +69,14 @@ def parse_coeff_algebra(field, spec):
     return grassmann(field, gens)
 
 
-_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+(?:/\d+)?|[-+*])")
-
-
 def parse_element(R, text):
-    """Sums of monomials in the generators, e.g. "a1*a2 - 2*a3*a4"."""
-    field = R.field
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise CLIError("cannot tokenize %r" % text[pos:])
-        tokens.append(m.group(1))
-        pos = m.end()
-    if not tokens:
-        raise CLIError("empty coefficient expression")
-    if tokens[-1] in ("+", "-", "*"):
-        raise CLIError("coefficient expression %r ends with %r" % (text, tokens[-1]))
-    out = R.zero()
-    idx = 0
-    sign = 1
-    while idx < len(tokens):
-        tok = tokens[idx]
-        if tok in ("+", "-"):
-            sign = 1 if tok == "+" else -1
-            idx += 1
-            # the last token is a factor, so a sign is never the last one
-            if tokens[idx] in ("+", "-", "*"):
-                raise CLIError("expected a factor after %r in %r" % (tok, text))
-            continue
-        term = R.unit
-        while True:
-            tok = tokens[idx]
-            if re.fullmatch(r"\d+(?:/\d+)?", tok):
-                term = term.scale(field.parse(tok))
-            else:
-                if tok not in R.space.labels:
-                    raise CLIError("unknown generator %r" % tok)
-                term = R.multiply(term, R.element({tok: 1}))
-            idx += 1
-            if idx < len(tokens) and tokens[idx] == "*":
-                idx += 1
-                continue
-            break
-        if idx < len(tokens) and tokens[idx] not in ("+", "-"):
-            raise CLIError("expected *, + or - before %r in %r" % (tokens[idx], text))
-        out = out + (term if sign > 0 else -term)
-        sign = 1
-    return out
+    """A polynomial in the generators, e.g. "a1*a2 - 2*a3*a4", over R."""
+    def generator(name):
+        if name not in R.space.labels:
+            raise CLIError("unknown generator %r" % name)
+        return R.element({name: 1})
+
+    return parse(text, lambda s: R.unit.scale(R.field.parse(s)), generator)
 
 
 def parse_matrix(field, text, square=True):
@@ -467,7 +427,7 @@ def main(argv=None):
         return 2
     try:
         return args.func(args, field)
-    except (CLIError, FieldError) as exc:
+    except (CLIError, FieldError, ParseError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -7,8 +7,6 @@ import json
 import os
 import re
 
-import sympy
-
 from .algebra import (
     DualSuperNumbers, SuperAlgebra, SuperIdeal, grassmann, ground_algebra, odd_ideal,
 )
@@ -45,16 +43,14 @@ def _anticommutator_table(field, lie_basis, module_matrices):
 
 def gl11_pair(field):
     """G = invertible diagonal 2x2, V = span{v+, v-} (the odd part of gl(1|1))."""
-    m = [[sympy.Symbol("m_%d_%d" % (i, j)) for j in range(2)] for i in range(2)]
-    al, de, ali, dei = sympy.symbols("alpha delta alpha_i delta_i")
     point = GenericPoint(
-        [[al, 0], [0, de]],
-        [[ali, 0], [0, dei]],
-        [al * ali - 1, de * dei - 1],
+        [["alpha", 0], [0, "delta"]],
+        [["alpha_i", 0], [0, "delta_i"]],
+        ["alpha*alpha_i - 1", "delta*delta_i - 1"],
     )
     lie = [_unit_matrix(field, 2, 0, 0), _unit_matrix(field, 2, 1, 1)]
     group = MatrixGroupModel(
-        field, 2, [m[0][1], m[1][0]], lie, [point], name="GL1xGL1"
+        field, 2, ["m_0_1", "m_1_0"], lie, [point], name="GL1xGL1"
     )
     module = [_unit_matrix(field, 2, 0, 1), _unit_matrix(field, 2, 1, 0)]
     vv = _anticommutator_table(field, lie, module)
@@ -66,13 +62,10 @@ def gl11_pair(field):
 
 def gl21_pair(field):
     """G = GL(2) x GL(1) block-diagonal in 3x3, V = odd part of gl(2|1)."""
-    m = [[sympy.Symbol("m_%d_%d" % (i, j)) for j in range(3)] for i in range(3)]
-    a, b, c, d, u = sympy.symbols("a b c d u")
-    T, ui = sympy.symbols("T u_i")
     point = GenericPoint(
-        [[a, b, 0], [c, d, 0], [0, 0, u]],
-        [[d * T, -b * T, 0], [-c * T, a * T, 0], [0, 0, ui]],
-        [(a * d - b * c) * T - 1, u * ui - 1],
+        [["a", "b", 0], ["c", "d", 0], [0, 0, "u"]],
+        [["d*T", "-b*T", 0], ["-c*T", "a*T", 0], [0, 0, "u_i"]],
+        ["(a*d - b*c)*T - 1", "u*u_i - 1"],
     )
     lie = [
         _unit_matrix(field, 3, 0, 0),
@@ -81,7 +74,7 @@ def gl21_pair(field):
         _unit_matrix(field, 3, 1, 1),
         _unit_matrix(field, 3, 2, 2),
     ]
-    closed = [m[0][2], m[1][2], m[2][0], m[2][1]]
+    closed = ["m_0_2", "m_1_2", "m_2_0", "m_2_1"]
     group = MatrixGroupModel(field, 3, closed, lie, [point], name="GL2xGL1")
     module = [
         _unit_matrix(field, 3, 0, 2),

@@ -18,17 +18,16 @@ exactness condition checks for short sequences of pairs.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations_with_replacement, permutations
 from operator import add
-
-import sympy
 
 from . import linalg
 from .algebra import AxiomReport, Element, lift_matrix, polynomial_truncation
 from .linalg import (
-    Subspace, identity_matrix, mat_bracket, mat_mul, nullspace, rank, transpose,
+    Subspace, apply_columns, identity_matrix, mat_bracket, mat_mul, nullspace, rank, transpose,
 )
-from .symbolic import Reducer, eval_at, to_sympy
+from .symbolic import Poly, Reducer, eval_at
 
 
 class HCPError(ValueError):
@@ -40,28 +39,26 @@ def _flatten(mat):
 
 
 class BasisExpander(linalg.BasisExpander):
-    """linalg.BasisExpander, also symbolically over a polynomial ring and
-    over a coefficient superalgebra R."""
-
     error = HCPError
-
-    def coords_sympy(self, vec, reducer):
-        return self.coords_generic(
-            vec, lambda c, x: to_sympy(c) * x, add, reducer.is_zero, sympy.Integer(0)
-        )
-
-    def coords_R(self, vec, R):
-        return self.coords_generic(vec, lambda c, x: x.scale(c), add, Element.is_zero, R.zero())
 
 
 class GenericPoint:
     """A group element with formal polynomial entries, its inverse, and the
-    relations its parameters satisfy (e.g. alpha*alpha_bar - 1)."""
+    relations its parameters satisfy (e.g. alpha*alpha_i - 1).  Entries are
+    read through str() (text, integers or Polys) over the field of the
+    group model that takes the point."""
 
     def __init__(self, matrix, inverse, relations):
-        self.matrix = [[sympy.sympify(e) for e in row] for row in matrix]
-        self.inverse = [[sympy.sympify(e) for e in row] for row in inverse]
-        self.relations = [sympy.sympify(r) for r in relations]
+        self.matrix, self.inverse, self.relations = matrix, inverse, relations
+
+    def over(self, field):
+        """The point with Poly entries over field, and the Reducer of its
+        relations, built once."""
+        read = partial(Poly.read, field)
+        pt = GenericPoint(*[[[read(e) for e in row] for row in M] for M in (self.matrix, self.inverse)],
+                          [read(r) for r in self.relations])
+        pt.reducer = Reducer(pt.relations)
+        return pt
 
 
 class MatrixGroupModel:
@@ -70,13 +67,13 @@ class MatrixGroupModel:
         self.field = field
         self.size = size
         self.name = name
-        self.entry_symbols = [
-            [sympy.Symbol("m_%d_%d" % (i, j)) for j in range(size)]
-            for i in range(size)
+        # the names of the matrix entries, the only names a condition may use
+        self.entry_names = {"m_%d_%d" % (i, j) for i in range(size) for j in range(size)}
+        self.closed_conditions = [
+            Poly.read(field, c, self.entry_names) for c in closed_conditions
         ]
-        self.closed_conditions = [sympy.sympify(c) for c in closed_conditions]
         self.lie_basis = [tuple(tuple(x) for x in m) for m in lie_basis]
-        self.generic_points = list(generic_points)
+        self.generic_points = [pt.over(field) for pt in generic_points]
         self.lie_expander = BasisExpander(field, [_flatten(m) for m in self.lie_basis])
         if check:
             self._check_model()
@@ -85,48 +82,32 @@ class MatrixGroupModel:
     def lie_dim(self):
         return len(self.lie_basis)
 
-    def _subs_entries(self, expr, matrix_entries, to_scalar):
-        mapping = {
-            self.entry_symbols[i][j]: to_scalar(matrix_entries[i][j])
-            for i in range(self.size)
-            for j in range(self.size)
-        }
-        return expr.xreplace(mapping)
+    def entries(self, matrix):
+        """The assignment {entry name: entry} of a size x size matrix."""
+        return {"m_%d_%d" % (i, j): x for i, row in enumerate(matrix) for j, x in enumerate(row)}
 
     def _check_model(self):
         field = self.field
-        one, zero = sympy.Integer(1), sympy.Integer(0)
-        base = Reducer([], field)
-        ident = [[one if i == j else zero for j in range(self.size)] for i in range(self.size)]
-        for cond in self.closed_conditions:
-            if not base.is_zero(self._subs_entries(cond, ident, lambda x: x)):
-                raise HCPError("identity matrix fails a membership condition")
-        # tangent condition: I + b X is a point whenever b^2 = 0
-        b = sympy.Symbol("b__tangent")
+        # over K[eps]/eps^2, I and (the tangent condition) I + eps X are points
+        E = polynomial_truncation(field, "eps", 2)
+        ident = lift_matrix(E, identity_matrix(self.size, field))
+        if not self.membership_over(E, ident):
+            raise HCPError("identity matrix fails a membership condition")
+        eps = E.basis_element(1)
         for X in self.lie_basis:
-            mat = [
-                [
-                    (one if i == j else zero) + b * to_sympy(X[i][j])
-                    for j in range(self.size)
-                ]
-                for i in range(self.size)
-            ]
-            red = Reducer([b ** 2], field)
-            for cond in self.closed_conditions:
-                if not red.is_zero(self._subs_entries(cond, mat, lambda x: x)):
-                    raise HCPError("Lie basis vector violates the tangent condition")
+            shifted = [[x + eps.scale(c) for x, c in zip(row, xrow)] for row, xrow in zip(ident, X)]
+            if not self.membership_over(E, shifted):
+                raise HCPError("Lie basis vector violates the tangent condition")
+        one = Poly.const(field, field.one)
         for pt in self.generic_points:
-            red = Reducer(pt.relations, field)
-            for cond in self.closed_conditions:
-                if not red.is_zero(self._subs_entries(cond, pt.matrix, lambda x: x)):
-                    raise HCPError("generic point fails a membership condition")
-            for i in range(self.size):
-                for j in range(self.size):
-                    prod = sum(
-                        pt.matrix[i][k] * pt.inverse[k][j] for k in range(self.size)
-                    )
-                    want = one if i == j else zero
-                    if not red.is_zero(prod - want):
+            red = pt.reducer
+            at = self.entries(pt.matrix)
+            if not all(red.is_zero(eval_at(c, at, one)) for c in self.closed_conditions):
+                raise HCPError("generic point fails a membership condition")
+            prod = mat_mul(pt.matrix, pt.inverse)
+            for i, row in enumerate(prod):
+                for j, x in enumerate(row):
+                    if not red.is_zero(x - one if i == j else x):
                         raise HCPError("generic point inverse is wrong")
         # Lie basis closes under the commutator
         for X in self.lie_basis:
@@ -136,14 +117,23 @@ class MatrixGroupModel:
 
     def membership_over(self, R, gmat):
         """All closed conditions vanish at a matrix with entries in R."""
-        assignment = {}
-        for i in range(self.size):
-            for j in range(self.size):
-                assignment[self.entry_symbols[i][j]] = gmat[i][j]
-        for cond in self.closed_conditions:
-            if not eval_at(cond, assignment, R).is_zero():
-                return False
-        return True
+        at = self.entries(gmat)
+        return all(eval_at(c, at, R.unit).is_zero() for c in self.closed_conditions)
+
+
+def _conjugation(mats, g, g_inv, expander, is_zero, zero, error):
+    """The matrix whose column i holds the expander coordinates of g M_i g^-1
+    for the i-th of mats, over the ring with that zero test and zero
+    (Polys modulo an ideal, or a superalgebra); HCPError(error) if one
+    escapes the span."""
+    cols = []
+    for M in mats:
+        vec = _flatten(mat_mul(mat_mul(g, M), g_inv))
+        c, ok = expander.coords_generic(vec, lambda c, x: x * c, add, is_zero, zero)
+        if not ok:
+            raise HCPError(error)
+        cols.append(c)
+    return transpose(cols)
 
 
 class HarishChandraPair:
@@ -180,11 +170,10 @@ class HarishChandraPair:
         else:
             self.mode = "matrix"
             if action_expr is None:
-                action_expr = [
-                    [sympy.Integer(1) if i == j else sympy.Integer(0) for j in range(t)]
-                    for i in range(t)
-                ]
-            self.action_expr = [[sympy.sympify(e) for e in row] for row in action_expr]
+                action_expr = [[int(i == j) for j in range(t)] for i in range(t)]
+            self.action_expr = [
+                [Poly.read(self.field, e, group.entry_names) for e in row] for row in action_expr
+            ]
         zero_lie = tuple([self.field.zero] * group.lie_dim)
         self._vv = {}
         for (i, j), coords in bracket_vv.items():
@@ -246,59 +235,30 @@ class HarishChandraPair:
 
     def rho_symbolic(self, point):
         """t x t polynomial matrix of the V action of a generic point."""
-        t = self.t
         if self.mode == "matrix":
-            g = self.group
-            out = []
-            for row in self.action_expr:
-                out.append([g._subs_entries(e, point.matrix, lambda x: x) for e in row])
-            return out
-        red = Reducer(point.relations, self.field)
-        cols = []
-        for i in range(t):
-            M = [[to_sympy(x) for x in row] for row in self.module_matrices[i]]
-            conj = mat_mul(mat_mul(point.matrix, M), point.inverse)
-            coords, ok = self.module_expander.coords_sympy(_flatten(conj), red)
-            if not ok:
-                raise HCPError("generic action escapes the module")
-            cols.append(coords)
-        return [[cols[j][i] for j in range(t)] for i in range(t)]
+            at = self.group.entries(point.matrix)
+            one = Poly.const(self.field, self.field.one)
+            return [[eval_at(e, at, one) for e in row] for row in self.action_expr]
+        return _conjugation(self.module_matrices, point.matrix, point.inverse, self.module_expander,
+                            point.reducer.is_zero, Poly(self.field),
+                            "generic action escapes the module")
 
     def ad_symbolic(self, point):
-        red = Reducer(point.relations, self.field)
         g = self.group
-        cols = []
-        for k in range(g.lie_dim):
-            X = [[to_sympy(x) for x in row] for row in g.lie_basis[k]]
-            conj = mat_mul(mat_mul(point.matrix, X), point.inverse)
-            coords, ok = g.lie_expander.coords_sympy(_flatten(conj), red)
-            if not ok:
-                raise HCPError("adjoint action escapes the Lie algebra")
-            cols.append(coords)
-        return [[cols[j][i] for j in range(g.lie_dim)] for i in range(g.lie_dim)]
+        return _conjugation(g.lie_basis, point.matrix, point.inverse, g.lie_expander,
+                            point.reducer.is_zero, Poly(self.field),
+                            "adjoint action escapes the Lie algebra")
 
     # -- coefficient-algebra action -------------------------------------
 
     def rho_over(self, R, gmat, gmat_inv):
         """t x t matrix over R of the module action of a concrete point."""
-        t = self.t
         if self.mode == "matrix":
-            assignment = {}
-            for i in range(self.group.size):
-                for j in range(self.group.size):
-                    assignment[self.group.entry_symbols[i][j]] = gmat[i][j]
-            return [
-                [eval_at(e, assignment, R) for e in row] for row in self.action_expr
-            ]
-        cols = []
-        for i in range(t):
-            M = lift_matrix(R, self.module_matrices[i])
-            conj = mat_mul(mat_mul(gmat, M), gmat_inv)
-            coords, ok = self.module_expander.coords_R(_flatten(conj), R)
-            if not ok:
-                raise HCPError("action escapes the module over R")
-            cols.append(coords)
-        return [[cols[j][i] for j in range(t)] for i in range(t)]
+            at = self.group.entries(gmat)
+            return [[eval_at(e, at, R.unit) for e in row] for row in self.action_expr]
+        return _conjugation([lift_matrix(R, M) for M in self.module_matrices], gmat, gmat_inv,
+                            self.module_expander, Element.is_zero, R.zero(),
+                            "action escapes the module over R")
 
     def linear_action(self):
         """(rho(I), [rho(X_k)]): t x t field matrices, computed once per pair.
@@ -390,8 +350,8 @@ def validate_pair(pair):
                     % (pair.module_labels[i], pair.module_labels[j])
                 )
 
+    zero = Poly(field)
     for idx, point in enumerate(pair.group.generic_points):
-        red = Reducer(point.relations, field)
         try:
             rho = pair.rho_symbolic(point)
             ad = pair.ad_symbolic(point)
@@ -401,18 +361,18 @@ def validate_pair(pair):
         for i in range(t):
             for j in range(i, t):
                 for m in range(pair.lie_dim):
-                    lhs = sympy.Integer(0)
+                    lhs = zero
                     for k in range(t):
                         for l in range(t):
                             c = pair.vv(k, l)[m]
                             if c:
-                                lhs = lhs + rho[k][i] * rho[l][j] * to_sympy(c)
-                    rhs = sympy.Integer(0)
+                                lhs = lhs + rho[k][i] * rho[l][j] * c
+                    rhs = zero
                     for k in range(pair.lie_dim):
                         c = pair.vv(i, j)[k]
                         if c:
-                            rhs = rhs + ad[m][k] * to_sympy(c)
-                    if not red.is_zero(lhs - rhs):
+                            rhs = rhs + ad[m][k] * c
+                    if not point.reducer.is_zero(lhs - rhs):
                         report.fail(
                             "(b) equivariance fails at (%s,%s), generic point %d"
                             % (pair.module_labels[i], pair.module_labels[j], idx)
@@ -458,28 +418,12 @@ class Submodule:
         """rho(g)-stability for every generic point, symbolically."""
         pair = self.pair
         for point in pair.group.generic_points:
-            red = Reducer(point.relations, pair.field)
-            rho = pair.rho_symbolic(point)
+            cols = transpose(pair.rho_symbolic(point))
             for row in self.sub.rows:
-                vec = []
-                for m in range(pair.t):
-                    acc = sympy.Integer(0)
-                    for i, c in enumerate(row):
-                        if c != pair.field.zero:
-                            acc = acc + rho[m][i] * to_sympy(c)
-                    vec.append(acc)
-                res = _symbolic_residue(vec, self.sub, pair.field)
-                if not all(red.is_zero(x) for x in res):
+                vec = apply_columns(cols, row, Poly(pair.field), pair.t)
+                if not all(point.reducer.is_zero(x) for x in self.sub.reduce(vec)):
                     return False
         return True
-
-
-def _symbolic_residue(vec, sub, field):
-    vec = list(vec)
-    for row, p in zip(sub.rows, sub.pivots):
-        c = vec[p]
-        vec = [x - c * to_sympy(r) for x, r in zip(vec, row)]
-    return vec
 
 
 def subordinated_closure(pair, lie_r):
@@ -613,15 +557,11 @@ def pseudoabelian_example(field, n):
     """V = W + W* with [phi_i, w_j] = delta_ij x, x central acting as 0."""
     one, zero = field.one, field.zero
     x = [[zero, one], [zero, zero]]
-    s = sympy.Symbol("s")
-    point = GenericPoint(
-        [[1, s], [0, 1]], [[1, -s], [0, 1]], []
-    )
-    m = [[sympy.Symbol("m_%d_%d" % (i, j)) for j in range(2)] for i in range(2)]
+    point = GenericPoint([[1, "s"], [0, 1]], [[1, "-s"], [0, 1]], [])
     group = MatrixGroupModel(
         field,
         2,
-        [m[0][0] - 1, m[1][1] - 1, m[1][0]],
+        ["m_0_0 - 1", "m_1_1 - 1", "m_1_0"],
         [x],
         [point],
         name="Ga",
@@ -677,16 +617,12 @@ def check_exact_sequence(inner, w_to_v, lie_embed, mid, outer, v_to_u,
         report.fail("(2a) W is not G-stable")
 
     # (2b) inner generic points act as identity on V/W
+    one = Poly.const(field, field.one)
     for point in inner.group.generic_points:
-        red = Reducer(point.relations, field)
         rho = mid.rho_symbolic(point)
         for j in range(t_mid):
-            vec = [
-                rho[m][j] - (sympy.Integer(1) if m == j else sympy.Integer(0))
-                for m in range(t_mid)
-            ]
-            res = _symbolic_residue(vec, img, field)
-            if not all(red.is_zero(x) for x in res):
+            vec = [rho[m][j] - one if m == j else rho[m][j] for m in range(t_mid)]
+            if not all(point.reducer.is_zero(x) for x in img.reduce(vec)):
                 report.fail("(2b) inner group moves V/W at %s" % mid.module_labels[j])
                 break
 

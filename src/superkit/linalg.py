@@ -128,7 +128,7 @@ def solve(rows, rhs, field):
 
 def mat_mul(a, b):
     """Matrix product over any ring whose entries support + and *: field
-    scalars, sympy expressions or Elements of a coefficient algebra."""
+    scalars, Polys or Elements of a coefficient algebra."""
     cols = list(zip(*b))
     return [[reduce(add, [x * y for x, y in zip(row, col)]) for col in cols] for row in a]
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -238,6 +241,28 @@ def _module_2x3(data):
     data["module_matrices"][0] = [["0", "1", "0"], ["0", "0", "0"]]
 
 
+def _condition(text):
+    return lambda data: data["closed_conditions"].__setitem__(0, text)
+
+
+def _point(key, text):
+    def mutate(data):
+        entries = data["generic_points"][0][key]
+        if key == "relations":
+            entries[0] = text
+        else:
+            entries[0][0] = text
+    return mutate
+
+
+def _action(text):
+    """gl11 with the action given as a polynomial matrix, one entry text."""
+    def mutate(data):
+        del data["module_matrices"]
+        data["action"] = [[text, "0"], ["0", "1"]]
+    return mutate
+
+
 class TestMalformedFixture:
     """A malformed fixture name or file exits 2 with one stderr line."""
 
@@ -264,6 +289,19 @@ class TestMalformedFixture:
         "pair-list-relation": ("gl11.pair.json",
                                lambda data: data["generic_points"][0].update(relations=[[1]]),
                                ["validate"]),
+        "pair-condition-unknown-name": ("gl11.pair.json", _condition("m_0_1*zz"),
+                                        ["validate"]),
+        "pair-condition-entry-out-of-range": ("gl11.pair.json", _condition("m_0_2"),
+                                              ["validate"]),
+        "pair-condition-executable": ("gl11.pair.json",
+                                      _condition("__import__('os').getpid()*0 + m_0_1"),
+                                      ["validate"]),
+        "pair-point-trailing-plus": ("gl11.pair.json", _point("matrix", "alpha +"),
+                                     ["validate"]),
+        "pair-relation-open-paren": ("gl11.pair.json",
+                                     _point("relations", "alpha*(alpha_i - 1"), ["validate"]),
+        "pair-action-trailing-plus": ("gl11.pair.json", _action("m_0_0 +"), ["validate"]),
+        "pair-action-unknown-name": ("gl11.pair.json", _action("alpha"), ["validate"]),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -284,6 +322,35 @@ class TestMalformedFixture:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+
+
+def test_action_fixture_mutation_is_well_formed(capsys, tmp_path):
+    """The action cases above differ from a fixture that reads by one entry."""
+    with open("fixtures/gl11.pair.json") as fh:
+        data = json.load(fh)
+    _action("1")(data)
+    path = tmp_path / "action.pair.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, ["validate", str(path)])
+    assert code in (0, 1), err
+
+
+class TestNoSympyAtRuntime:
+    @pytest.mark.parametrize("argv", [["validate", "gl11"], ["axioms", "L2"]],
+                             ids=["validate", "axioms"])
+    def test_command_imports_no_sympy(self, argv):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "superkit.cli"] + argv,
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "superkit.algebra" in imported
+        assert not [name for name in imported if name.split(".")[0] == "sympy"]
 
 
 class TestInternalError:

@@ -2,7 +2,7 @@ import pytest
 import sympy
 
 from superkit.fields import PrimeField, Rationals
-from superkit.fixtures import gl11_pair, gl21_pair, pair_from_json, pair_to_json
+from superkit.fixtures import BUILTIN_PAIRS, gl11_pair, gl21_pair, pair_from_json, pair_to_json
 from superkit.hcp import (
     HCPError,
     Submodule,
@@ -185,6 +185,17 @@ class TestSerialization:
         assert back.vv(0, 1) == pair.vv(0, 1)
         report = validate_pair(back)
         assert report.holds, report.failures
+
+    @pytest.mark.parametrize("field", [Q, PrimeField(3), F5], ids=str)
+    @pytest.mark.parametrize("name", sorted(BUILTIN_PAIRS))
+    def test_builtin_roundtrip(self, name, field):
+        pair = BUILTIN_PAIRS[name](field)
+        data = pair_to_json(pair)
+        back = pair_from_json(field, data)
+        assert pair_to_json(back) == data
+        want = validate_pair(pair)
+        got = validate_pair(back)
+        assert (got.holds, got.failures) == (want.holds, want.failures)
 
     def test_pseudoabelian_roundtrip(self):
         pair = pseudoabelian_example(Q, 1)
