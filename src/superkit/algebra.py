@@ -6,6 +6,11 @@ parity additivity of products, supercommutativity ab = (-1)^{|a||b|} ba,
 associativity and the unit law.  Derived constructions (tensor products,
 quotients) that are correct by construction skip the cubic associativity
 sweep but everything user-supplied is verified.
+
+An element stores only its nonzero coordinates, {basis index: coefficient};
+a product contracts the terms of its factors through the product table, so
+its cost follows the number of nonzero terms, not the dimension.  The
+dense coordinate tuple stays available as Element.coords.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import add
 
-from .linalg import Subspace, kron, solve, transpose
+from .linalg import Subspace, dense, kron, solve, sparse, transpose
 
 
 class AlgebraError(ValueError):
@@ -56,38 +61,52 @@ class SuperVectorSpace:
 
 
 class Element:
-    """Element of a SuperAlgebra: dense coordinate tuple over the basis."""
+    """Element of a SuperAlgebra: the sparse dict terms = {basis index:
+    coefficient}.  A zero coefficient is never stored, so equal elements
+    have equal dicts and zero has none.  Elements are immutable: no
+    operation changes the terms of an existing element."""
 
-    __slots__ = ("algebra", "coords")
+    __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra, coords):
+        """The element with the dense coordinate sequence coords."""
         self.algebra = algebra
-        self.coords = tuple(coords)
+        self.terms = sparse(coords)
+
+    @classmethod
+    def _from_terms(cls, algebra, terms):
+        """The element with the given terms, all of them nonzero; the dict
+        is kept, not copied."""
+        el = object.__new__(cls)
+        el.algebra = algebra
+        el.terms = terms
+        return el
+
+    @property
+    def coords(self):
+        """Dense coordinate tuple over the basis, zeros included."""
+        A = self.algebra
+        return tuple(dense(self.terms, A.dim, A.field.zero))
 
     def _check_same(self, other):
         if self.algebra is not other.algebra:
             raise AlgebraError("elements of different algebras")
 
-    # Most coordinates are zero: the arithmetic below does no scalar
-    # operation on a zero coordinate.
-
     def __add__(self, other):
         self._check_same(other)
-        return Element(
-            self.algebra, [a + b if b else a for a, b in zip(self.coords, other.coords)]
-        )
+        return Element._from_terms(self.algebra, _add_terms(self.terms, other.terms, 1))
 
     def __sub__(self, other):
         self._check_same(other)
-        return Element(
-            self.algebra, [a - b if b else a for a, b in zip(self.coords, other.coords)]
-        )
+        return Element._from_terms(self.algebra, _add_terms(self.terms, other.terms, -1))
 
     def __neg__(self):
-        return Element(self.algebra, [-a if a else a for a in self.coords])
+        return Element._from_terms(self.algebra, {i: -c for i, c in self.terms.items()})
 
     def scale(self, c):
-        return Element(self.algebra, [c * a if a else a for a in self.coords])
+        return Element._from_terms(
+            self.algebra, {i: v for i, a in self.terms.items() if (v := c * a)}
+        )
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -99,35 +118,35 @@ class Element:
         return self.scale(self.algebra.field.from_int(other) if isinstance(other, int) else other)
 
     def is_zero(self):
-        return not any(self.coords)
+        return not self.terms
 
     def __eq__(self, other):
         return (
             isinstance(other, Element)
             and self.algebra is other.algebra
-            and self.coords == other.coords
+            and self.terms == other.terms
         )
 
     def coeff(self, label):
-        return self.coords[self.algebra.space.index(label)]
+        return self.terms.get(self.algebra.space.index(label), self.algebra.field.zero)
 
     def homogeneous_part(self, parity):
-        zero = self.algebra.field.zero
         par = self.algebra.space.parities
-        return Element(
-            self.algebra,
-            [c if par[i] == parity else zero for i, c in enumerate(self.coords)],
+        return Element._from_terms(
+            self.algebra, {i: c for i, c in self.terms.items() if par[i] == parity}
         )
 
     def parity(self):
         """0 or 1 for homogeneous elements (0 for zero), None if mixed."""
-        seen = {self.algebra.space.parities[i] for i, c in enumerate(self.coords) if c}
+        par = self.algebra.space.parities
+        seen = {par[i] for i in self.terms}
         if len(seen) > 1:
             return None
         return seen.pop() if seen else 0
 
     def support(self):
-        return [i for i, c in enumerate(self.coords) if c]
+        """Indices of the nonzero coordinates, ascending."""
+        return sorted(self.terms)
 
     def invert(self):
         """Multiplicative inverse, or raise AlgebraError.
@@ -143,7 +162,7 @@ class Element:
         A = self.algebra
         u = A.unit_index
         if u is not None:
-            s = self.coords[u]
+            s = self.terms.get(u)
             if s:
                 s_inv = A.field.one / s
                 powers = A.nilpotent_powers(A.unit - self.scale(s_inv))
@@ -165,10 +184,44 @@ class Element:
 
     def __repr__(self):
         A = self.algebra
-        terms = []
-        for i in self.support():
-            terms.append("%s*%s" % (A.field.render(self.coords[i]), A.space.labels[i]))
+        terms = [
+            "%s*%s" % (A.field.render(self.terms[i]), A.space.labels[i]) for i in self.support()
+        ]
         return " + ".join(terms) if terms else "0"
+
+
+def _add_terms(x, y, sign):
+    """The terms of x + sign·y (sign 1 or -1), cancelled sums dropped."""
+    out = dict(x)
+    for i, c in y.items():
+        v = out.get(i)
+        if v is None:
+            out[i] = c if sign == 1 else -c
+        else:
+            v = v + c if sign == 1 else v - c
+            if v:
+                out[i] = v
+            else:
+                del out[i]
+    return out
+
+
+def _contract(prod, x, y):
+    """The terms of x·y for a product table prod {(i, j): {k: s}}: one
+    table lookup per pair of terms, cancelled sums dropped at the end."""
+    out = {}
+    get = out.get
+    y_items = list(y.items())
+    for i, a in x.items():
+        for j, b in y_items:
+            t = prod.get((i, j))
+            if t is None:
+                continue
+            c = a * b
+            for k, s in t.items():
+                v = get(k)
+                out[k] = c * s if v is None else v + c * s
+    return {k: v for k, v in out.items() if v}
 
 
 class SuperAlgebra:
@@ -181,10 +234,10 @@ class SuperAlgebra:
             terms = {k: c for k, c in terms.items() if c}
             if terms:
                 self._prod[(i, j)] = terms
-        self._unit_coords = tuple(unit_coords)
-        support = self.unit.support()
+        self._unit_terms = sparse(unit_coords)
+        support = list(self._unit_terms)
         self.unit_index = (
-            support[0] if len(support) == 1 and self.unit.coords[support[0]] == field.one
+            support[0] if len(support) == 1 and self._unit_terms[support[0]] == field.one
             else None
         )
         if check:
@@ -201,41 +254,31 @@ class SuperAlgebra:
         # built on each use: an Element kept here would refer back to the
         # algebra, and the cycle would hold every discarded algebra and its
         # product table until the cyclic collector runs
-        return Element(self, self._unit_coords)
+        return Element._from_terms(self, self._unit_terms)
 
     def basis_element(self, i):
-        coords = [self.field.zero] * self.dim
-        coords[i] = self.field.one
-        return Element(self, coords)
+        return Element._from_terms(self, {i: self.field.one})
 
     def zero(self):
-        return Element(self, [self.field.zero] * self.dim)
+        return Element._from_terms(self, {})
 
     def element(self, data):
         """Build an element from {label: scalar-or-int-or-str}."""
-        coords = [self.field.zero] * self.dim
+        terms = {}
         for label, c in data.items():
             if isinstance(c, int):
                 c = self.field.from_int(c)
             elif isinstance(c, str):
                 c = self.field.parse(c)
-            coords[self.space.index(label)] = c
-        return Element(self, coords)
+            if c:
+                terms[self.space.index(label)] = c
+        return Element._from_terms(self, terms)
 
     def product_coords(self, i, j):
         return self._prod.get((i, j), {})
 
     def multiply(self, a, b):
-        field = self.field
-        out = [field.zero] * self.dim
-        b_terms = [(j, b.coords[j]) for j in b.support()]
-        for i in a.support():
-            ca = a.coords[i]
-            for j, cb in b_terms:
-                c = ca * cb
-                for k, s in self.product_coords(i, j).items():
-                    out[k] = out[k] + c * s
-        return Element(self, out)
+        return Element._from_terms(self, _contract(self._prod, a.terms, b.terms))
 
     def nilpotent_powers(self, x):
         """The nonzero powers x, x^2, ... of x if x is nilpotent, else None.
@@ -264,20 +307,18 @@ class SuperAlgebra:
                         "product %s*%s is not parity additive"
                         % (self.space.labels[i], self.space.labels[j])
                     )
-        for i in range(n):
-            for j in range(i, n):
-                sign = field.one if par[i] * par[j] == 0 else -field.one
-                pij = self.product_coords(i, j)
-                pji = self.product_coords(j, i)
-                keys = set(pij) | set(pji)
-                for k in keys:
-                    lhs = pji.get(k, field.zero)
-                    rhs = sign * pij.get(k, field.zero)
-                    if lhs != rhs:
-                        raise AlgebraError(
-                            "not supercommutative at %s,%s"
-                            % (self.space.labels[i], self.space.labels[j])
-                        )
+        # a pair with no product either way commutes; the others in the
+        # order i <= j, lexicographically
+        for i, j in sorted({(min(key), max(key)) for key in self._prod}):
+            sign = field.one if par[i] * par[j] == 0 else -field.one
+            pij = self.product_coords(i, j)
+            pji = self.product_coords(j, i)
+            for k in set(pij) | set(pji):
+                if pji.get(k, field.zero) != sign * pij.get(k, field.zero):
+                    raise AlgebraError(
+                        "not supercommutative at %s,%s"
+                        % (self.space.labels[i], self.space.labels[j])
+                    )
         if self.unit.parity() not in (0,):
             raise AlgebraError("unit must be even")
         for i in range(n):
@@ -285,14 +326,19 @@ class SuperAlgebra:
             if self.multiply(self.unit, b) != b or self.multiply(b, self.unit) != b:
                 raise AlgebraError("unit law fails at %s" % (self.space.labels[i],))
         if full:
+            # (e_i e_j) e_k = e_i (e_j e_k), contracted on the table; both
+            # sides vanish when (i, j) and (j, k) have no product
+            prod = self._prod
+            one = field.one
             for i in range(n):
-                bi = self.basis_element(i)
                 for j in range(n):
-                    bij = self.multiply(bi, self.basis_element(j))
+                    pij = prod.get((i, j))
                     for k in range(n):
-                        bk = self.basis_element(k)
-                        lhs = self.multiply(bij, bk)
-                        rhs = self.multiply(bi, self.multiply(self.basis_element(j), bk))
+                        pjk = prod.get((j, k))
+                        if pij is None and pjk is None:
+                            continue
+                        lhs = _contract(prod, pij or {}, {k: one})
+                        rhs = _contract(prod, {i: one}, pjk or {})
                         if lhs != rhs:
                             raise AlgebraError(
                                 "not associative at (%s,%s,%s)"
@@ -317,10 +363,8 @@ class LinearMap:
         if elem.algebra is not self.source:
             raise AlgebraError("element not in the source algebra")
         f = self.source.field
-        return Element(
-            self.target,
-            [f.sum(r[j] * elem.coords[j] for j in range(self.source.dim)) for r in self.rows],
-        )
+        terms = elem.terms.items()
+        return Element(self.target, [f.sum(r[j] * c for j, c in terms) for r in self.rows])
 
 
 class SuperIdeal:
@@ -347,9 +391,9 @@ class SuperIdeal:
             for row in sub.rows:
                 v = Element(A, row)
                 for i in range(A.dim):
-                    prod = A.multiply(A.basis_element(i), v)
-                    if not sub.contains(prod.coords):
-                        new.append(prod.coords)
+                    prod = A.multiply(A.basis_element(i), v).coords
+                    if not sub.contains(prod):
+                        new.append(prod)
             if not new:
                 return sub
             sub = sub.add_vectors(new)
@@ -435,7 +479,10 @@ def tensor(A, B):
 
 def tensor_pure(T, a, b):
     """The element a⊗b of the tensor product algebra T = tensor(A, B)."""
-    return Element(T, kron(a.coords, b.coords, T.field))
+    n = b.algebra.dim
+    return Element._from_terms(
+        T, {u * n + v: x * y for u, x in a.terms.items() for v, y in b.terms.items()}
+    )
 
 
 def lift_matrix(R, mat):
@@ -480,9 +527,10 @@ class DualSuperNumbers:
         return tensor_pure(self.algebra, r, self.factor.basis_element(0))
 
     def project(self, x):
-        R, D = self.base, self.factor
-        coords = [x.coords[i * D.dim + 0] for i in range(R.dim)]
-        return Element(R, coords)
+        n = self.factor.dim
+        return Element._from_terms(
+            self.base, {i // n: c for i, c in x.terms.items() if i % n == 0}
+        )
 
     def eps0(self):
         return tensor_pure(self.algebra, self.base.unit, self.factor.basis_element(1))

@@ -22,7 +22,7 @@ import sys
 
 from .fields import FieldError, parse_field
 from .linalg import identity_matrix, invert_matrix
-from .symbolic import ParseError, parse
+from .symbolic import ParseError, is_name, parse
 
 
 class CLIError(ValueError):
@@ -34,10 +34,8 @@ def render_element(el):
     field = el.algebra.field
     labels = el.algebra.space.labels
     parts = []
-    for i, c in enumerate(el.coords):
-        if c == field.zero:
-            continue
-        s = field.render(c)
+    for i in el.support():
+        s = field.render(el.terms[i])
         lab = labels[i]
         if lab == "1":
             parts.append(s)
@@ -64,6 +62,9 @@ def parse_coeff_algebra(field, spec):
     gens = [g.strip() for g in m.group(1).split(",") if g.strip()]
     if not gens:
         raise CLIError("at least one odd generator is required")
+    for g in gens:
+        if not is_name(g):
+            raise CLIError("generator %r is not a name such as a1" % g)
     if len(set(gens)) != len(gens):
         raise CLIError("repeated generator in %s" % spec.strip())
     return grassmann(field, gens)

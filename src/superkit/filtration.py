@@ -10,13 +10,16 @@ holds the echelon basis vectors of piece k that are new modulo piece k+1
 (a descending chain, the classes I_k/I_{k+1}) or modulo piece k-1 (an
 increasing chain such as the hyperalgebra filtration, hyp_k/hyp_{k-1}),
 selected in echelon order.  Coordinates on it come from one inverse
-matrix, and the class of a vector in degree k drops its other components.
+matrix, and the class of a vector in degree k drops its other components;
+vectors going in and coordinates coming out are sparse dicts.
 """
 
 from __future__ import annotations
 
-from .algebra import AxiomReport, Element, SuperAlgebra, tensor
-from .linalg import Subspace, apply_columns, identity_matrix, invert_matrix, kron, rank
+from .algebra import AxiomReport, Element, SuperAlgebra, tensor, tensor_pure
+from .linalg import (
+    Subspace, apply_columns, dense, identity_matrix, invert_matrix, kron, rank, sparse,
+)
 
 
 class FiltrationError(ValueError):
@@ -49,8 +52,8 @@ class FilteredSuperAlgebra:
 
     def level(self, elem):
         """Largest k with elem in I_k; len(chain)-1 for zero."""
-        k = 0
-        while k + 1 < len(self.chain) and self.piece(k + 1).contains(elem.coords):
+        k, vec = 0, elem.coords
+        while k + 1 < len(self.chain) and self.piece(k + 1).contains(vec):
             k += 1
         return k
 
@@ -67,14 +70,13 @@ class FilteredSuperAlgebra:
 
     def _check_multiplicative(self):
         A = self.algebra
+        elems = [[Element(A, row) for row in piece.rows] for piece in self.chain]
         for k in range(len(self.chain)):
             for l in range(len(self.chain)):
                 target = self.piece(k + l)
-                for ru in self.chain[k].rows:
-                    u = Element(A, ru)
-                    for rv in self.chain[l].rows:
-                        prod = A.multiply(u, Element(A, rv))
-                        if not target.contains(prod.coords):
+                for u in elems[k]:
+                    for v in elems[l]:
+                        if not target.contains(A.multiply(u, v).coords):
                             raise FiltrationError(
                                 "I_%d * I_%d escapes I_%d" % (k, l, k + l)
                             )
@@ -125,38 +127,34 @@ class AdaptedBasis:
         self.vecs = vecs
         self.degrees = degrees
         # row j holds the adapted coordinates of the basis vector e_j
-        self.cols = invert_matrix(vecs, field)
+        self.cols = [sparse(row) for row in invert_matrix(vecs, field)]
 
     def coords(self, vec):
-        return apply_columns(self.cols, vec, self.field.zero, len(self.cols))
+        """Adapted coordinates {index: c} of the sparse vector vec."""
+        return apply_columns(self.cols, vec)
 
     def class_coords(self, vec, k):
-        """Coordinates of the class of vec in degree k.
+        """Adapted coordinates {index: c} of the class of vec in degree k.
 
         Components on the far side of k (below it for a descending chain,
         above it for an increasing one) must vanish; nearer ones are cut off."""
-        zero = self.field.zero
+        degrees = self.degrees
         ad = self.coords(vec)
-        for c, d in zip(ad, self.degrees):
-            if c and (d - k) * self.step < 0:
+        for t in ad:
+            if (degrees[t] - k) * self.step < 0:
                 raise FiltrationError("element is not in filtration level %d" % k)
-        return [c if d == k else zero for c, d in zip(ad, self.degrees)]
+        return {t: c for t, c in ad.items() if degrees[t] == k}
 
     def tensor_coords(self, flat):
-        """{(u, v): c} of a flat vector of V⊗V on the adapted ⊗ adapted basis."""
+        """{(u, v): c} of a sparse vector of V⊗V on the adapted ⊗ adapted basis."""
         zero = self.field.zero
         n = len(self.cols)
         out = {}
-        for st, c in enumerate(flat):
-            if not c:
-                continue
+        for st, c in flat.items():
             s, t = divmod(st, n)
-            for u, x in enumerate(self.cols[s]):
-                if not x:
-                    continue
-                for v, y in enumerate(self.cols[t]):
-                    if y:
-                        out[(u, v)] = out.get((u, v), zero) + c * x * y
+            for u, x in self.cols[s].items():
+                for v, y in self.cols[t].items():
+                    out[(u, v)] = out.get((u, v), zero) + c * x * y
         return {key: c for key, c in out.items() if c}
 
 
@@ -172,13 +170,13 @@ class GradedCompanion:
         self._build_gr()
 
     def adapted_coords(self, elem):
-        return self.basis.coords(elem.coords)
+        return self.basis.coords(elem.terms)
 
     def class_coords(self, elem, k):
-        """Coordinates of elem + I_{k+1} in the degree-k component.
+        """Coordinates {index: c} of elem + I_{k+1} in the degree-k component.
 
         Requires elem in I_k (components of degree < k must vanish)."""
-        return self.basis.class_coords(elem.coords, k)
+        return self.basis.class_coords(elem.terms, k)
 
     def _build_gr(self):
         A = self.filtration.algebra
@@ -196,20 +194,13 @@ class GradedCompanion:
                 prod = A.multiply(self.reps[i], self.reps[j])
                 deg = self.degrees[i] + self.degrees[j]
                 ad = self.adapted_coords(prod)
-                terms = {}
-                for t in range(n):
-                    c = ad[t]
-                    if c == field.zero:
-                        continue
-                    if self.degrees[t] < deg:
-                        raise FiltrationError("product drops below its degree")
-                    if self.degrees[t] == deg:
-                        terms[t] = c
+                if any(self.degrees[t] < deg for t in ad):
+                    raise FiltrationError("product drops below its degree")
+                terms = {t: c for t, c in ad.items() if self.degrees[t] == deg}
                 if terms:
                     products[(i, j)] = terms
-        unit = self.adapted_coords(A.unit)
         # the unit lives in degree 0; higher-degree components are cut off
-        unit = [unit[i] if self.degrees[i] == 0 else field.zero for i in range(n)]
+        unit = dense(self.basis.class_coords(A.unit.terms, 0), n, field.zero)
         self.gr = SuperAlgebra(
             field, labels, parities, unit, products, check=False,
             name="gr(%s)" % (A.name or "?"),
@@ -291,15 +282,14 @@ def check_gr_tensor_iso(FA, FB):
         for j in range(grB.gr.dim):
             deg = grA.degrees[i] + grB.degrees[j]
             src_degrees.append(deg)
-            coords = kron(grA.reps[i].coords, grB.reps[j].coords, field)
             try:
-                cols.append(grT.class_coords(Element(T, coords), deg))
+                cols.append(grT.class_coords(tensor_pure(T, grA.reps[i], grB.reps[j]), deg))
             except FiltrationError:
                 report.fail("image of basis pair (%d,%d) misses its degree" % (i, j))
-                cols.append([field.zero] * nT)
+                cols.append({})
 
     def apply(elem):
-        return Element(grT.gr, apply_columns(cols, elem.coords, field.zero, nT))
+        return Element._from_terms(grT.gr, apply_columns(cols, elem.terms))
 
     # degreewise bijectivity
     for deg in sorted(set(src_degrees) | set(grT.degrees)):
@@ -309,7 +299,7 @@ def check_gr_tensor_iso(FA, FB):
         if len(src_idx) != len(tgt_idx):
             report.fail("degree %d dimensions differ" % deg)
             continue
-        mat = [[cols[s][t] for s in src_idx] for t in tgt_idx]
+        mat = [[cols[s].get(t, field.zero) for s in src_idx] for t in tgt_idx]
         if rank(mat, field) != len(src_idx):
             report.fail("degree %d map is not bijective" % deg)
 

@@ -400,7 +400,7 @@ def tangent_bracket(pair, px, x_coords, py, y_coords):
     if (px + py) % 2 == 0:
         # even result: even part is I + s·eps·eps'·X_{[x,y]}
         n = pair.group.size
-        mat = [[c.even[i][j].coords[mono] for j in range(n)] for i in range(n)]
+        mat = [[c.even[i][j].terms.get(mono, field.zero) for j in range(n)] for i in range(n)]
         ident_dev = [
             [sign * mat[i][j] for j in range(n)] for i in range(n)
         ]
@@ -409,13 +409,12 @@ def tangent_bracket(pair, px, x_coords, py, y_coords):
         )
         for k, v in enumerate(coords):
             out[k] = v
-        for i in range(t):
-            if any(cc != field.zero for cc in (c.coords[i].coords[mono],)):
-                raise GammaError("unexpected odd part in an even commutator")
+        if any(mono in a.terms for a in c.coords):
+            raise GammaError("unexpected odd part in an even commutator")
     else:
         # odd result: coords are -eps·eps'·[x,y]_i
         for i in range(t):
-            out[l + i] = -(sign * c.coords[i].coords[mono])
+            out[l + i] = -(sign * c.coords[i].terms.get(mono, field.zero))
     return tuple(out)
 
 

@@ -25,7 +25,8 @@ from operator import add
 from . import linalg
 from .algebra import AxiomReport, Element, lift_matrix, polynomial_truncation
 from .linalg import (
-    Subspace, apply_columns, identity_matrix, mat_bracket, mat_mul, nullspace, rank, transpose,
+    Subspace, apply_columns, dense, identity_matrix, mat_bracket, mat_mul, nullspace, rank,
+    sparse, transpose,
 )
 from .symbolic import Poly, Reducer, eval_at
 
@@ -286,7 +287,7 @@ class HarishChandraPair:
                             for row, xrow in zip(ident, X)]
 
                 def part(mat, k):
-                    return [[x.coords[k] for x in row] for row in mat]
+                    return [[x.terms.get(k, field.zero) for x in row] for row in mat]
 
                 rho_one = part(self.rho_over(E, ident, ident), 0)
                 rho_x = [
@@ -418,9 +419,9 @@ class Submodule:
         """rho(g)-stability for every generic point, symbolically."""
         pair = self.pair
         for point in pair.group.generic_points:
-            cols = transpose(pair.rho_symbolic(point))
+            cols = [sparse(col) for col in transpose(pair.rho_symbolic(point))]
             for row in self.sub.rows:
-                vec = apply_columns(cols, row, Poly(pair.field), pair.t)
+                vec = dense(apply_columns(cols, sparse(row)), pair.t, Poly(pair.field))
                 if not all(point.reducer.is_zero(x) for x in self.sub.reduce(vec)):
                     return False
         return True

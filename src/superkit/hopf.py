@@ -11,7 +11,7 @@ alpha(a ⊗ a') = a a'_(0) ⊗ a'_(1).
 from __future__ import annotations
 
 from .algebra import AxiomReport, Element, grassmann, tensor, tensor_pure
-from .linalg import Subspace, apply_columns, nullspace, rank
+from .linalg import Subspace, apply_columns, nullspace, rank, sparse
 
 
 class HopfError(ValueError):
@@ -36,6 +36,7 @@ class HopfSuperAlgebra:
         ]
         self.eps = list(eps)
         self.antipode = [tuple(col) for col in antipode]
+        self._antipode_cols = [sparse(col) for col in self.antipode]
         self.hopf_factors = hopf_factors
         if len(self.delta) != algebra.dim or len(self.eps) != algebra.dim:
             raise HopfError("coproduct/counit tables have wrong size")
@@ -51,22 +52,26 @@ class HopfSuperAlgebra:
 
     def coproduct(self, elem):
         """Delta as an element of A ⊗ A."""
-        A = self.algebra
-        field = self.field
-        coords = [field.zero] * self.square.dim
-        for b in elem.support():
-            c = elem.coords[b]
-            for (i, j), s in self.delta[b].items():
-                idx = i * A.dim + j
-                coords[idx] = coords[idx] + c * s
-        return Element(self.square, coords)
+        return _apply_table(self.delta, elem, self.square, self.algebra.dim)
 
     def counit(self, elem):
-        return self.field.sum(elem.coords[i] * self.eps[i] for i in elem.support())
+        return self.field.sum(c * self.eps[i] for i, c in elem.terms.items())
 
     def apply_antipode(self, elem):
-        A = self.algebra
-        return Element(A, apply_columns(self.antipode, elem.coords, self.field.zero, A.dim))
+        return Element._from_terms(self.algebra, apply_columns(self._antipode_cols, elem.terms))
+
+
+def _apply_table(table, elem, target, m):
+    """The element sum c·s·(i⊗j) of target = X ⊗ Y (dim Y = m) over the
+    terms b: c of elem and the entries (i, j): s of table[b]."""
+    out = {}
+    get = out.get
+    for b, c in elem.terms.items():
+        for (i, j), s in table[b].items():
+            idx = i * m + j
+            v = get(idx)
+            out[idx] = c * s if v is None else v + c * s
+    return Element._from_terms(target, {k: v for k, v in out.items() if v})
 
 
 def _delta_morphism_report(H, report):
@@ -149,8 +154,8 @@ def check_hopf_axioms(H):
         for (i, j), c in H.delta[b].items():
             lid[j] = lid[j] + H.eps[i] * c
             rid[i] = rid[i] + c * H.eps[j]
-        target = A.basis_element(b).coords
-        if tuple(lid) != target or tuple(rid) != target:
+        target = A.basis_element(b)
+        if Element(A, lid) != target or Element(A, rid) != target:
             report.fail("counit law fails at %s" % A.space.labels[b])
 
         acc_l = A.zero()
@@ -200,9 +205,8 @@ def grassmann_hopf(field, generators):
     delta = []
     for b in range(n):
         table = {}
-        e = delta_elems[b]
-        for t in e.support():
-            table[(t // n, t % n)] = e.coords[t]
+        for t, c in delta_elems[b].terms.items():
+            table[(t // n, t % n)] = c
         delta.append(table)
     eps = [field.one if b == 0 else field.zero for b in range(n)]
     antipode = []
@@ -225,10 +229,9 @@ def primitives(H):
         for (i, j), c in H.delta[b].items():
             col[(i, j)] = col.get((i, j), field.zero) + c
         # subtract b⊗1 + 1⊗b, with the unit possibly a combination
-        for u, cu in enumerate(A.unit.coords):
-            if cu != field.zero:
-                col[(b, u)] = col.get((b, u), field.zero) - cu
-                col[(u, b)] = col.get((u, b), field.zero) - cu
+        for u, cu in A.unit.terms.items():
+            col[(b, u)] = col.get((b, u), field.zero) - cu
+            col[(u, b)] = col.get((u, b), field.zero) - cu
         rows.append(col)
     mat = []
     keys = sorted({k for col in rows for k in col})
@@ -305,15 +308,7 @@ class Coaction:
                 raise HopfError("coaction axioms fail: %s" % "; ".join(rep.failures))
 
     def apply(self, elem):
-        field = self.carrier.field
-        D = self.hopf.algebra
-        coords = [field.zero] * self.mixed.dim
-        for b in elem.support():
-            c = elem.coords[b]
-            for (i, j), s in self.tau[b].items():
-                idx = i * D.dim + j
-                coords[idx] = coords[idx] + c * s
-        return Element(self.mixed, coords)
+        return _apply_table(self.tau, elem, self.mixed, self.hopf.algebra.dim)
 
     def check_axioms(self):
         report = AxiomReport()
@@ -343,7 +338,7 @@ class Coaction:
             acc = [field.zero] * A.dim
             for (i, j), c in self.tau[b].items():
                 acc[i] = acc[i] + c * self.hopf.eps[j]
-            if tuple(acc) != A.basis_element(b).coords:
+            if Element(A, acc) != A.basis_element(b):
                 report.fail("coaction counit law fails at %s" % A.space.labels[b])
         return report
 
@@ -355,9 +350,8 @@ class Coaction:
         cols = []
         for b in range(n):
             col = dict(self.tau[b])
-            for u, cu in enumerate(D.unit.coords):
-                if cu != field.zero:
-                    col[(b, u)] = col.get((b, u), field.zero) - cu
+            for u, cu in D.unit.terms.items():
+                col[(b, u)] = col.get((b, u), field.zero) - cu
             cols.append(col)
         keys = sorted({k for col in cols for k in col})
         mat = [[cols[b].get(key, field.zero) for b in range(n)] for key in keys]
@@ -381,9 +375,9 @@ class Coaction:
                 coords = [field.zero] * (nA * nD)
                 for (i, j), c in self.tau[b].items():
                     prod = A.multiply(ba, A.basis_element(i))
-                    for t in prod.support():
+                    for t, x in prod.terms.items():
                         idx = t * nD + j
-                        coords[idx] = coords[idx] + c * prod.coords[t]
+                        coords[idx] = coords[idx] + c * x
                 cols.append(coords)
         return rank(cols, field) == nA * nD
 
@@ -395,10 +389,6 @@ def regular_coaction(H):
 
 
 def trivial_coaction(A, H):
-    tau = []
-    field = A.field
-    D = H.algebra
-    unit_terms = {u: cu for u, cu in enumerate(D.unit.coords) if cu != field.zero}
-    for b in range(A.dim):
-        tau.append({(b, u): cu for u, cu in unit_terms.items()})
+    unit = H.algebra.unit.terms
+    tau = [{(b, u): cu for u, cu in unit.items()} for b in range(A.dim)]
     return Coaction(A, H, tau, check=True)

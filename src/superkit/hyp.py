@@ -23,14 +23,15 @@ deep enough for the result to be trustworthy.
 
 from __future__ import annotations
 
-from .algebra import AxiomReport, Element, SuperAlgebra, SuperIdeal, tensor
+from .algebra import AxiomReport, Element, SuperAlgebra, SuperIdeal, tensor, tensor_pure
 from .filtration import (
     AdaptedBasis, FiltrationError, GradedReport, adic_filtration, graded_companion,
     tensor_piece,
 )
 from .hopf import HopfSuperAlgebra
 from .linalg import (
-    Subspace, apply_columns, identity_matrix, invert_matrix, kron, nullspace, rank,
+    Subspace, apply_columns, dense, identity_matrix, invert_matrix, kron, nullspace, rank,
+    sparse,
 )
 
 
@@ -41,7 +42,7 @@ class HypError(ValueError):
 def apply_functional(phi, elem):
     """Value of the functional phi (coordinate row) on an algebra element."""
     field = elem.algebra.field
-    return field.sum(phi[i] * elem.coords[i] for i in elem.support())
+    return field.sum(phi[i] * c for i, c in elem.terms.items())
 
 
 def annihilator(field, n, sub):
@@ -129,9 +130,8 @@ class HypFiltration:
 
 
 def _dual_product(D, phi, psi):
-    x = Element(D.algebra, phi)
-    y = Element(D.algebra, psi)
-    return D.algebra.multiply(x, y).coords
+    """The convolution product of two functionals given as coordinate rows."""
+    return D.algebra.multiply(Element(D.algebra, phi), Element(D.algebra, psi))
 
 
 def check_hyp_filtration(H, chain, *, local=True):
@@ -169,7 +169,7 @@ def check_hyp_filtration(H, chain, *, local=True):
             ok = True
             for phi in F.piece(k).rows:
                 for psi in F.piece(l).rows:
-                    if not target.contains(_dual_product(D, phi, psi)):
+                    if not target.contains(_dual_product(D, phi, psi).coords):
                         ok = False
             if not ok:
                 report.fail("hyp_%d · hyp_%d escapes hyp_%d" % (k, l, k + l))
@@ -347,7 +347,7 @@ class CanonicalDecomposition:
 
         gammas = [Element(D, functional_gamma(i)) for i in range(t)]
         self.index = []
-        cols = []
+        funcs = []
         for beta in range(nB):
             base = Element(D, functional_eb(beta))
             for size_mask in sorted(range(1 << t), key=lambda m: (bin(m).count("1"), m)):
@@ -356,26 +356,24 @@ class CanonicalDecomposition:
                     if size_mask >> i & 1:
                         acc = D.multiply(acc, gammas[i])
                 self.index.append((beta, size_mask))
-                cols.append(acc.coords)
+                funcs.append(acc)
         # cols[j] is the functional of index j; row j of inv_cols holds the
         # decomposition of the dual basis vector e_j
-        self.cols = cols
-        self.inv_cols = invert_matrix(cols, field)
-        if self.inv_cols is None:
+        self.cols = [f.terms for f in funcs]
+        inv = invert_matrix([f.coords for f in funcs], field)
+        if inv is None:
             raise HypError("recomposition matrix is singular")
+        self.inv_cols = [sparse(row) for row in inv]
 
     def decompose(self, phi):
         """{(beta, subset mask): coefficient} with phi = sum c · phi_beta γ_I."""
-        coeffs = apply_columns(self.inv_cols, phi, self.H.field.zero, len(phi))
-        return {self.index[i]: c for i, c in enumerate(coeffs) if c}
+        coeffs = apply_columns(self.inv_cols, sparse(phi))
+        return {self.index[i]: coeffs[i] for i in sorted(coeffs)}
 
     def recompose(self, table):
-        field = self.H.field
         pos = {key: i for i, key in enumerate(self.index)}
-        vec = [field.zero] * len(self.index)
-        for key, c in table.items():
-            vec[pos[key]] = c
-        return apply_columns(self.cols, vec, field.zero, len(vec))
+        vec = apply_columns(self.cols, {pos[key]: c for key, c in table.items() if c})
+        return dense(vec, len(self.index), self.H.field.zero)
 
 
 # -- graded companion of a filtered Hopf algebra ------------------------
@@ -390,7 +388,7 @@ def graded_hopf(H, filtration):
     for b in range(n):
         k = degrees[b]
         table = {}
-        cop = H.coproduct(comp.reps[b]).coords
+        cop = H.coproduct(comp.reps[b]).terms
         for (u, v), c in comp.basis.tensor_coords(cop).items():
             d = degrees[u] + degrees[v]
             if d < k:
@@ -404,7 +402,7 @@ def graded_hopf(H, filtration):
     antipode = []
     for b in range(n):
         img = comp.class_coords(H.apply_antipode(comp.reps[b]), degrees[b])
-        antipode.append(tuple(img))
+        antipode.append(dense(img, n, H.field.zero))
     grH = HopfSuperAlgebra(comp.gr, delta, eps, antipode, check=True)
     return grH, comp
 
@@ -435,11 +433,11 @@ def check_gr_hyp_duality(H, filtration):
 
     # Theta columns: adapted functional of degree k -> functional on gr A
     theta = [
-        [
+        Element(D2.algebra, [
             apply_functional(adapted[i], comp.reps[m]) if comp.degrees[m] == adeg[i]
             else field.zero
             for m in range(n)
-        ]
+        ])
         for i in range(n)
     ]
 
@@ -449,18 +447,20 @@ def check_gr_hyp_duality(H, filtration):
         report.degree_dims[deg] = (src, tgt)
         if src != tgt:
             report.fail("degree %d dimensions differ" % deg)
-    if rank(theta, field) != n:
+    if rank([x.coords for x in theta], field) != n:
         report.fail("comparison map is not bijective")
 
+    theta_cols = [x.terms for x in theta]
+
     def apply_theta(vec):
-        return apply_columns(theta, vec, field.zero, n)
+        return apply_columns(theta_cols, vec)
 
     # unit and counit; theta[i] is the image of the adapted class i
-    eps_class = basis.class_coords(H.eps, 0)
-    if tuple(apply_theta(eps_class)) != D2.algebra.unit.coords:
+    eps_class = basis.class_coords(sparse(H.eps), 0)
+    if apply_theta(eps_class) != D2.algebra.unit.terms:
         report.fail("unit is not preserved")
     for i in range(n):
-        lhs = D2.counit(Element(D2.algebra, theta[i]))
+        lhs = D2.counit(theta[i])
         rhs = apply_functional(adapted[i], H.algebra.unit) if adeg[i] == 0 else field.zero
         if lhs != rhs:
             report.fail("counit differs at adapted index %d" % i)
@@ -470,17 +470,15 @@ def check_gr_hyp_duality(H, filtration):
         for j in range(n):
             prod = _dual_product(D1, adapted[i], adapted[j])
             try:
-                cls = basis.class_coords(prod, adeg[i] + adeg[j])
+                cls = basis.class_coords(prod.terms, adeg[i] + adeg[j])
             except FiltrationError:
                 report.fail(
                     "product escapes its filtration degree at (%d,%d)" % (i, j)
                 )
                 continue
             lhs = apply_theta(cls)
-            rhs = D2.algebra.multiply(
-                Element(D2.algebra, theta[i]), Element(D2.algebra, theta[j])
-            ).coords
-            if tuple(lhs) != rhs:
+            rhs = D2.algebra.multiply(theta[i], theta[j]).terms
+            if lhs != rhs:
                 report.fail("product differs at adapted pair (%d,%d)" % (i, j))
                 return report
 
@@ -488,26 +486,26 @@ def check_gr_hyp_duality(H, filtration):
     for i in range(n):
         k = adeg[i]
         # class in sum_{u+v=k}: adapted⊗adapted coordinates
-        lhs = basis.tensor_coords(D1.coproduct(Element(D1.algebra, adapted[i])).coords)
+        lhs = basis.tensor_coords(D1.coproduct(Element(D1.algebra, adapted[i])).terms)
         if any(adeg[u] + adeg[v] > k for u, v in lhs):
             report.fail("dual coproduct exceeds level at index %d" % i)
             continue
         keep = [(u, v) for u, v in lhs if adeg[u] + adeg[v] == k]
         got = apply_columns(
-            [kron(theta[u], theta[v], field) for u, v in keep],
-            [lhs[key] for key in keep], field.zero, n * n,
+            [tensor_pure(D2.square, theta[u], theta[v]).terms for u, v in keep],
+            {s: lhs[key] for s, key in enumerate(keep)},
         )
-        ti = Element(D2.algebra, theta[i])
-        if tuple(got) != D2.coproduct(ti).coords:
+        ti = theta[i]
+        if got != D2.coproduct(ti).terms:
             report.fail("coproduct differs at adapted index %d" % i)
             return report
 
-        s_img = D1.apply_antipode(Element(D1.algebra, adapted[i])).coords
+        s_img = D1.apply_antipode(Element(D1.algebra, adapted[i])).terms
         try:
             s_cls = basis.class_coords(s_img, k)
         except FiltrationError:
             report.fail("dual antipode exceeds level at index %d" % i)
             continue
-        if tuple(apply_theta(s_cls)) != D2.apply_antipode(ti).coords:
+        if apply_theta(s_cls) != D2.apply_antipode(ti).terms:
             report.fail("antipode differs at adapted index %d" % i)
     return report

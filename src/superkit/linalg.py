@@ -1,6 +1,7 @@
 """Exact linear algebra over a Field.
 
-Vectors are tuples/lists of field scalars, matrices are lists of rows.
+Vectors are tuples/lists of field scalars, matrices are lists of rows; a
+sparse vector is a dict {index: nonzero entry}.
 Everything is deterministic: pivots are chosen left to right, echelon
 bases are reduced row echelon forms, complements are taken on non-pivot
 coordinates in index order.
@@ -153,15 +154,29 @@ def kron(u, v, field):
     return out
 
 
-def apply_columns(cols, vec, zero, size):
-    """sum_j vec[j]·cols[j] as a list of `size` scalars: the image of vec
-    under the linear map with columns cols.  Zero entries are skipped."""
+def apply_columns(cols, vec):
+    """sum_j x·cols[j] over the entries j: x of vec: the image of vec under
+    the linear map with columns cols.  vec, every column and the result
+    are sparse vectors."""
+    out = {}
+    get = out.get
+    for j, x in vec.items():
+        for t, y in cols[j].items():
+            v = get(t)
+            out[t] = x * y if v is None else v + x * y
+    return {t: v for t, v in out.items() if v}
+
+
+def sparse(vec):
+    """{index: entry} of the nonzero entries of a dense vector."""
+    return {i: x for i, x in enumerate(vec) if x}
+
+
+def dense(vec, size, zero):
+    """The dense list of `size` entries of a sparse vector {index: entry}."""
     out = [zero] * size
-    for x, col in zip(vec, cols):
-        if x:
-            for t, y in enumerate(col):
-                if y:
-                    out[t] = out[t] + x * y
+    for i, x in vec.items():
+        out[i] = x
     return out
 
 

@@ -20,11 +20,17 @@ class ParseError(ValueError):
     """Text that is not a polynomial in the grammar of `parse`."""
 
 
-_TOKEN = re.compile(r"[0-9]+(?:/[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*|\*\*|\S")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = re.compile(r"[0-9]+(?:/[0-9]+)?|%s|\*\*|\S" % _NAME.pattern)
 
 # bounds that keep hostile text from exhausting the stack or the memory
 _MAX_DEPTH = 64
 _MAX_EXPONENT = 64
+
+
+def is_name(text):
+    """Whether text is one name token of the grammar of `parse`."""
+    return _NAME.fullmatch(text) is not None
 
 
 def parse(text, const, var):

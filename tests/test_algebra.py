@@ -10,6 +10,7 @@ from superkit.algebra import (
     Element,
     SuperAlgebra,
     grassmann,
+    ideal_generated_by,
     odd_ideal,
     polynomial_truncation,
     quotient_by_ideal,
@@ -17,11 +18,12 @@ from superkit.algebra import (
     tensor_pure,
 )
 from superkit.fields import PrimeField, Rationals
+from superkit.linalg import solve, transpose
 
 from conftest import random_element
 
 Q = Rationals()
-F5 = PrimeField(5)
+F3, F5 = PrimeField(3), PrimeField(5)
 
 
 def small_coords(dim):
@@ -252,3 +254,241 @@ class TestValidation:
                 },
                 check=True,
             )
+
+
+# -- the dense kernel, kept as the referee of the sparse one --------------
+
+
+def dense_add(x, y, sign):
+    return tuple(a + sign * b for a, b in zip(x.coords, y.coords))
+
+
+def dense_scale(x, c):
+    return tuple(c * a for a in x.coords)
+
+
+def dense_multiply(A, x, y):
+    """The dense product loop: every pair of nonzero coordinates through
+    product_coords, summed into a dense out list."""
+    out = [A.field.zero] * A.dim
+    xc, yc = x.coords, y.coords
+    for i in range(A.dim):
+        for j in range(A.dim):
+            if xc[i] and yc[j]:
+                for k, s in A.product_coords(i, j).items():
+                    out[k] = out[k] + xc[i] * yc[j] * s
+    return tuple(out)
+
+
+def dense_parity(x):
+    seen = {x.algebra.space.parities[i] for i, c in enumerate(x.coords) if c}
+    return None if len(seen) > 1 else (seen.pop() if seen else 0)
+
+
+def dense_homogeneous_part(x, p):
+    par, zero = x.algebra.space.parities, x.algebra.field.zero
+    return tuple(c if par[i] == p else zero for i, c in enumerate(x.coords))
+
+
+def dense_inverse(x):
+    """Coordinates of x^-1 from the linear solve of x·y = 1 over dense
+    products, or None."""
+    A = x.algebra
+    basis = [Element(A, [A.field.one if t == j else A.field.zero for t in range(A.dim)])
+             for j in range(A.dim)]
+    cols = [dense_multiply(A, x, e) for e in basis]
+    return solve(transpose(cols), A.unit.coords, A.field)
+
+
+def _kernel_algebras():
+    out = []
+    for field in (Q, F3, F5):
+        out += [grassmann(field, ["a%d" % i for i in range(1, k + 1)]) for k in range(1, 7)]
+        out += [polynomial_truncation(field, "t", m) for m in (2, 3, 5)]
+        out.append(tensor(grassmann(field, ["a", "b"]), polynomial_truncation(field, "t", 2)))
+        out.append(DualSuperNumbers(grassmann(field, ["a"])).algebra)
+        L3 = grassmann(field, ["a", "b", "c"])
+        out.append(quotient_by_ideal(L3, ideal_generated_by(L3, [L3.element({"a*b": 1})]))[0])
+    return out
+
+
+KERNEL_ALGEBRAS = _kernel_algebras()
+
+# mostly zeros, so that sums and products cancel often (3 is zero in F3)
+SPARSE_INTS = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3])
+
+
+def sparse_element(data, A, label):
+    ints = data.draw(st.lists(SPARSE_INTS, min_size=A.dim, max_size=A.dim), label=label)
+    return as_element(A, ints)
+
+
+def assert_sparse(x, want):
+    """x holds no zero coefficient and has the dense coordinates want."""
+    assert all(x.terms.values())
+    assert x.coords == tuple(want)
+    assert x == Element(x.algebra, want)
+
+
+KERNEL = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+
+class TestSparseKernel:
+    @KERNEL
+    @given(st.data())
+    def test_arithmetic_matches_dense(self, data):
+        A = data.draw(st.sampled_from(KERNEL_ALGEBRAS), label="algebra")
+        x, y = sparse_element(data, A, "x"), sparse_element(data, A, "y")
+        c = A.field.from_int(data.draw(SPARSE_INTS, label="c"))
+        assert_sparse(x + y, dense_add(x, y, 1))
+        assert_sparse(x - y, dense_add(x, y, -1))
+        assert_sparse(-x, dense_scale(x, -A.field.one))
+        assert_sparse(x.scale(c), dense_scale(x, c))
+        assert_sparse(A.multiply(x, y), dense_multiply(A, x, y))
+        assert_sparse(x * y, dense_multiply(A, x, y))
+        assert x.parity() == dense_parity(x)
+        for p in (0, 1):
+            assert_sparse(x.homogeneous_part(p), dense_homogeneous_part(x, p))
+        assert x.support() == [i for i, v in enumerate(x.coords) if v]
+
+    @KERNEL
+    @given(st.data())
+    def test_invert_matches_dense(self, data):
+        A = data.draw(st.sampled_from(KERNEL_ALGEBRAS), label="algebra")
+        x = sparse_element(data, A, "x")
+        if data.draw(st.booleans(), label="shift by a unit"):
+            x = x + A.unit.scale(A.field.from_int(data.draw(st.sampled_from([1, -1, 2]))))
+        want = dense_inverse(x)
+        if want is None:
+            with pytest.raises(AlgebraError):
+                x.invert()
+        else:
+            assert_sparse(x.invert(), want)
+
+    @KERNEL
+    @given(st.data())
+    def test_cancellation_stores_nothing(self, data):
+        A = data.draw(st.sampled_from(KERNEL_ALGEBRAS), label="algebra")
+        x = sparse_element(data, A, "x")
+        odd = x.homogeneous_part(1)
+        # an odd element squares to zero, term by term cancelling in a sum
+        for zero in (x - x, x + (-x), x.scale(A.field.zero), A.multiply(odd, odd)):
+            assert zero.is_zero()
+            assert zero == A.zero()
+            assert zero.terms == {}
+
+    @pytest.mark.parametrize("field", [Q, F3, F5])
+    def test_product_sums_cancel(self, field):
+        A = grassmann(field, ["a", "b"])
+        x = A.element({"a": 1, "b": 1})
+        # ab + ba: both pairs land on a*b and cancel
+        assert A.multiply(x, x).terms == {}
+        assert A.multiply(x, A.element({"a": 1, "b": -1})) == A.element({"a*b": -2})
+
+    @KERNEL
+    @given(st.data())
+    def test_dense_and_sparse_builds_agree(self, data):
+        A = data.draw(st.sampled_from(KERNEL_ALGEBRAS), label="algebra")
+        ints = data.draw(st.lists(SPARSE_INTS, min_size=A.dim, max_size=A.dim), label="x")
+        vec = [A.field.from_int(n) for n in ints]
+        from_dense = Element(A, vec)
+        by_label = A.element({A.space.labels[i]: n for i, n in enumerate(ints)})
+        by_basis = A.zero()
+        for i, c in enumerate(vec):
+            by_basis = by_basis + A.basis_element(i).scale(c)
+        for x in (by_label, by_basis):
+            assert x == from_dense
+            assert x.coords == from_dense.coords == tuple(vec)
+            assert all(x.terms.values())
+
+
+# -- full validation against the dense associativity sweep ----------------
+
+
+def dense_associativity_failure(A):
+    """The message the dense triple loop raises first, or None."""
+    n, one, zero = A.dim, A.field.one, A.field.zero
+
+    def e(i):
+        return Element(A, [one if t == i else zero for t in range(n)])
+
+    for i in range(n):
+        for j in range(n):
+            eij = Element(A, dense_multiply(A, e(i), e(j)))
+            for k in range(n):
+                lhs = dense_multiply(A, eij, e(k))
+                rhs = dense_multiply(A, e(i), Element(A, dense_multiply(A, e(j), e(k))))
+                if lhs != rhs:
+                    return "not associative at (%s,%s,%s)" % tuple(
+                        A.space.labels[t] for t in (i, j, k))
+    return None
+
+
+def table_of(A):
+    return {key: dict(terms) for key, terms in A._prod.items()}
+
+
+def validation_outcome(field, labels, parities, unit, products):
+    """(message of the full check or None, message of the dense referee or None)."""
+    try:
+        SuperAlgebra(field, labels, parities, unit, products, check=True)
+        full = None
+    except AlgebraError as exc:
+        full = str(exc)
+    A = SuperAlgebra(field, labels, parities, unit, products, check=False)
+    return full, dense_associativity_failure(A)
+
+
+def perturbed_table(A, rng):
+    """A's table with one product of two non-unit basis vectors changed,
+    keeping parity additivity and supercommutativity."""
+    field, par = A.field, A.space.parities
+    idx = [i for i in range(A.dim) if i != A.unit_index]
+    products = table_of(A)
+    i, j = rng.choice(idx), rng.choice(idx)
+    k = rng.choice([t for t in range(A.dim) if par[t] == (par[i] + par[j]) % 2])
+    c = field.from_int(rng.choice([1, -1, 2]))
+    sign = -field.one if par[i] * par[j] else field.one
+    if i == j and sign == -field.one:
+        # an odd square is forced to zero by supercommutativity
+        products.pop((i, i), None)
+    else:
+        products.setdefault((i, j), {})[k] = c
+        products.setdefault((j, i), {})[k] = sign * c
+    return products
+
+
+def test_full_validation_matches_dense_on_shipped_json():
+    import json
+    from pathlib import Path
+
+    from superkit.fixtures import algebra_from_json
+
+    root = Path(__file__).resolve().parent.parent / "fixtures"
+    for name in ("grassmann2.alg.json", "grassmann3.hopf.json"):
+        data = json.loads((root / name).read_text())
+        for field in (Q, F3, F5):
+            A = algebra_from_json(field, data)
+            assert dense_associativity_failure(A) is None
+
+
+def test_full_validation_matches_dense_on_perturbed_tables():
+    import random
+
+    rng = random.Random(8)
+    seen = {"raise": 0, "hold": 0}
+    for field in (Q, F3, F5):
+        bases = [
+            grassmann(field, ["a", "b"]),
+            grassmann(field, ["a", "b", "c"]),
+            polynomial_truncation(field, "t", 4),
+            tensor(grassmann(field, ["a"]), polynomial_truncation(field, "t", 2)),
+        ]
+        for _ in range(20):
+            A = rng.choice(bases)
+            products = perturbed_table(A, rng)
+            full, dense = validation_outcome(
+                field, A.space.labels, A.space.parities, A.unit.coords, products)
+            assert full == dense
+            seen["raise" if full else "hold"] += 1
+    assert sum(seen.values()) >= 50 and min(seen.values()) > 0, seen

@@ -42,3 +42,34 @@ def test_workload_scalar_reads_field_elements():
     Q, F5 = Rationals(), PrimeField(5)
     assert scalar(Q, Q.parse("3/4")) == Fraction(3, 4)
     assert scalar(F5, F5.from_int(-2)) == 3
+
+
+# bench/workloads.py reads Element.coords and Element.support() when it
+# relabels words and when it builds the labels behind the input digest
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(5)], ids=["Q", "F5"])
+def test_element_coords_are_dense_and_support_ascending(field):
+    from superkit.algebra import grassmann
+
+    R = grassmann(field, ["a1", "a2", "a3"])
+    x = R.element({"a2*a3": 2, "a1": -1, "1": 3})
+    assert isinstance(x.coords, tuple) and len(x.coords) == R.dim
+    assert [str(c) for c in x.coords] == [str(c) for c in (
+        field.from_int(n) for n in (3, -1, 0, 0, 0, 0, 2, 0))]
+    assert x.support() == [0, 1, 6]
+    assert R.zero().coords == (field.zero,) * R.dim and R.zero().support() == []
+
+
+@pytest.mark.parametrize("field,want", [
+    (Rationals(), [3, 0, 1, 0, 0, 0, -2, 0, 0, 0, 0, 0, 0, 0, -1, -4]),
+    (PrimeField(5), [3, 0, 1, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 4, 1]),
+], ids=["Q", "F5"])
+def test_workload_relabelling_keeps_its_coordinates(field, want):
+    import random
+
+    workloads = _load("workloads")
+    R = workloads._lambda(field, 4)
+    apply = workloads._automorphism(R, random.Random(1))
+    x = R.element({"1": 3, "a1": 1, "a2*a3": 2, "a1*a2*a4": -1, "a1*a2*a3*a4": 4})
+    assert [workloads._scalar(field, c) for c in apply(x).coords] == want

@@ -206,11 +206,13 @@ class TestMalformedInput:
             ["nf", "gl11", "--coeffs", "Lambda(a1)", "f(a1,x1)"],
             ["nf", "gl11", "--coeffs", "Lambda(a1)", "g[[1,1],[0,1]] e(a1,v+)"],
             ["nf", "gl11", "--coeffs", "Lambda(a1,a2)", "e(a1--a2,v+)"],
+            ["nf", "gl11", "--coeffs", "Lambda(1,c)", "e(c,v+)"],
+            ["nf", "gl11", "--coeffs", "Lambda(a-b,c)", "e(c,v+)"],
         ],
         ids=["trailing-star", "trailing-plus", "scalar-not-a-number",
              "scalar-denominator-p", "repeated-generator", "singular-group-point",
              "juxtaposed-factors", "odd-f-coefficient", "group-point-off-the-group",
-             "repeated-sign"],
+             "repeated-sign", "numeral-generator", "generator-not-a-name"],
     )
     def test_exit_2_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, argv)
