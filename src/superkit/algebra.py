@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import add
 
-from .linalg import Subspace, dense, kron, solve, sparse, transpose
+from .linalg import Subspace, apply_columns, dense, kron, solve, sparse, transpose
 
 
 class AlgebraError(ValueError):
@@ -222,6 +222,21 @@ def _contract(prod, x, y):
                 v = get(k)
                 out[k] = c * s if v is None else v + c * s
     return {k: v for k, v in out.items() if v}
+
+
+def first_non_multiplicative(source, target, images):
+    """The first basis pair (i, j), row by row, with phi(e_i e_j) !=
+    phi(e_i) phi(e_j), or None if there is none.  phi: source -> target is
+    the linear map with images[k] = the sparse image {index: c} of e_k;
+    both sides are contracted on the product tables."""
+    prod, tprod = source._prod, target._prod
+    n = source.dim
+    for i in range(n):
+        x = images[i]
+        for j in range(n):
+            if apply_columns(images, prod.get((i, j), {})) != _contract(tprod, x, images[j]):
+                return i, j
+    return None
 
 
 class SuperAlgebra:

@@ -193,8 +193,7 @@ def parse_field(spec):
     spec = str(spec).strip().lower()
     if spec in ("q", "qq", "0"):
         return Rationals()
-    if spec.startswith("p="):
-        return PrimeField(int(spec[2:]))
-    if spec.isdigit():
-        return PrimeField(int(spec))
-    raise FieldError("cannot parse field spec %r" % (spec,))
+    digits = spec[2:] if spec.startswith("p=") else spec
+    if not digits.strip().isdecimal():
+        raise FieldError("cannot parse field spec %r" % (spec,))
+    return PrimeField(int(digits))

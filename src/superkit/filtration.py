@@ -12,11 +12,17 @@ increasing chain such as the hyperalgebra filtration, hyp_k/hyp_{k-1}),
 selected in echelon order.  Coordinates on it come from one inverse
 matrix, and the class of a vector in degree k drops its other components;
 vectors going in and coordinates coming out are sparse dicts.
+
+The canonical map gr(A) ⊗ gr(B) -> gr(A ⊗ B) is applied as sparse
+columns, one per source basis pair, and its multiplicativity is checked by
+algebra.first_non_multiplicative, like every algebra-morphism check.
 """
 
 from __future__ import annotations
 
-from .algebra import AxiomReport, Element, SuperAlgebra, tensor, tensor_pure
+from .algebra import (
+    AxiomReport, Element, SuperAlgebra, first_non_multiplicative, tensor, tensor_pure,
+)
 from .linalg import (
     Subspace, apply_columns, dense, identity_matrix, invert_matrix, kron, rank, sparse,
 )
@@ -288,9 +294,6 @@ def check_gr_tensor_iso(FA, FB):
                 report.fail("image of basis pair (%d,%d) misses its degree" % (i, j))
                 cols.append({})
 
-    def apply(elem):
-        return Element._from_terms(grT.gr, apply_columns(cols, elem.terms))
-
     # degreewise bijectivity
     for deg in sorted(set(src_degrees) | set(grT.degrees)):
         src_idx = [s for s in range(len(src_degrees)) if src_degrees[s] == deg]
@@ -303,16 +306,9 @@ def check_gr_tensor_iso(FA, FB):
         if rank(mat, field) != len(src_idx):
             report.fail("degree %d map is not bijective" % deg)
 
-    if apply(source.unit) != grT.gr.unit:
+    if apply_columns(cols, source.unit.terms) != grT.gr.unit.terms:
         report.fail("unit is not preserved")
-    for i in range(source.dim):
-        bi = source.basis_element(i)
-        im_i = apply(bi)
-        for j in range(source.dim):
-            bj = source.basis_element(j)
-            lhs = apply(source.multiply(bi, bj))
-            rhs = grT.gr.multiply(im_i, apply(bj))
-            if lhs != rhs:
-                report.fail("multiplicativity fails at basis pair (%d,%d)" % (i, j))
-                return report
+    bad = first_non_multiplicative(source, grT.gr, cols)
+    if bad is not None:
+        report.fail("multiplicativity fails at basis pair (%d,%d)" % bad)
     return report

@@ -1,7 +1,7 @@
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from superkit import algebra as algebra_module
 from superkit.algebra import (
@@ -9,6 +9,7 @@ from superkit.algebra import (
     DualSuperNumbers,
     Element,
     SuperAlgebra,
+    first_non_multiplicative,
     grassmann,
     ideal_generated_by,
     odd_ideal,
@@ -18,7 +19,7 @@ from superkit.algebra import (
     tensor_pure,
 )
 from superkit.fields import PrimeField, Rationals
-from superkit.linalg import solve, transpose
+from superkit.linalg import dense, solve, transpose
 
 from conftest import random_element
 
@@ -400,6 +401,71 @@ class TestSparseKernel:
             assert x == from_dense
             assert x.coords == from_dense.coords == tuple(vec)
             assert all(x.terms.values())
+
+
+# -- algebra-morphism check against the dense per-pair loop --------------
+
+
+def dense_first_non_multiplicative(source, target, images):
+    """The first pair (i, j), row by row, with phi(e_i e_j) != phi(e_i)
+    phi(e_j), the images expanded to dense coordinates and every product
+    taken by the dense loop; None if there is none."""
+    zero = target.field.zero
+    cols = [dense(images[k], target.dim, zero) for k in range(source.dim)]
+
+    def phi(coords):
+        out = [zero] * target.dim
+        for k, c in enumerate(coords):
+            if c:
+                out = [a + c * b for a, b in zip(out, cols[k])]
+        return Element(target, out)
+
+    basis = [source.basis_element(i) for i in range(source.dim)]
+    for i in range(source.dim):
+        for j in range(source.dim):
+            lhs = phi(dense_multiply(source, basis[i], basis[j]))
+            rhs = dense_multiply(target, phi(basis[i].coords), phi(basis[j].coords))
+            if lhs.coords != rhs:
+                return i, j
+    return None
+
+
+MORPHISM_ALGEBRAS = [A for A in KERNEL_ALGEBRAS if A.dim <= 8]
+
+
+class TestFirstNonMultiplicative:
+    @KERNEL
+    @given(st.data())
+    def test_matches_dense(self, data):
+        source = data.draw(st.sampled_from(MORPHISM_ALGEBRAS), label="source")
+        kind = data.draw(st.sampled_from(["identity", "augmentation", "random"]), label="map")
+        if kind == "identity":
+            target = source
+            images = [{i: source.field.one} for i in range(source.dim)]
+        else:
+            targets = [A for A in MORPHISM_ALGEBRAS if A.field == source.field]
+            target = data.draw(st.sampled_from(targets), label="target")
+            if kind == "augmentation":
+                images = [dict(target.unit.terms) if i == source.unit_index else {}
+                          for i in range(source.dim)]
+            else:
+                images = [sparse_element(data, target, "image %d" % i).terms
+                          for i in range(source.dim)]
+        if data.draw(st.booleans(), label="perturb"):
+            k = data.draw(st.integers(0, source.dim - 1), label="column")
+            shift = sparse_element(data, target, "shift")
+            images[k] = (Element._from_terms(target, images[k]) + shift).terms
+        want = dense_first_non_multiplicative(source, target, images)
+        event("multiplicative" if want is None else "not multiplicative")
+        assert first_non_multiplicative(source, target, images) == want
+
+    @pytest.mark.parametrize("field", [Q, F3, F5])
+    def test_first_failing_pair_row_by_row(self, field):
+        A = grassmann(field, ["a", "b"])
+        images = [{i: field.one} for i in range(A.dim)]
+        assert first_non_multiplicative(A, A, images) is None
+        images[A.space.index("a*b")] = {}
+        assert first_non_multiplicative(A, A, images) == (1, 2)
 
 
 # -- full validation against the dense associativity sweep ----------------

@@ -73,3 +73,22 @@ def test_workload_relabelling_keeps_its_coordinates(field, want):
     apply = workloads._automorphism(R, random.Random(1))
     x = R.element({"1": 3, "a1": 1, "a2*a3": 2, "a1*a2*a4": -1, "a1*a2*a3*a4": 4})
     assert [workloads._scalar(field, c) for c in apply(x).coords] == want
+
+
+# bench/workloads.py reads Coaction.tau as {(i, j): c} tables per basis
+# vector when it checks the coinvariants of the axiom-sweep workload
+
+
+@pytest.mark.parametrize("mode", ["regular", "trivial"])
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(5)], ids=["Q", "F5"])
+def test_workload_coinvariant_check_reads_the_coaction_table(field, mode):
+    from superkit.hopf import grassmann_hopf, regular_coaction, trivial_coaction
+
+    workloads = _load("workloads")
+    H = grassmann_hopf(field, ["t1", "t2"])
+    co = regular_coaction(H) if mode == "regular" else trivial_coaction(H.algebra, H)
+    want = 1 if mode == "regular" else H.algebra.dim
+    sub = co.coinvariants()
+    workloads._check_coinvariants(co, sub, want)
+    with pytest.raises(workloads.Wrong):
+        workloads._check_coinvariants(co, sub, want - 1)

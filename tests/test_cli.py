@@ -1,9 +1,12 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from superkit.cli import main
 
@@ -381,3 +384,159 @@ class TestFieldOption:
         code, out, _ = run(capsys, ["--field", "p=5", "validate", "gl11"])
         assert code == 0
         assert "PASS" in out
+
+    @pytest.mark.parametrize("spec", ["p=x", "p=", "p=²", "p=-3", "²"])
+    def test_malformed_spec_exits_2(self, capsys, spec):
+        code, out, err = run(capsys, ["--field", spec, "validate", "gl11"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: cannot parse field spec %r" % spec]
+
+
+# -- fuzzing the argv fragments and the non-polynomial fixture fields ------
+
+SCALARS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4", "1/3", "3/0", "x", "", "1e3",
+                     "0.5", "--1", " 1", "1/", "²", "+2"]),
+    st.text(alphabet="0123456789/-+ .x", max_size=5),
+)
+COEFFS = st.one_of(
+    st.sampled_from(["a1", "a2", "-a1", "2*a1", "a1+a2", "a1*a2", "a1*a2*a3", "1/2*a2",
+                     "a1-a2", "0", "1", "a3", "(a1)", "a1**2", "zz", ""]),
+    st.text(alphabet="a123*+-/() ", max_size=8),
+)
+FIELDS = st.one_of(
+    st.sampled_from(["q", "p=3", "p=5", "p=7", "p=2", "p=9", "p=x", "p=", "p=-3", "7",
+                     "0x7", "p=²"]),
+    st.text(alphabet="pq=0123456789- ", max_size=4),
+)
+
+
+@st.composite
+def matrix_text(draw):
+    rows = [",".join(draw(st.lists(SCALARS, min_size=1, max_size=3)))
+            for _ in range(draw(st.integers(1, 3)))]
+    return "[[%s]]" % "],[".join(rows)
+
+
+@st.composite
+def word_text(draw):
+    tokens = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from("efgx"))
+        if kind == "e":
+            label = draw(st.sampled_from(["v+", "v-", "zz", "", "v+,v-"]))
+            tokens.append("e(%s,%s)" % (draw(COEFFS), label))
+        elif kind == "f":
+            label = draw(st.sampled_from(["x1", "x2", "x0", "x9", "y1", ""]))
+            tokens.append("f(%s,%s)" % (draw(COEFFS), label))
+        elif kind == "g":
+            tokens.append("g" + draw(matrix_text()))
+        else:
+            tokens.append(draw(st.text(alphabet="efg([,])a1v+ ", max_size=8)))
+    return " ".join(tokens)
+
+
+@st.composite
+def cli_argv(draw):
+    kind = draw(st.sampled_from(["nf", "nf", "hyp", "radical"]))
+    if kind == "nf":
+        gens = draw(st.sampled_from(["a1", "a1,a2", "a1,a2,a3", "", "a1,a1", "1"]))
+        argv = ["nf", draw(st.sampled_from(["gl11", "pseudoabelian"])), draw(word_text()),
+                "--coeffs", "Lambda(%s)" % gens]
+    elif kind == "hyp":
+        n = draw(st.integers(1, 4))
+        argv = ["hyp-decompose", draw(st.sampled_from(["add3", "L1", "add3xL1"])),
+                ",".join(draw(st.lists(SCALARS, min_size=n, max_size=n)))]
+    else:
+        lie_r = draw(st.one_of(st.sampled_from(["full", "zero"]), matrix_text()))
+        argv = ["radical", "gl11", "--lie-r", lie_r]
+    if draw(st.booleans()):
+        argv = ["--field", draw(FIELDS)] + argv
+    return argv
+
+
+def exit_code(argv):
+    """main's exit status, the argparse exit included, and its stderr."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(cli_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    code, err = exit_code(argv)
+    event("exit %s" % code)
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+
+
+def _fixture_data(name):
+    with open(os.path.join(os.path.dirname(__file__), "..", "fixtures", name)) as fh:
+        return json.load(fh)
+
+
+FUZZED_FIXTURES = {
+    "grassmann3.hopf.json": ["delta", "eps", "antipode", "products", "parities", "unit"],
+    "grassmann2.alg.json": ["products", "parities", "unit"],
+}
+TABLE_KEYS = st.sampled_from(["0", "1", "3", "0,1", "1,0", "2,2", "0,8", "9,0", "-1,0",
+                              "1,2,3", "a,b", "", " 1,2"])
+GOOD_SCALARS = st.sampled_from(["0", "1", "-1", "2", "1/2", 0, 1, -1])
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 9), SCALARS, TABLE_KEYS),
+    lambda kids: st.one_of(st.lists(kids, max_size=3),
+                           st.dictionaries(TABLE_KEYS, kids, max_size=3)),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_fixture(draw):
+    """A shipped fixture with one or two of its table fields mutated at a
+    drawn depth: an entry set to a scalar or to any JSON value, dropped,
+    or added.  Scalar edits keep the file readable, so that they reach the
+    axiom checks."""
+    name = draw(st.sampled_from(sorted(FUZZED_FIXTURES)))
+    data = _fixture_data(name)
+    for _ in range(draw(st.integers(1, 2))):
+        parent, key = data, draw(st.sampled_from(FUZZED_FIXTURES[name]))
+        node = parent[key]
+        while isinstance(node, (dict, list)) and node and draw(st.integers(0, 3)):
+            parent, key = node, draw(st.sampled_from(
+                sorted(node) if isinstance(node, dict) else range(len(node))))
+            node = parent[key]
+        op = draw(st.sampled_from(["scalar", "scalar", "json", "drop", "add"]))
+        if op == "drop":
+            del parent[key]
+        elif op == "add" and isinstance(node, dict):
+            node[draw(TABLE_KEYS)] = draw(st.one_of(GOOD_SCALARS, JSON_VALUES))
+        elif op == "add" and isinstance(node, list):
+            node.append(draw(st.one_of(GOOD_SCALARS, JSON_VALUES)))
+        else:
+            parent[key] = draw(GOOD_SCALARS if op == "scalar" else JSON_VALUES)
+    return name, data
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzzed-fixtures")
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(mutated=mutated_fixture(), field=st.sampled_from(["q", "p=3", "p=5"]))
+def test_fuzzed_fixture_fields_exit_cleanly(fuzz_dir, mutated, field):
+    name, data = mutated
+    path = fuzz_dir / name
+    path.write_text(json.dumps(data))
+    commands = [["axioms"]] + ([["gr"]] if name.endswith(".alg.json") else [])
+    for command in commands:
+        code, err = exit_code(["--field", field] + command + [str(path)])
+        event("%s %s exit %s" % (name.split(".")[1], command[0], code))
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err
