@@ -10,7 +10,9 @@ sweep but everything user-supplied is verified.
 An element stores only its nonzero coordinates, {basis index: coefficient};
 a product contracts the terms of its factors through the product table, so
 its cost follows the number of nonzero terms, not the dimension.  The
-dense coordinate tuple stays available as Element.coords.
+dense coordinate tuple stays available as Element.coords.  A matrix
+product over the algebra (mat_mul_over) contracts every entry pair into
+one terms dict per output entry through the same loop.
 """
 
 from __future__ import annotations
@@ -206,11 +208,14 @@ def _add_terms(x, y, sign):
     return out
 
 
-def _contract(prod, x, y):
+def _contract(prod, x, y, out=None):
     """The terms of x·y for a product table prod {(i, j): {k: s}}: one
-    table lookup per pair of terms, cancelled sums dropped at the end."""
-    out = {}
-    get = out.get
+    table lookup per pair of terms.  Alone it drops cancelled sums at the
+    end; given an accumulator dict out, it adds x·y into out, keeps the
+    cancelled sums, and the caller drops them once, after the last
+    contraction."""
+    acc = {} if out is None else out
+    get = acc.get
     y_items = list(y.items())
     for i, a in x.items():
         for j, b in y_items:
@@ -220,8 +225,53 @@ def _contract(prod, x, y):
             c = a * b
             for k, s in t.items():
                 v = get(k)
-                out[k] = c * s if v is None else v + c * s
-    return {k: v for k, v in out.items() if v}
+                acc[k] = c * s if v is None else v + c * s
+    if out is None:
+        return {k: v for k, v in acc.items() if v}
+
+
+def _add_scaled(out, c, terms):
+    """Add c·terms into the accumulator dict out, for a field scalar c;
+    cancelled sums are kept, as by _contract with an accumulator."""
+    get = out.get
+    for k, s in terms.items():
+        v = get(k)
+        out[k] = c * s if v is None else v + c * s
+
+
+def mat_mul_over(R, A, B):
+    """The product of two matrices whose entries are Elements of R.
+
+    Output entry (i, k) is one terms dict: each pair A[i][j]·B[j][k] of
+    nonzero entries is contracted into it by _contract with an
+    accumulator, except that a factor whose terms are {R.unit_index: c}
+    scales the other one instead.  Each row of B lists its nonzero
+    entries once, so zero entries cost nothing, and cancelled sums are
+    dropped once, when the entry becomes an Element.  linalg.mat_mul stays
+    the product for matrices over a field or of Polys."""
+    prod, u = R._prod, R.unit_index
+    rows_b = [
+        [(k, t, t.get(u) if len(t) == 1 else None) for k, y in enumerate(row) if (t := y.terms)]
+        for row in B
+    ]
+    width = len(B[0]) if B else 0
+    out = []
+    for row in A:
+        acc = [{} for _ in range(width)]
+        for x, row_b in zip(row, rows_b):
+            xt = x.terms
+            if not xt:
+                continue
+            c = xt.get(u) if len(xt) == 1 else None
+            for k, yt, d in row_b:
+                if c is not None:
+                    _add_scaled(acc[k], c, yt)
+                elif d is not None:
+                    _add_scaled(acc[k], d, xt)
+                else:
+                    _contract(prod, xt, yt, acc[k])
+        out.append([Element._from_terms(R, {k: v for k, v in a.items() if v}) for a in acc])
+    return out
 
 
 def first_non_multiplicative(source, target, images):

@@ -98,14 +98,34 @@ class FpElement:
         return "%d (mod %d)" % (self.v, self.p)
 
 
+# Miller-Rabin with the prime bases up to 41 decides primality exactly
+# below this bound (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin; FieldError for n at or above _MR_BOUND."""
+    if n >= _MR_BOUND:
+        raise FieldError("p must be below %d to be tested for primality" % _MR_BOUND)
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

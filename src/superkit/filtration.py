@@ -24,7 +24,8 @@ from .algebra import (
     AxiomReport, Element, SuperAlgebra, first_non_multiplicative, tensor, tensor_pure,
 )
 from .linalg import (
-    Subspace, apply_columns, dense, identity_matrix, invert_matrix, kron, rank, sparse,
+    Subspace, apply_columns, dense, identity_matrix, invert_matrix, kron, rank, reduce_by,
+    sparse,
 )
 
 
@@ -122,12 +123,19 @@ class AdaptedBasis:
         self.step = step
         vecs, degrees = [], []
         for k in range(length):
+            # the running span as echelon rows: those of the neighbouring
+            # piece, then the normalised residue of each new vector
             running = piece(k + step)
+            rows, pivots = list(running.rows), list(running.pivots)
             for row in piece(k).rows:
-                if not running.contains(row):
+                res = reduce_by(rows, pivots, row)
+                p = next((j for j, x in enumerate(res) if x), None)
+                if p is not None:
                     vecs.append(row)
                     degrees.append(k)
-                    running = running.add_vectors([row])
+                    inv = field.one / res[p]
+                    rows.append(tuple(inv * x for x in res))
+                    pivots.append(p)
         if len(vecs) != n:
             raise FiltrationError("adapted basis has wrong size")
         self.vecs = vecs

@@ -21,6 +21,14 @@ An f-factor I + bX has b^2 = 0, so it conjugates the chain in closed form,
 Ad((I + bX)^{-1}) = rho(I) - b·rho(X), from field matrices rho(X_k)
 computed once per pair (HarishChandraPair.linear_action).
 
+Products over R: a matrix product over R (rmat_mul, in normalize and the
+supermatrix oracle, and rho_over's g M g^-1) is algebra.mat_mul_over, which
+accumulates every entry pair into one terms dict per output entry.  The
+enveloping oracle's product contracts each parity half of a left
+coefficient with each right coefficient once and adds the result, times
+the PBW coefficients of the straightened monomial (computed once per
+sequence for the oracle), into one terms dict per PBW monomial.
+
 Termination: every (1)/(4) correction coefficient has strictly larger
 degree in the odd generators of R, and the odd part of R generates a
 nilpotent ideal.
@@ -28,9 +36,8 @@ nilpotent ideal.
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, Element, ground_algebra
+from .algebra import AlgebraError, Element, _add_scaled, _contract, ground_algebra, mat_mul_over
 from .algebra import lift_matrix as _lift_field_matrix
-from .linalg import mat_mul
 
 
 class GammaError(ValueError):
@@ -47,8 +54,9 @@ def rmat_identity(R, n):
 
 
 def rmat_mul(R, A, B):
-    """Product of two matrices over R."""
-    return mat_mul(A, B)
+    """Product of two matrices over R, by the sparse kernel
+    algebra.mat_mul_over."""
+    return mat_mul_over(R, A, B)
 
 
 def rmat_inverse(R, A):
@@ -434,6 +442,7 @@ class EnvelopingOracle:
         self.R = R
         self.lie = pair.assembled_lie(check=False)
         self.parities = self.lie.space.parities
+        self._straightened = {}
 
     def one(self):
         return {(): self.R.unit}
@@ -488,26 +497,43 @@ class EnvelopingOracle:
                     stack.append((head + (idx,) + tail, coeff * c))
         return {m: c for m, c in result.items() if c != field.zero}
 
+    def _pbw(self, seq):
+        """straighten(seq), computed once per sequence for this oracle."""
+        out = self._straightened.get(seq)
+        if out is None:
+            out = self._straightened[seq] = self.straighten(seq)
+        return out
+
     def product(self, X, Y):
+        """X·Y.  Each left coefficient splits into its parity halves once;
+        each half contracts with each right coefficient once, and c times
+        that product, with c the PBW coefficients of m1 + m2 (negated for
+        an odd half against an odd right monomial), is added into one
+        terms dict per PBW monomial.  Elements are built at the end."""
         R = self.R
-        out = {}
+        prod, par = R._prod, R.space.parities
+        right = [(m2, r2.terms, self._mono_parity(m2)) for m2, r2 in Y.items()]
+        acc = {}
         for m1, r1 in X.items():
-            for m2, r2 in Y.items():
-                p2 = self._mono_parity(m2)
-                for p in (0, 1):
-                    rp = r1.homogeneous_part(p)
-                    if rp.is_zero():
+            halves = ({}, {})
+            for i, c in r1.terms.items():
+                halves[par[i]][i] = c
+            for m2, t2, p2 in right:
+                for p, half in enumerate(halves):
+                    if not half:
                         continue
-                    coeff = R.multiply(rp, r2)
-                    if p == 1 and p2 == 1:
-                        coeff = -coeff
-                    if coeff.is_zero():
+                    coeff = _contract(prod, half, t2)
+                    if not coeff:
                         continue
-                    for mono, c in self.straighten(m1 + m2).items():
-                        cur = out.get(mono, R.zero())
-                        cur = cur + coeff.scale(c)
-                        out[mono] = cur
-        return {m: c for m, c in out.items() if not c.is_zero()}
+                    odd = p == 1 and p2 == 1
+                    for mono, c in self._pbw(m1 + m2).items():
+                        _add_scaled(acc.setdefault(mono, {}), -c if odd else c, coeff)
+        out = {}
+        for mono, terms in acc.items():
+            terms = {k: v for k, v in terms.items() if v}
+            if terms:
+                out[mono] = Element._from_terms(R, terms)
+        return out
 
     def evaluate(self, tokens):
         acc = self.one()

@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement, permutations
 from operator import add
 
 from . import linalg
-from .algebra import AxiomReport, Element, lift_matrix, polynomial_truncation
+from .algebra import AxiomReport, Element, lift_matrix, mat_mul_over, polynomial_truncation
 from .linalg import (
     Subspace, apply_columns, dense, identity_matrix, mat_bracket, mat_mul, nullspace, rank,
     sparse, transpose,
@@ -122,14 +122,15 @@ class MatrixGroupModel:
         return all(eval_at(c, at, R.unit).is_zero() for c in self.closed_conditions)
 
 
-def _conjugation(mats, g, g_inv, expander, is_zero, zero, error):
+def _conjugation(mats, g, g_inv, expander, is_zero, zero, error, mul=mat_mul):
     """The matrix whose column i holds the expander coordinates of g M_i g^-1
     for the i-th of mats, over the ring with that zero test and zero
     (Polys modulo an ideal, or a superalgebra); HCPError(error) if one
-    escapes the span."""
+    escapes the span.  mul is the matrix product: linalg.mat_mul for
+    Polys, the sparse algebra.mat_mul_over for a superalgebra."""
     cols = []
     for M in mats:
-        vec = _flatten(mat_mul(mat_mul(g, M), g_inv))
+        vec = _flatten(mul(mul(g, M), g_inv))
         c, ok = expander.coords_generic(vec, lambda c, x: x * c, add, is_zero, zero)
         if not ok:
             raise HCPError(error)
@@ -259,7 +260,7 @@ class HarishChandraPair:
             return [[eval_at(e, at, R.unit) for e in row] for row in self.action_expr]
         return _conjugation([lift_matrix(R, M) for M in self.module_matrices], gmat, gmat_inv,
                             self.module_expander, Element.is_zero, R.zero(),
-                            "action escapes the module over R")
+                            "action escapes the module over R", partial(mat_mul_over, R))
 
     def linear_action(self):
         """(rho(I), [rho(X_k)]): t x t field matrices, computed once per pair.

@@ -40,6 +40,18 @@ def rref(rows, field):
     return [tuple(r) for r in rows[:rank]], pivots
 
 
+def reduce_by(rows, pivots, vec):
+    """Residue of vec after eliminating the pivot p of each row in turn,
+    for rows with row[p] = 1 that vanish at the pivots of the rows before
+    them (an RREF basis, or one grown a residue at a time)."""
+    vec = list(vec)
+    for row, p in zip(rows, pivots):
+        c = vec[p]
+        if c:
+            vec = [a - c * b if b else a for a, b in zip(vec, row)]
+    return tuple(vec)
+
+
 class Subspace:
     """A subspace of field^n stored as an RREF basis."""
 
@@ -54,12 +66,7 @@ class Subspace:
 
     def reduce(self, vec):
         """Residue of vec after eliminating all pivot coordinates."""
-        vec = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = vec[p]
-            if c:
-                vec = [a - c * b if b else a for a, b in zip(vec, row)]
-        return tuple(vec)
+        return reduce_by(self.rows, self.pivots, vec)
 
     def contains(self, vec):
         return not any(self.reduce(vec))

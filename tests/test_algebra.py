@@ -12,6 +12,7 @@ from superkit.algebra import (
     first_non_multiplicative,
     grassmann,
     ideal_generated_by,
+    mat_mul_over,
     odd_ideal,
     polynomial_truncation,
     quotient_by_ideal,
@@ -19,7 +20,8 @@ from superkit.algebra import (
     tensor_pure,
 )
 from superkit.fields import PrimeField, Rationals
-from superkit.linalg import dense, solve, transpose
+from superkit.gamma import tangent_algebra
+from superkit.linalg import dense, mat_mul, solve, transpose
 
 from conftest import random_element
 
@@ -401,6 +403,81 @@ class TestSparseKernel:
             assert x == from_dense
             assert x.coords == from_dense.coords == tuple(vec)
             assert all(x.terms.values())
+
+
+# -- the matrix kernel against linalg.mat_mul over Elements ---------------
+
+
+def _matrix_algebras():
+    out = []
+    for field in (Q, F3, F5):
+        out += [grassmann(field, ["a%d" % i for i in range(1, k + 1)]) for k in range(1, 6)]
+        out.append(polynomial_truncation(field, "t", 3))
+        out.append(tangent_algebra(field)[0])
+    return out
+
+
+MATRIX_ALGEBRAS = _matrix_algebras()
+
+
+def matrix_entry(data, A, label):
+    """Zero, a multiple c·1 of the unit, or a few sparse terms."""
+    kind = data.draw(st.sampled_from(["zero", "unit", "terms", "terms", "terms"]), label=label)
+    if kind == "zero":
+        return A.zero()
+    if kind == "unit":
+        return A.unit.scale(A.field.from_int(data.draw(st.sampled_from([1, -1, 2]))))
+    picks = data.draw(
+        st.dictionaries(st.integers(0, A.dim - 1), st.sampled_from([1, -1, 2, -2, 3]),
+                        min_size=1, max_size=3),
+        label=label,
+    )
+    return Element(A, [A.field.from_int(picks.get(i, 0)) for i in range(A.dim)])
+
+
+def random_matrix(data, A, rows, cols, label):
+    mat = [[matrix_entry(data, A, label) for _ in range(cols)] for _ in range(rows)]
+    if data.draw(st.integers(0, 3), label=label + " zero row") == 0:
+        mat[data.draw(st.integers(0, rows - 1))] = [A.zero()] * cols
+    return mat
+
+
+class TestMatrixKernel:
+    """mat_mul_over against the entrywise product of linalg.mat_mul."""
+
+    @KERNEL
+    @given(st.data())
+    def test_matches_mat_mul(self, data):
+        A = data.draw(st.sampled_from(MATRIX_ALGEBRAS), label="algebra")
+        n, m, l = (data.draw(st.integers(1, 3), label=s) for s in "nml")
+        X = random_matrix(data, A, n, m, "X")
+        Y = random_matrix(data, A, m, l, "Y")
+        if m >= 2 and data.draw(st.booleans(), label="cancel"):
+            # X[i][1]·Y[1][k] = -X[i][0]·Y[0][k]: those two products cancel
+            for row in X:
+                row[1] = -row[0]
+            Y[1] = list(Y[0])
+        got = mat_mul_over(A, X, Y)
+        want = mat_mul(X, Y)
+        event("zero entries %d of %d" % (sum(x.is_zero() for r in want for x in r), n * l))
+        assert got == want
+        for row in got:
+            assert len(row) == l
+            for x in row:
+                assert x.algebra is A and all(x.terms.values())
+
+    @pytest.mark.parametrize("field", [Q, F3, F5], ids=["Q", "F3", "F5"])
+    def test_sums_cancel_to_zero(self, field):
+        A = grassmann(field, ["a", "b"])
+        a, b = A.element({"a": 1}), A.element({"b": 1})
+        # a·b + b·a = 0 and 2·1·a + (-2)·a = 0, through contraction and scaling
+        got = mat_mul_over(A, [[a, b], [A.unit.scale(field.from_int(2)), A.zero()]],
+                           [[b, A.zero()], [a, A.unit]])
+        assert got == [[A.zero(), b], [b.scale(field.from_int(2)), A.zero()]]
+        assert [x.terms for x in got[0]] == [{}, b.terms]
+        got = mat_mul_over(A, [[A.unit.scale(field.from_int(2)), A.unit]],
+                           [[a], [a.scale(field.from_int(-2))]])
+        assert got[0][0].terms == {}
 
 
 # -- algebra-morphism check against the dense per-pair loop --------------

@@ -497,17 +497,18 @@ JSON_VALUES = st.recursive(
 
 
 @st.composite
-def mutated_fixture(draw):
-    """A shipped fixture with one or two of its table fields mutated at a
-    drawn depth: an entry set to a scalar or to any JSON value, dropped,
-    or added.  Scalar edits keep the file readable, so that they reach the
-    axiom checks."""
-    name = draw(st.sampled_from(sorted(FUZZED_FIXTURES)))
+def mutated_fixture(draw, fields=FUZZED_FIXTURES, deeper=st.integers(0, 3)):
+    """A shipped fixture with one or two of its fields (fields[name])
+    mutated at a drawn depth (one level more while `deeper` draws true):
+    an entry set to a scalar or to any JSON value, dropped, or added.
+    Scalar edits keep the file readable, so that they reach the axiom
+    checks."""
+    name = draw(st.sampled_from(sorted(fields)))
     data = _fixture_data(name)
     for _ in range(draw(st.integers(1, 2))):
-        parent, key = data, draw(st.sampled_from(FUZZED_FIXTURES[name]))
+        parent, key = data, draw(st.sampled_from(fields[name]))
         node = parent[key]
-        while isinstance(node, (dict, list)) and node and draw(st.integers(0, 3)):
+        while isinstance(node, (dict, list)) and node and draw(deeper):
             parent, key = node, draw(st.sampled_from(
                 sorted(node) if isinstance(node, dict) else range(len(node))))
             node = parent[key]
@@ -538,5 +539,29 @@ def test_fuzzed_fixture_fields_exit_cleanly(fuzz_dir, mutated, field):
     for command in commands:
         code, err = exit_code(["--field", field] + command + [str(path)])
         event("%s %s exit %s" % (name.split(".")[1], command[0], code))
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err
+
+
+FUZZED_PAIR_FIELDS = {
+    "gl11.pair.json": ["lie_basis", "bracket_vv", "module_matrices", "row_parities"],
+}
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(
+    # mostly down to a leaf, so that scalar edits keep the pair readable
+    mutated=mutated_fixture(FUZZED_PAIR_FIELDS, st.sampled_from([1, 1, 1, 0])),
+    field=st.sampled_from(["q", "p=3", "p=5"]),
+)
+def test_fuzzed_pair_fields_exit_cleanly(fuzz_dir, mutated, field):
+    name, data = mutated
+    path = fuzz_dir / name
+    path.write_text(json.dumps(data))
+    nf = ["nf", str(path), "e(a1,v+) e(a2,v-) f(a1*a2,x1) e(a3,v+)", "--coeffs",
+          "Lambda(a1,a2,a3)", "--check-oracle"]
+    for argv in (["validate", str(path)], nf):
+        code, err = exit_code(["--field", field] + argv)
+        event("%s exit %s" % (argv[0], code))
         assert code in (0, 1, 2), err
         assert "Traceback" not in err

@@ -1,8 +1,13 @@
 from fractions import Fraction
 
+import io
+import time
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
 
-from superkit.fields import FieldError, FpElement, PrimeField, Rationals, parse_field
+from superkit.cli import main
+from superkit.fields import FieldError, FpElement, PrimeField, Rationals, _is_prime, parse_field
 
 
 def test_parse_field_variants():
@@ -55,3 +60,44 @@ def test_fp_mixed_with_int():
     a = F.from_int(2)
     assert a + 4 == F.from_int(1)
     assert 3 * a == F.from_int(1)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_miller_rabin_matches_trial_division():
+    assert [n for n in range(20000) if _is_prime(n)] == [
+        n for n in range(20000) if _trial_division(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [
+    3825123056546413051,  # strong pseudoprime to the bases 2 ... 23
+    318665857834031151167461,  # strong pseudoprime to the bases 2 ... 37
+])
+def test_strong_pseudoprimes_rejected(n):
+    assert not _is_prime(n)
+    with pytest.raises(FieldError):
+        PrimeField(n)
+
+
+def test_primality_bound_is_a_field_error():
+    with pytest.raises(FieldError):
+        parse_field("p=%d" % (10 ** 25 + 13))
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_large_prime_field_answers_at_once():
+    t0 = time.perf_counter()
+    code, out, _ = _cli(["--field", "p=1000000000000000003", "validate", "gl11"])
+    assert time.perf_counter() - t0 < 5
+    assert code == 0 and "PASS" in out
+    code, _, err = _cli(["--field", "p=%d" % (10 ** 25 + 13), "validate", "gl11"])
+    assert code == 2 and err.count("\n") == 1

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from superkit.algebra import (
@@ -180,6 +182,55 @@ def test_adapted_basis_increasing_matches_reference(H):
     F = HypFiltration(H, augmentation_filtration(H))
     basis = AdaptedBasis(field, n, F.piece, F.length, -1)
     _assert_matches(basis, field, n, *_increasing_reference(field, n, F))
+
+
+def _rebuild_per_row(n, piece, length, step):
+    """AdaptedBasis as it was first built: the running span is a Subspace
+    rebuilt by rref for every new vector."""
+    vecs, degrees = [], []
+    for k in range(length):
+        running = piece(k + step)
+        for row in piece(k).rows:
+            if not running.contains(row):
+                vecs.append(row)
+                degrees.append(k)
+                running = running.add_vectors([row])
+    return vecs, degrees
+
+
+def _seeded_chain(field, seed, step):
+    """A seeded chain of subspaces of field^n, each the span of a slice of
+    one shuffled spanning list that holds dependent vectors: a prefix for
+    an increasing chain, a suffix for a descending one."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    vecs = [[field.from_int(rng.randint(-2, 2)) for _ in range(n)]
+            for _ in range(rng.randint(0, n))]
+    vecs += identity_matrix(n, field)
+    vecs += [rng.choice(vecs) for _ in range(2)]
+    vecs += [[x + y for x, y in zip(rng.choice(vecs), rng.choice(vecs))]]
+    rng.shuffle(vecs)
+    cuts = [0] + sorted(rng.sample(range(1, len(vecs)), rng.randint(1, 4))) + [len(vecs)]
+    if step == 1:
+        chain = [Subspace(field, n, vecs[c:]) for c in cuts]
+    else:
+        chain = [Subspace(field, n, vecs[:c]) for c in cuts[1:]]
+
+    def piece(k):
+        return chain[k] if 0 <= k < len(chain) else Subspace(field, n)
+
+    return n, piece, len(chain)
+
+
+@pytest.mark.parametrize("step", [1, -1])
+@pytest.mark.parametrize("field", [Q, F3, F5], ids=["Q", "F3", "F5"])
+def test_adapted_basis_matches_rebuild_per_row(field, step):
+    for seed in range(40):
+        n, piece, length = _seeded_chain(field, seed, step)
+        basis = AdaptedBasis(field, n, piece, length, step)
+        vecs, degrees = _rebuild_per_row(n, piece, length, step)
+        assert basis.vecs == vecs
+        assert basis.degrees == degrees
 
 
 def test_class_coords_far_side_raises_both_ways():

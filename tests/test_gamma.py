@@ -261,3 +261,93 @@ class TestIdentityToken:
             assert prod == u
             # the trace keeps both g tokens, u's even part and the identity
             assert [tok[0] for tok in prod.trace].count("g") == 2
+
+
+# -- the enveloping oracle's product against the Element-by-Element loop -----
+
+
+def reference_product(oracle, X, Y):
+    """EnvelopingOracle.product as it was before the terms-dict kernel: one
+    Element per coefficient product, added into the output one by one."""
+    R = oracle.R
+    out = {}
+    for m1, r1 in X.items():
+        for m2, r2 in Y.items():
+            p2 = oracle._mono_parity(m2)
+            for p in (0, 1):
+                rp = r1.homogeneous_part(p)
+                if rp.is_zero():
+                    continue
+                coeff = R.multiply(rp, r2)
+                if p == 1 and p2 == 1:
+                    coeff = -coeff
+                if coeff.is_zero():
+                    continue
+                for mono, c in oracle.straighten(m1 + m2).items():
+                    cur = out.get(mono, R.zero())
+                    cur = cur + coeff.scale(c)
+                    out[mono] = cur
+    return {m: c for m, c in out.items() if not c.is_zero()}
+
+
+def random_mixed(rng, R):
+    """An element with both parity halves, so that products split."""
+    coords = [R.field.from_int(rng.choice([0, 0, 1, -1, 2])) for _ in range(R.dim)]
+    return Element(R, coords)
+
+
+def oracle_word(rng, pair, R):
+    word = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.7:
+            word.append(("e", random_odd(rng, R), rng.randrange(pair.t)))
+        else:
+            b = R.multiply(random_odd(rng, R), random_odd(rng, R))
+            lie = tuple(R.field.from_int(rng.randint(-1, 1)) for _ in range(pair.lie_dim))
+            word.append(("f", b, lie))
+    return word
+
+
+class TestEnvelopingProduct:
+    @pytest.mark.parametrize("field_name", ["Q", "F5"])
+    @pytest.mark.parametrize("pair_name", ["gl11", "gl21"])
+    def test_matches_reference_on_words(self, pair_name, field_name, rng):
+        pair = PAIR_BUILDERS[pair_name](FIELDS[field_name])
+        R = grassmann(pair.field, ["a1", "a2", "a3", "a4"])
+        oracle = G.EnvelopingOracle(pair, R)
+        for _ in range(12):
+            acc = want = oracle.one()
+            for tok in oracle_word(rng, pair, R):
+                Y = oracle.gen_token(tok)
+                acc, want = oracle.product(acc, Y), reference_product(oracle, want, Y)
+                assert acc == want
+            for x in acc.values():
+                assert all(x.terms.values())
+
+    @pytest.mark.parametrize("field_name", ["Q", "F5"])
+    def test_mixed_coefficients_match_reference(self, field_name, rng):
+        pair = gl21_pair(FIELDS[field_name])
+        R = grassmann(pair.field, ["a1", "a2", "a3"])
+        oracle = G.EnvelopingOracle(pair, R)
+        l = pair.lie_dim
+        monos = [(), (l,), (0, l + 1), (1,), (l, l + 2)]
+        for _ in range(10):
+            X = {m: random_mixed(rng, R) for m in rng.sample(monos, 3)}
+            Y = {m: random_mixed(rng, R) for m in rng.sample(monos, 2)}
+            X = {m: x for m, x in X.items() if not x.is_zero()}
+            Y = {m: y for m, y in Y.items() if not y.is_zero()}
+            assert oracle.product(X, Y) == reference_product(oracle, X, Y)
+
+    @pytest.mark.parametrize("field_name", ["Q", "F5"])
+    def test_cancelled_monomial_is_dropped(self, field_name):
+        pair = gl21_pair(FIELDS[field_name])
+        R = grassmann(pair.field, ["a1", "a2", "a3"])
+        oracle = G.EnvelopingOracle(pair, R)
+        u = R.unit + R.element({"a1*a2": 1})
+        w = R.unit + R.element({"a3": 1})
+        # e_0 e_1 - e_1 e_0 straightens to -[e_1, e_0]: the monomial (0, 1) cancels
+        X = {(0,): u, (1,): u}
+        Y = {(1,): w, (0,): -w}
+        got = oracle.product(X, Y)
+        assert (0, 1) not in got
+        assert got == reference_product(oracle, X, Y)
