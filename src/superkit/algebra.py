@@ -10,9 +10,10 @@ sweep but everything user-supplied is verified.
 An element stores only its nonzero coordinates, {basis index: coefficient};
 a product contracts the terms of its factors through the product table, so
 its cost follows the number of nonzero terms, not the dimension.  The
-dense coordinate tuple stays available as Element.coords.  A matrix
-product over the algebra (mat_mul_over) contracts every entry pair into
-one terms dict per output entry through the same loop.
+dense coordinate tuple stays available as Element.coords.  Sums of
+products (sum_products, and through it mat_mul_over for matrices over the
+algebra) contract every product into one terms dict per sum through the
+same loop.
 """
 
 from __future__ import annotations
@@ -138,6 +139,13 @@ class Element:
             self.algebra, {i: c for i, c in self.terms.items() if par[i] == parity}
         )
 
+    def involution(self):
+        """The grade involution: the even part minus the odd part."""
+        par = self.algebra.space.parities
+        return Element._from_terms(
+            self.algebra, {i: -c if par[i] else c for i, c in self.terms.items()}
+        )
+
     def parity(self):
         """0 or 1 for homogeneous elements (0 for zero), None if mixed."""
         par = self.algebra.space.parities
@@ -239,39 +247,56 @@ def _add_scaled(out, c, terms):
         out[k] = c * s if v is None else v + c * s
 
 
+def sum_products(R, pieces):
+    """The sums of products of Elements of R, one per caller key: {key:
+    the sum of x·y over the pieces (key, x, y)}.
+
+    Each product goes into one terms dict per key, so no Element is made
+    for a single product or a partial sum: _contract adds it, or, when x
+    or y is a multiple c·1 of the unit, _add_scaled adds c times the other
+    factor (most entries of the matrices in normalize and the oracles are
+    such multiples).  Cancelled sums are dropped once, at the end, and a
+    key whose sum is zero is left out."""
+    prod, u = R._prod, R.unit_index
+    acc = {}
+    for key, x, y in pieces:
+        out = acc.get(key)
+        if out is None:
+            out = acc[key] = {}
+        xt, yt = x.terms, y.terms
+        if len(xt) == 1 and u in xt:
+            _add_scaled(out, xt[u], yt)
+        elif len(yt) == 1 and u in yt:
+            _add_scaled(out, yt[u], xt)
+        else:
+            _contract(prod, xt, yt, out)
+    sums = {}
+    for key, out in acc.items():
+        terms = {k: v for k, v in out.items() if v}
+        if terms:
+            sums[key] = Element._from_terms(R, terms)
+    return sums
+
+
 def mat_mul_over(R, A, B):
     """The product of two matrices whose entries are Elements of R.
 
-    Output entry (i, k) is one terms dict: each pair A[i][j]·B[j][k] of
-    nonzero entries is contracted into it by _contract with an
-    accumulator, except that a factor whose terms are {R.unit_index: c}
-    scales the other one instead.  Each row of B lists its nonzero
-    entries once, so zero entries cost nothing, and cancelled sums are
-    dropped once, when the entry becomes an Element.  linalg.mat_mul stays
-    the product for matrices over a field or of Polys."""
-    prod, u = R._prod, R.unit_index
-    rows_b = [
-        [(k, t, t.get(u) if len(t) == 1 else None) for k, y in enumerate(row) if (t := y.terms)]
-        for row in B
-    ]
+    Entry (i, k) is sum_products over the pairs A[i][j]·B[j][k] of nonzero
+    entries: one terms dict per output entry.  Each row of B lists its
+    nonzero entries once, so zero entries cost nothing.  linalg.mat_mul
+    stays the product for matrices over a field or of Polys."""
+    rows_b = [[(k, y) for k, y in enumerate(row) if y.terms] for row in B]
+    sums = sum_products(R, (
+        ((i, k), x, y)
+        for i, row in enumerate(A)
+        for x, row_b in zip(row, rows_b) if x.terms
+        for k, y in row_b
+    ))
     width = len(B[0]) if B else 0
-    out = []
-    for row in A:
-        acc = [{} for _ in range(width)]
-        for x, row_b in zip(row, rows_b):
-            xt = x.terms
-            if not xt:
-                continue
-            c = xt.get(u) if len(xt) == 1 else None
-            for k, yt, d in row_b:
-                if c is not None:
-                    _add_scaled(acc[k], c, yt)
-                elif d is not None:
-                    _add_scaled(acc[k], d, xt)
-                else:
-                    _contract(prod, xt, yt, acc[k])
-        out.append([Element._from_terms(R, {k: v for k, v in a.items() if v}) for a in acc])
-    return out
+    return [
+        [sums[i, k] if (i, k) in sums else R.zero() for k in range(width)]
+        for i in range(len(A))
+    ]
 
 
 def first_non_multiplicative(source, target, images):

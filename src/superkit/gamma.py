@@ -22,12 +22,11 @@ Ad((I + bX)^{-1}) = rho(I) - b·rho(X), from field matrices rho(X_k)
 computed once per pair (HarishChandraPair.linear_action).
 
 Products over R: a matrix product over R (rmat_mul, in normalize and the
-supermatrix oracle, and rho_over's g M g^-1) is algebra.mat_mul_over, which
-accumulates every entry pair into one terms dict per output entry.  The
-enveloping oracle's product contracts each parity half of a left
-coefficient with each right coefficient once and adds the result, times
-the PBW coefficients of the straightened monomial (computed once per
-sequence for the oracle), into one terms dict per PBW monomial.
+supermatrix oracle, and rho_over's g M g^-1) is algebra.mat_mul_over, and
+the enveloping oracle's product hands its coefficient products to
+algebra.sum_products.  Both contract every product of coefficients into
+one terms dict per output entry or PBW monomial and make an Element only
+for the finished sum.
 
 Termination: every (1)/(4) correction coefficient has strictly larger
 degree in the odd generators of R, and the odd part of R generates a
@@ -36,7 +35,7 @@ nilpotent ideal.
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, Element, _add_scaled, _contract, ground_algebra, mat_mul_over
+from .algebra import AlgebraError, Element, ground_algebra, mat_mul_over, sum_products
 from .algebra import lift_matrix as _lift_field_matrix
 
 
@@ -442,7 +441,6 @@ class EnvelopingOracle:
         self.R = R
         self.lie = pair.assembled_lie(check=False)
         self.parities = self.lie.space.parities
-        self._straightened = {}
 
     def one(self):
         return {(): self.R.unit}
@@ -497,43 +495,22 @@ class EnvelopingOracle:
                     stack.append((head + (idx,) + tail, coeff * c))
         return {m: c for m, c in result.items() if c != field.zero}
 
-    def _pbw(self, seq):
-        """straighten(seq), computed once per sequence for this oracle."""
-        out = self._straightened.get(seq)
-        if out is None:
-            out = self._straightened[seq] = self.straighten(seq)
-        return out
-
     def product(self, X, Y):
-        """X·Y.  Each left coefficient splits into its parity halves once;
-        each half contracts with each right coefficient once, and c times
-        that product, with c the PBW coefficients of m1 + m2 (negated for
-        an odd half against an odd right monomial), is added into one
-        terms dict per PBW monomial.  Elements are built at the end."""
-        R = self.R
-        prod, par = R._prod, R.space.parities
-        right = [(m2, r2.terms, self._mono_parity(m2)) for m2, r2 in Y.items()]
-        acc = {}
+        """X·Y: the sum of m1 m2 ⊗ r1' r2 over the terms m1 ⊗ r1 of X and
+        m2 ⊗ r2 of Y, where r1' is r1 moved past m2: r1 itself for an even
+        m2, its grade involution for an odd one.  m1 m2 is straightened
+        into PBW monomials, and algebra.sum_products adds c·r1'·r2 into
+        the coefficient of each monomial with PBW coefficient c."""
+        one = self.pair.field.one
+        right = [(m2, r2, self._mono_parity(m2)) for m2, r2 in Y.items()]
+        pieces = []
         for m1, r1 in X.items():
-            halves = ({}, {})
-            for i, c in r1.terms.items():
-                halves[par[i]][i] = c
-            for m2, t2, p2 in right:
-                for p, half in enumerate(halves):
-                    if not half:
-                        continue
-                    coeff = _contract(prod, half, t2)
-                    if not coeff:
-                        continue
-                    odd = p == 1 and p2 == 1
-                    for mono, c in self._pbw(m1 + m2).items():
-                        _add_scaled(acc.setdefault(mono, {}), -c if odd else c, coeff)
-        out = {}
-        for mono, terms in acc.items():
-            terms = {k: v for k, v in terms.items() if v}
-            if terms:
-                out[mono] = Element._from_terms(R, terms)
-        return out
+            moved = (r1, r1.involution())
+            for m2, r2, p2 in right:
+                r = moved[p2]
+                for mono, c in self.straighten(m1 + m2).items():
+                    pieces.append((mono, r if c == one else r.scale(c), r2))
+        return sum_products(self.R, pieces)
 
     def evaluate(self, tokens):
         acc = self.one()

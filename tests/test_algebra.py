@@ -13,6 +13,7 @@ from superkit.algebra import (
     grassmann,
     ideal_generated_by,
     mat_mul_over,
+    sum_products,
     odd_ideal,
     polynomial_truncation,
     quotient_by_ideal,
@@ -352,6 +353,8 @@ class TestSparseKernel:
         assert x.parity() == dense_parity(x)
         for p in (0, 1):
             assert_sparse(x.homogeneous_part(p), dense_homogeneous_part(x, p))
+        even, odd = x.homogeneous_part(0), x.homogeneous_part(1)
+        assert_sparse(x.involution(), dense_add(even, odd, -1))
         assert x.support() == [i for i, v in enumerate(x.coords) if v]
 
     @KERNEL
@@ -408,12 +411,24 @@ class TestSparseKernel:
 # -- the matrix kernel against linalg.mat_mul over Elements ---------------
 
 
+def shifted_unit_algebra(field):
+    """K[t]/(t^2) on the basis (1 + t, t): the unit is not a basis vector,
+    so no entry is a multiple of the unit basis vector."""
+    one = field.one
+    return SuperAlgebra(
+        field, ["1+t", "t"], [0, 0], [one, -one],
+        {(0, 0): {0: one, 1: one}, (0, 1): {1: one}, (1, 0): {1: one}},
+        check=True, name="K[t]/(t^2), shifted basis",
+    )
+
+
 def _matrix_algebras():
     out = []
     for field in (Q, F3, F5):
         out += [grassmann(field, ["a%d" % i for i in range(1, k + 1)]) for k in range(1, 6)]
         out.append(polynomial_truncation(field, "t", 3))
         out.append(tangent_algebra(field)[0])
+        out.append(shifted_unit_algebra(field))
     return out
 
 
@@ -443,7 +458,8 @@ def random_matrix(data, A, rows, cols, label):
 
 
 class TestMatrixKernel:
-    """mat_mul_over against the entrywise product of linalg.mat_mul."""
+    """mat_mul_over against the entrywise product of linalg.mat_mul, and
+    sum_products against products added one by one."""
 
     @KERNEL
     @given(st.data())
@@ -465,6 +481,26 @@ class TestMatrixKernel:
             assert len(row) == l
             for x in row:
                 assert x.algebra is A and all(x.terms.values())
+
+    @KERNEL
+    @given(st.data())
+    def test_sum_products_matches_added_products(self, data):
+        A = data.draw(st.sampled_from(MATRIX_ALGEBRAS), label="algebra")
+        pieces = [
+            (data.draw(st.sampled_from("pqr"), label="key"),
+             matrix_entry(data, A, "x"), matrix_entry(data, A, "y"))
+            for _ in range(data.draw(st.integers(0, 6), label="pieces"))
+        ]
+        if pieces and data.draw(st.booleans(), label="cancel"):
+            key, x, y = pieces[0]
+            pieces.append((key, -x, y))
+        want = {}
+        for key, x, y in pieces:
+            want[key] = want.get(key, A.zero()) + A.multiply(x, y)
+        got = sum_products(A, pieces)
+        assert got == {key: v for key, v in want.items() if not v.is_zero()}
+        for x in got.values():
+            assert x.algebra is A and all(x.terms.values())
 
     @pytest.mark.parametrize("field", [Q, F3, F5], ids=["Q", "F3", "F5"])
     def test_sums_cancel_to_zero(self, field):
