@@ -174,7 +174,7 @@ class Element:
         if u is not None:
             s = self.terms.get(u)
             if s:
-                s_inv = A.field.one / s
+                s_inv = A.field.inv(s)
                 powers = A.nilpotent_powers(A.unit - self.scale(s_inv))
                 if powers is not None:
                     return reduce(add, powers, A.unit).scale(s_inv)

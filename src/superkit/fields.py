@@ -1,9 +1,14 @@
 """Exact scalar fields: the rationals and prime fields of odd characteristic.
 
-Every computation in this package is exact.  Scalars are either
-``fractions.Fraction`` (characteristic 0) or :class:`FpElement`
-(characteristic p, p an odd prime).  Characteristic 2 is rejected because
-sign rules and the 1/2 appearing in squaring identities need 2 invertible.
+Every computation in this package is exact.  A scalar of the rationals Q
+is a Python ``int`` when it is integral and a ``fractions.Fraction`` only
+otherwise (most scalars met in practice are integers, and int arithmetic
+is several times faster); a scalar of F_p (p an odd prime) is an
+:class:`FpElement`.  Characteristic 2 is rejected because sign rules and
+the 1/2 appearing in squaring identities need 2 invertible.
+
+Division goes through :meth:`Field.inv`: ``1 / x`` for two ints would be
+a float, so no scalar is divided with ``/`` outside this module.
 """
 
 from __future__ import annotations
@@ -130,7 +135,9 @@ def _is_prime(n):
 
 
 class Field:
-    """Common interface: Rationals() or PrimeField(p)."""
+    """Common interface: Rationals() or PrimeField(p).  Each field has
+    zero, one, from_int, from_fraction, inv (1/x, ZeroDivisionError for
+    x = 0) and render."""
 
     def sum(self, xs):
         total = self.zero
@@ -150,14 +157,21 @@ class Field:
 class Rationals(Field):
     char = 0
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def from_fraction(self, fr):
-        return Fraction(fr)
+        fr = Fraction(fr)
+        return fr.numerator if fr.denominator == 1 else fr
+
+    def inv(self, x):
+        """1/x as an int when it is integral (x = ±1 or 1/n), else a Fraction."""
+        if x.numerator in (1, -1):
+            return x.numerator * x.denominator
+        return Fraction(x.denominator, x.numerator)
 
     def render(self, x):
         if x.denominator == 1:
@@ -194,6 +208,9 @@ class PrimeField(Field):
         if fr.denominator % self.p == 0:
             raise FieldError("denominator divisible by %d" % self.p)
         return FpElement(self.p, fr.numerator * pow(fr.denominator, -1, self.p))
+
+    def inv(self, x):
+        return self.one / x
 
     def render(self, x):
         return str(x.v)

@@ -133,7 +133,7 @@ class AdaptedBasis:
                 if p is not None:
                     vecs.append(row)
                     degrees.append(k)
-                    inv = field.one / res[p]
+                    inv = field.inv(res[p])
                     rows.append(tuple(inv * x for x in res))
                     pivots.append(p)
         if len(vecs) != n:

@@ -105,7 +105,8 @@ BUILTIN_PAIRS = {
 
 
 def _parse_scalar(field, s):
-    if isinstance(s, int):
+    # a JSON true or false is no scalar: parse rejects its text
+    if isinstance(s, int) and not isinstance(s, bool):
         return field.from_int(s)
     return field.parse(str(s))
 

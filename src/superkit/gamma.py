@@ -283,7 +283,7 @@ def normalize(pair, R, tokens, strategy="leftmost"):
         else:
             raise GammaError("unknown token %r" % (kind,))
 
-    half = pair.field.one / pair.field.from_int(2)
+    half = pair.field.inv(pair.field.from_int(2))
     steps = 0
     while True:
         steps += 1
@@ -485,7 +485,7 @@ class EnvelopingOracle:
             head, tail = seq[:pos], seq[pos + 2:]
             if a == b:
                 # odd square: z^2 = (1/2)[z,z]
-                half = field.one / field.from_int(2)
+                half = field.inv(field.from_int(2))
                 for idx, c in self.lie.bracket_basis(a, a).items():
                     stack.append((head + (idx,) + tail, coeff * half * c))
             else:

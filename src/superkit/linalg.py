@@ -27,7 +27,7 @@ def rref(rows, field):
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = field.one / rows[rank][col]
+        inv = field.inv(rows[rank][col])
         rows[rank] = [inv * x if x else x for x in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col]:

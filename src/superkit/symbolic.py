@@ -250,7 +250,7 @@ class Reducer:
 
     def _add(self, poly):
         lm = min(poly.terms, key=_lex_key)
-        inv = poly.field.one / poly.terms[lm]
+        inv = poly.field.inv(poly.terms[lm])
         tail = {m: c * inv for m, c in poly.terms.items() if m != lm}
         self.basis.append((lm, Poly(poly.field, tail)))
 

@@ -1,9 +1,20 @@
 import random
 
+import float_guard
 import pytest
 
 from superkit.algebra import Element
 from superkit.fields import PrimeField, Rationals
+
+float_guard.install()
+
+
+@pytest.fixture(autouse=True)
+def no_float_scalars():
+    """Fail a test during which a float, complex or bool scalar was stored."""
+    float_guard.HITS.clear()
+    yield
+    assert not float_guard.HITS, float_guard.HITS[0]
 
 
 @pytest.fixture

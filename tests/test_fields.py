@@ -4,10 +4,15 @@ import io
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
+import float_guard
 import pytest
+from float_guard import FloatScalarError
 
+from superkit.algebra import Element, grassmann
 from superkit.cli import main
 from superkit.fields import FieldError, FpElement, PrimeField, Rationals, _is_prime, parse_field
+from superkit.fixtures import _parse_scalar
+from superkit import linalg
 
 
 def test_parse_field_variants():
@@ -101,3 +106,68 @@ def test_large_prime_field_answers_at_once():
     assert code == 0 and "PASS" in out
     code, _, err = _cli(["--field", "p=%d" % (10 ** 25 + 13), "validate", "gl11"])
     assert code == 2 and err.count("\n") == 1
+
+
+# -- Q scalars are ints unless they need a denominator ----------------------
+
+
+def test_rational_integers_are_ints():
+    Q = Rationals()
+    assert type(Q.zero) is int and type(Q.one) is int
+    assert type(Q.from_int(3)) is int and Q.from_int(3) == 3
+    two = Q.from_fraction(Fraction(4, 2))
+    assert type(two) is int and two == 2
+    assert type(Q.parse("-6/3")) is int and Q.parse("-6/3") == -2
+    assert type(Q.parse("-3/7")) is Fraction
+
+
+@pytest.mark.parametrize("x,want", [
+    (2, Fraction(1, 2)), (-3, Fraction(-1, 3)), (1, 1), (-1, -1),
+    (Fraction(1, 3), 3), (Fraction(-1, 4), -4), (Fraction(2, 3), Fraction(3, 2)),
+    (Fraction(-2, 3), Fraction(-3, 2)), (Fraction(5), Fraction(1, 5)),
+])
+def test_rational_inverse(x, want):
+    got = Rationals().inv(x)
+    assert got == want and x * got == 1
+    assert type(got) is (int if Fraction(want).denominator == 1 else Fraction)
+
+
+def test_inverse_of_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        Rationals().inv(0)
+    with pytest.raises(ZeroDivisionError):
+        Rationals().inv(Fraction(0))
+    F = PrimeField(5)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(F.zero)
+    assert F.inv(F.from_int(2)) * 2 == F.one
+
+
+def test_render_same_for_ints_and_fractions():
+    Q = Rationals()
+    for n in (0, 1, -1, 12, -40):
+        assert Q.render(n) == Q.render(Fraction(n)) == str(n)
+    assert Q.render(Fraction(-3, 7)) == "-3/7"
+    assert Q.render(Fraction(6, 4)) == "3/2"
+
+
+def test_bool_fixture_scalar_is_rejected():
+    with pytest.raises(FieldError):
+        _parse_scalar(Rationals(), True)
+    assert _parse_scalar(Rationals(), 2) == 2
+
+
+def test_float_guard_trips_on_a_float_inverse(monkeypatch):
+    Q = Rationals()
+    R = grassmann(Q, ["a"])
+    x = R.element({"1": 2, "a": 1})
+    assert x.invert() * x == R.unit
+    assert linalg.rref([[2, 1]], Q)[0] == [(1, Fraction(1, 2))]
+    monkeypatch.setattr(Rationals, "inv", lambda self, x: 1 / x)
+    with pytest.raises(FloatScalarError):
+        x.invert()
+    with pytest.raises(FloatScalarError):
+        linalg.rref([[2, 1]], Q)
+    with pytest.raises(FloatScalarError):
+        Element(R, [True, 0])
+    float_guard.HITS.clear()
