@@ -58,11 +58,24 @@ def rmat_mul(R, A, B):
     return mat_mul_over(R, A, B)
 
 
+def _row_over(R, width, pieces):
+    """The row whose entry k is the sum of x·y over the pieces (k, x, y),
+    by algebra.sum_products."""
+    sums = sum_products(R, pieces)
+    return [sums[k] if k in sums else R.zero() for k in range(width)]
+
+
 def rmat_inverse(R, A):
-    """Gaussian elimination; pivots must be invertible in R (R local here)."""
+    """Gaussian elimination; pivots must be invertible in R (R local here).
+
+    Row operations act from the left.  The pivot row is scaled and each
+    other row updated by one algebra.sum_products call, over the nonzero
+    entries only, so the zeros of the identity half cost nothing and a c·1
+    factor scales instead of multiplying."""
     n = len(A)
     ident = rmat_identity(R, n)
     aug = [list(row) + ident[i] for i, row in enumerate(A)]
+    unit = R.unit
     for col in range(n):
         piv, piv_inv = None, None
         for r in range(col, n):
@@ -75,12 +88,18 @@ def rmat_inverse(R, A):
         if piv is None:
             raise GammaError("even part is not invertible over R")
         aug[col], aug[piv] = aug[piv], aug[col]
-        aug[col] = [R.multiply(piv_inv, x) for x in aug[col]]
+        aug[col] = _row_over(
+            R, 2 * n, ((k, piv_inv, y) for k, y in enumerate(aug[col]) if y.terms)
+        )
+        prow = [(k, y) for k, y in enumerate(aug[col]) if y.terms]
         for r in range(n):
-            if r != col:
-                c = aug[r][col]
-                if not c.is_zero():
-                    aug[r] = [x - R.multiply(c, y) for x, y in zip(aug[r], aug[col])]
+            c = aug[r][col]
+            if r != col and c.terms:
+                neg = -c
+                aug[r] = _row_over(R, 2 * n, [
+                    *((k, x, unit) for k, x in enumerate(aug[r]) if x.terms),
+                    *((k, neg, y) for k, y in prow),
+                ])
     return [row[n:] for row in aug]
 
 

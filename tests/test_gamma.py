@@ -1,9 +1,11 @@
+from functools import lru_cache
 from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from superkit import gamma as G
-from superkit.algebra import Element, grassmann
+from superkit.algebra import AlgebraError, Element, grassmann
 from superkit.fields import PrimeField, Rationals
 from superkit.fixtures import gl11_pair, gl21_pair
 from superkit.hcp import pseudoabelian_example
@@ -184,6 +186,74 @@ class TestMatrixHelpers:
     def test_singular_rejected(self, R):
         with pytest.raises(G.GammaError):
             G.rmat_inverse(R, [[R.zero(), R.zero()], [R.zero(), R.unit]])
+
+
+def rmat_inverse_by_multiply(R, A):
+    """Referee for gamma.rmat_inverse: the same Gauss-Jordan elimination
+    with one R.multiply per entry, zeros and c·1 entries included."""
+    n = len(A)
+    ident = G.rmat_identity(R, n)
+    aug = [list(row) + ident[i] for i, row in enumerate(A)]
+    for col in range(n):
+        piv, piv_inv = None, None
+        for r in range(col, n):
+            try:
+                piv_inv = aug[r][col].invert()
+                piv = r
+                break
+            except AlgebraError:
+                continue
+        if piv is None:
+            raise G.GammaError("even part is not invertible over R")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [R.multiply(piv_inv, x) for x in aug[col]]
+        for r in range(n):
+            if r != col:
+                c = aug[r][col]
+                if not c.is_zero():
+                    aug[r] = [x - R.multiply(c, y) for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+@lru_cache(maxsize=None)
+def _lambda(field_name, k):
+    return grassmann(FIELDS[field_name], ["a%d" % i for i in range(1, k + 1)])
+
+
+@st.composite
+def matrix_over_lambda(draw):
+    """A square matrix over Λ(2..5), Q, F3 or F5: field entries on the unit,
+    often zero off the diagonal, plus a few nilpotent terms of any parity."""
+    R = _lambda(draw(st.sampled_from(sorted(FIELDS))), draw(st.integers(2, 5)))
+    field, n = R.field, draw(st.integers(1, 3))
+    small = st.integers(-2, 2)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            terms = {0: draw(st.sampled_from([1, -1, 2, 0] if i == j else [0, 0, 1, -2]))}
+            for _ in range(draw(st.integers(0, 3))):
+                terms[draw(st.integers(1, R.dim - 1))] = draw(small)
+            row.append(Element(R, [field.from_int(terms.get(t, 0)) for t in range(R.dim)]))
+        rows.append(row)
+    return R, rows
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(data=matrix_over_lambda())
+def test_rmat_inverse_matches_elimination_referee(data):
+    R, A = data
+    try:
+        want = rmat_inverse_by_multiply(R, A)
+    except G.GammaError:
+        event("singular")
+        with pytest.raises(G.GammaError):
+            G.rmat_inverse(R, A)
+        return
+    event("invertible")
+    got = G.rmat_inverse(R, A)
+    assert got == want
+    assert G.rmat_mul(R, A, got) == G.rmat_identity(R, len(A))
 
 
 PAIR_BUILDERS = {
