@@ -507,6 +507,8 @@ def mutated_fixture(draw, fields=FUZZED_FIXTURES, deeper=st.integers(0, 3)):
     data = _fixture_data(name)
     for _ in range(draw(st.integers(1, 2))):
         parent, key = data, draw(st.sampled_from(fields[name]))
+        if key not in parent:  # dropped by the first mutation
+            continue
         node = parent[key]
         while isinstance(node, (dict, list)) and node and draw(deeper):
             parent, key = node, draw(st.sampled_from(
@@ -544,11 +546,18 @@ def test_fuzzed_fixture_fields_exit_cleanly(fuzz_dir, mutated, field):
 
 
 FUZZED_PAIR_FIELDS = {
-    "gl11.pair.json": ["lie_basis", "bracket_vv", "module_matrices", "row_parities"],
+    "gl11.pair.json": ["lie_basis", "bracket_vv", "module_matrices", "row_parities",
+                       "closed_conditions", "generic_points"],
+    "pseudoabelian.pair.json": ["closed_conditions", "generic_points", "action"],
+}
+# a word with e-, f- and (for pseudoabelian) g-tokens on each pair's module
+PAIR_WORDS = {
+    "gl11.pair.json": "e(a1,v+) e(a2,v-) f(a1*a2,x1) e(a3,v+)",
+    "pseudoabelian.pair.json": "e(a2,phi1) e(a1,w1) f(a1*a2,x1) g[[1,2],[0,1]] e(a3,phi1)",
 }
 
 
-@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
 @given(
     # mostly down to a leaf, so that scalar edits keep the pair readable
     mutated=mutated_fixture(FUZZED_PAIR_FIELDS, st.sampled_from([1, 1, 1, 0])),
@@ -558,10 +567,9 @@ def test_fuzzed_pair_fields_exit_cleanly(fuzz_dir, mutated, field):
     name, data = mutated
     path = fuzz_dir / name
     path.write_text(json.dumps(data))
-    nf = ["nf", str(path), "e(a1,v+) e(a2,v-) f(a1*a2,x1) e(a3,v+)", "--coeffs",
-          "Lambda(a1,a2,a3)", "--check-oracle"]
+    nf = ["nf", str(path), PAIR_WORDS[name], "--coeffs", "Lambda(a1,a2,a3)", "--check-oracle"]
     for argv in (["validate", str(path)], nf):
         code, err = exit_code(["--field", field] + argv)
-        event("%s exit %s" % (argv[0], code))
+        event("%s %s exit %s" % (name.split(".")[0], argv[0], code))
         assert code in (0, 1, 2), err
         assert "Traceback" not in err
