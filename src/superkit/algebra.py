@@ -460,7 +460,7 @@ class LinearMap:
 class SuperIdeal:
     """A graded two-sided ideal, stored as an echelon Subspace."""
 
-    def __init__(self, algebra, generators, *, close=True):
+    def __init__(self, algebra, generators):
         self.algebra = algebra
         vectors = []
         for g in generators:
@@ -468,10 +468,7 @@ class SuperIdeal:
                 part = g.homogeneous_part(p)
                 if not part.is_zero():
                     vectors.append(part.coords)
-        sub = Subspace(algebra.field, algebra.dim, vectors)
-        if close:
-            sub = self._close(sub)
-        self.sub = sub
+        self.sub = self._close(Subspace(algebra.field, algebra.dim, vectors))
         self._check_ideal()
 
     def _close(self, sub):
@@ -486,7 +483,11 @@ class SuperIdeal:
                         new.append(prod)
             if not new:
                 return sub
-            sub = sub.add_vectors(new)
+            # each round must grow the span, so at most dim A rounds run
+            grown = sub.add_vectors(new)
+            if grown.dim <= sub.dim:
+                raise AlgebraError("ideal closure added vectors but did not grow")
+            sub = grown
 
     def _check_ideal(self):
         A = self.algebra

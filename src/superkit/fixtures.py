@@ -1,5 +1,9 @@
 """Built-in pair fixtures: gl(1|1), gl(2|1) and the pseudoabelian example;
-JSON fixtures; and the named fixtures of the command line."""
+JSON fixtures; and the named fixtures of the command line.
+
+gl(1|1) and gl(2|1) come from one builder, _gl_pair, which derives the
+[V,V] table once, as anticommutators of matrix units; the Lie(G) and [g,V]
+tables are derived once by hcp when the pair is built."""
 
 from __future__ import annotations
 
@@ -11,7 +15,6 @@ from .algebra import (
     DualSuperNumbers, SuperAlgebra, SuperIdeal, grassmann, ground_algebra, odd_ideal,
 )
 from .hcp import (
-    BasisExpander,
     GenericPoint,
     HarishChandraPair,
     MatrixGroupModel,
@@ -21,24 +24,34 @@ from .hcp import (
 from .linalg import mat_bracket
 
 
-def _unit_matrix(field, size, i, j):
-    return [
-        [field.one if (a, b) == (i, j) else field.zero for b in range(size)]
-        for a in range(size)
-    ]
-
-
-def _anticommutator_table(field, lie_basis, module_matrices):
-    """bracket_VV for matrix fixtures: [v,w] = vw + wv expanded in Lie basis."""
-    exp = BasisExpander(field, [_flatten(m) for m in lie_basis])
-    table = {}
-    for i, Mi in enumerate(module_matrices):
-        for j, Mj in enumerate(module_matrices):
-            anti = mat_bracket(Mi, Mj, -field.one)
-            coords = exp.coords_field(_flatten(anti))
-            if any(c != field.zero for c in coords):
-                table[(i, j)] = tuple(coords)
-    return table
+def _gl_pair(field, m, n, labels, point, group_name, name):
+    """The pair of gl(m|n) on its (m+n)x(m+n) matrix units in row-major
+    order: the even units span Lie(G), the odd units are V (labelled by
+    labels), G is cut out by m_i_j = 0 at the odd positions and takes the
+    generic point, and [V,V] is the anticommutator expanded with the
+    group's own lie_expander.  [g,V] is derived by HarishChandraPair."""
+    size = m + n
+    parities = [0] * m + [1] * n
+    even, odd = [], []
+    for i in range(size):
+        for j in range(size):
+            unit = [[field.one if (a, b) == (i, j) else field.zero for b in range(size)]
+                    for a in range(size)]
+            (odd if parities[i] != parities[j] else even).append(((i, j), unit))
+    group = MatrixGroupModel(
+        field, size, ["m_%d_%d" % ij for ij, _ in odd], [M for _, M in even], [point],
+        name=group_name,
+    )
+    module = [M for _, M in odd]
+    vv = {}
+    for i, Mi in enumerate(module):
+        for j, Mj in enumerate(module):
+            coords = group.lie_expander.coords_field(_flatten(mat_bracket(Mi, Mj, -field.one)))
+            if any(coords):
+                vv[(i, j)] = coords
+    return HarishChandraPair(
+        group, labels, vv, module_matrices=module, row_parities=parities, name=name
+    )
 
 
 def gl11_pair(field):
@@ -48,16 +61,7 @@ def gl11_pair(field):
         [["alpha_i", 0], [0, "delta_i"]],
         ["alpha*alpha_i - 1", "delta*delta_i - 1"],
     )
-    lie = [_unit_matrix(field, 2, 0, 0), _unit_matrix(field, 2, 1, 1)]
-    group = MatrixGroupModel(
-        field, 2, ["m_0_1", "m_1_0"], lie, [point], name="GL1xGL1"
-    )
-    module = [_unit_matrix(field, 2, 0, 1), _unit_matrix(field, 2, 1, 0)]
-    vv = _anticommutator_table(field, lie, module)
-    return HarishChandraPair(
-        group, ["v+", "v-"], vv, module_matrices=module, row_parities=(0, 1),
-        name="gl11",
-    )
+    return _gl_pair(field, 1, 1, ["v+", "v-"], point, "GL1xGL1", "gl11")
 
 
 def gl21_pair(field):
@@ -67,26 +71,7 @@ def gl21_pair(field):
         [["d*T", "-b*T", 0], ["-c*T", "a*T", 0], [0, 0, "u_i"]],
         ["(a*d - b*c)*T - 1", "u*u_i - 1"],
     )
-    lie = [
-        _unit_matrix(field, 3, 0, 0),
-        _unit_matrix(field, 3, 0, 1),
-        _unit_matrix(field, 3, 1, 0),
-        _unit_matrix(field, 3, 1, 1),
-        _unit_matrix(field, 3, 2, 2),
-    ]
-    closed = ["m_0_2", "m_1_2", "m_2_0", "m_2_1"]
-    group = MatrixGroupModel(field, 3, closed, lie, [point], name="GL2xGL1")
-    module = [
-        _unit_matrix(field, 3, 0, 2),
-        _unit_matrix(field, 3, 1, 2),
-        _unit_matrix(field, 3, 2, 0),
-        _unit_matrix(field, 3, 2, 1),
-    ]
-    vv = _anticommutator_table(field, lie, module)
-    return HarishChandraPair(
-        group, ["v13", "v23", "v31", "v32"], vv, module_matrices=module,
-        row_parities=(0, 0, 1), name="gl21",
-    )
+    return _gl_pair(field, 2, 1, ["v13", "v23", "v31", "v32"], point, "GL2xGL1", "gl21")
 
 
 BUILTIN_PAIRS = {
@@ -112,7 +97,8 @@ def _parse_scalar(field, s):
 
 
 def _typed(value, kind, what):
-    if not isinstance(value, kind):
+    # JSON true and false are ints to isinstance, and never what is meant
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError("%s has the wrong type" % what)
     return value
 
@@ -390,7 +376,7 @@ def resolve_filtered(field, spec):
     if m:
         D = DualSuperNumbers(ground_algebra(field)).factor
         gens = [D.basis_element(1), D.basis_element(2)]
-        return adic_filtration(D, SuperIdeal(D, gens, close=True))
+        return adic_filtration(D, SuperIdeal(D, gens))
     if os.path.exists(spec):
         A = load_fixture(field, spec)
         if not isinstance(A, SuperAlgebra):

@@ -103,19 +103,32 @@ def rmat_inverse(R, A):
     return [row[n:] for row in aug]
 
 
+def _unit_plus(R, a, M):
+    """I + a·M over R for a field matrix M, over the nonzero entries of M."""
+    out = rmat_identity(R, len(M))
+    for i, row in enumerate(M):
+        for j, x in enumerate(row):
+            if x:
+                out[i][j] = out[i][j] + a.scale(x)
+    return out
+
+
+def _lift(R, hmat):
+    """The matrix of a g token as rows over R; field entries are lifted."""
+    hmat = [list(r) for r in hmat]
+    if hmat and not isinstance(hmat[0][0], Element):
+        hmat = _lift_field_matrix(R, hmat)
+    return hmat
+
+
 def f_matrix(pair, R, b, lie_coords):
     """I + b·X for X = sum lie_coords_k X_k (field coordinates)."""
     n = pair.group.size
-    out = rmat_identity(R, n)
-    for k, c in enumerate(lie_coords):
-        if not c:
-            continue
-        X = pair.group.lie_basis[k]
-        for i in range(n):
-            for j in range(n):
-                if X[i][j]:
-                    out[i][j] = out[i][j] + b.scale(c * X[i][j])
-    return out
+    X = [[pair.field.zero] * n for _ in range(n)]
+    for c, Xk in zip(lie_coords, pair.group.lie_basis):
+        if c:
+            X = [[x + c * y for x, y in zip(row, krow)] for row, krow in zip(X, Xk)]
+    return _unit_plus(R, b, X)
 
 
 class GammaElement:
@@ -289,10 +302,7 @@ def normalize(pair, R, tokens, strategy="leftmost"):
                 raise GammaError("bad f-coefficient")
             word = absorb_f(b, tuple(lie_coords), word)
         elif kind == "g":
-            _, hmat = tok
-            hmat = [list(r) for r in hmat]
-            if hmat and not isinstance(hmat[0][0], Element):
-                hmat = _lift_field_matrix(R, hmat)
+            hmat = _lift(R, tok[1])
             if hmat == ident:
                 word = _conjugate_chain_f(pair, R, word, None, ())
             else:
@@ -355,8 +365,7 @@ def inverse(u):
 def conjugate(gmat, u):
     """g u g^{-1} for an even group point g (field or R entries)."""
     R = u.R
-    if gmat and not isinstance(gmat[0][0], Element):
-        gmat = _lift_field_matrix(R, gmat)
+    gmat = _lift(R, gmat)
     if not u.pair.group.membership_over(R, gmat):
         raise GammaError("conjugator fails the membership predicate")
     ginv = rmat_inverse(R, gmat)
@@ -458,7 +467,7 @@ class EnvelopingOracle:
     def __init__(self, pair, R):
         self.pair = pair
         self.R = R
-        self.lie = pair.assembled_lie(check=False)
+        self.lie = pair.assembled_lie()
         self.parities = self.lie.space.parities
 
     def one(self):
@@ -562,14 +571,10 @@ def _candidate_twists(pair):
 
 
 def _e_matrix(pair, R, a, idx, twist):
-    n = pair.group.size
-    out = rmat_identity(R, n)
+    """I + a·M over R for the module matrix M of v_idx, column j of M
+    scaled by twist[j]."""
     M = pair.module_matrices[idx]
-    for i in range(n):
-        for j in range(n):
-            if M[i][j] != pair.field.zero:
-                out[i][j] = out[i][j] + a.scale(M[i][j] * twist[j])
-    return out
+    return _unit_plus(R, a, [[x * s for x, s in zip(row, twist)] for row in M])
 
 
 def calibrate_supermatrix(pair):
@@ -623,11 +628,7 @@ def oracle_supermatrix(arg, tokens=None, R=None):
             _, b, lie_coords = tok
             acc = rmat_mul(R, acc, f_matrix(pair, R, b, lie_coords))
         elif kind == "g":
-            _, hmat = tok
-            hmat = [list(r) for r in hmat]
-            if hmat and not isinstance(hmat[0][0], Element):
-                hmat = _lift_field_matrix(R, hmat)
-            acc = rmat_mul(R, acc, hmat)
+            acc = rmat_mul(R, acc, _lift(R, tok[1]))
         else:
             raise GammaError("unknown token %r" % (kind,))
     return [tuple(row) for row in acc]

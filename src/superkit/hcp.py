@@ -11,6 +11,21 @@ Lie(G); and the induced Lie(G) action on V.  Conditions checked:
   (c) [v,v]·v = 0 expanded over formal commuting coefficients (the cubic
       identity; valid uniformly, including characteristic 3).
 
+Each structure table is derived once, when the group or pair is built,
+and read everywhere else:
+
+  Lie(G) structure constants  MatrixGroupModel.lie_table, by the check that
+                              the Lie basis closes under the commutator;
+  [g,V]                       HarishChandraPair: the commutators [X_k, M_i]
+                              of the module matrices, or the caller's table
+                              when the action is a polynomial matrix;
+  [V,V]                       the caller's table (fixtures._gl_pair derives
+                              it for gl(m|n));
+  rho(X_k)                    linear_action: the transposed [g,V] table for
+                              module matrices, the eps-derivative of the
+                              action otherwise;
+  Lie(G) ⊕ V                  assembled_lie, from the three tables.
+
 Also: the largest R-subordinated submodule W_R by fixpoint iteration,
 the radical data (W_R, Lie(H_R)), the pseudoabelian example, and the
 exactness condition checks for short sequences of pairs.
@@ -63,8 +78,7 @@ class GenericPoint:
 
 
 class MatrixGroupModel:
-    def __init__(self, field, size, closed_conditions, lie_basis, generic_points,
-                 *, name=None, check=True):
+    def __init__(self, field, size, closed_conditions, lie_basis, generic_points, *, name=None):
         self.field = field
         self.size = size
         self.name = name
@@ -76,8 +90,7 @@ class MatrixGroupModel:
         self.lie_basis = [tuple(tuple(x) for x in m) for m in lie_basis]
         self.generic_points = [pt.over(field) for pt in generic_points]
         self.lie_expander = BasisExpander(field, [_flatten(m) for m in self.lie_basis])
-        if check:
-            self._check_model()
+        self._check_model()
 
     @property
     def lie_dim(self):
@@ -110,11 +123,13 @@ class MatrixGroupModel:
                 for j, x in enumerate(row):
                     if not red.is_zero(x - one if i == j else x):
                         raise HCPError("generic point inverse is wrong")
-        # Lie basis closes under the commutator
-        for X in self.lie_basis:
-            for Y in self.lie_basis:
-                comm = mat_bracket(X, Y, field.one)
-                self.lie_expander.coords_field(_flatten(comm))
+        # the structure constants: lie_table[a][b] holds the Lie coordinates
+        # of [X_a, X_b]; coords_field raises when the basis does not close
+        self.lie_table = [
+            [self.lie_expander.coords_field(_flatten(mat_bracket(X, Y, field.one)))
+             for Y in self.lie_basis]
+            for X in self.lie_basis
+        ]
 
     def membership_over(self, R, gmat):
         """All closed conditions vanish at a matrix with entries in R."""
@@ -164,19 +179,29 @@ class HarishChandraPair:
         self._linear_action = None
         t = len(self.module_labels)
         if module_matrices is not None:
+            if bracket_gv != "conjugation":
+                raise HCPError("module matrices derive bracket_gV; no table may be given")
             self.mode = "conjugation"
             self.module_matrices = [tuple(tuple(x) for x in m) for m in module_matrices]
             self.module_expander = BasisExpander(
                 self.field, [_flatten(m) for m in self.module_matrices]
             )
+            # [X_k, M_i] in module coordinates, the one derivation of [g,V]
+            bracket_gv = {
+                (k, i): self.module_expander.coords_field(
+                    _flatten(mat_bracket(X, M, self.field.one)))
+                for k, X in enumerate(group.lie_basis)
+                for i, M in enumerate(self.module_matrices)
+            }
         else:
+            if bracket_gv == "conjugation":
+                raise HCPError("derived bracket_gV needs a matrix module realization")
             self.mode = "matrix"
             if action_expr is None:
                 action_expr = [[int(i == j) for j in range(t)] for i in range(t)]
             self.action_expr = [
                 [Poly.read(self.field, e, group.entry_names) for e in row] for row in action_expr
             ]
-        zero_lie = tuple([self.field.zero] * group.lie_dim)
         self._vv = {}
         for (i, j), coords in bracket_vv.items():
             self._vv[(i, j)] = tuple(coords)
@@ -184,24 +209,12 @@ class HarishChandraPair:
         for (i, j) in list(self._vv):
             if (j, i) not in self._vv:
                 self._vv[(j, i)] = self._vv[(i, j)]
-        self._zero_lie = zero_lie
-        if bracket_gv == "conjugation":
-            if self.mode != "conjugation":
-                raise HCPError("derived bracket_gV needs a matrix module realization")
-            bracket_gv = {
-                (k, i): self._module_bracket(X, M)
-                for k, X in enumerate(group.lie_basis)
-                for i, M in enumerate(self.module_matrices)
-            }
+        self._zero_lie = tuple([self.field.zero] * group.lie_dim)
         self._gv = {k: tuple(v) for k, v in bracket_gv.items()}
 
     @property
     def t(self):
         return len(self.module_labels)
-
-    def _module_bracket(self, X, M):
-        """Module coordinates of the matrix commutator [X, M]."""
-        return self.module_expander.coords_field(_flatten(mat_bracket(X, M, self.field.one)))
 
     @property
     def lie_dim(self):
@@ -213,25 +226,21 @@ class HarishChandraPair:
     def gv(self, k, i):
         return self._gv.get((k, i), tuple([self.field.zero] * self.t))
 
+    def _combine(self, coeffs, rows, width):
+        """sum c·row over the nonzero coefficients c and their rows."""
+        out = [self.field.zero] * width
+        for c, row in zip(coeffs, rows):
+            if c:
+                out = [x + c * s for x, s in zip(out, row)]
+        return tuple(out)
+
     def apply_gv(self, lie_coords, i):
         """[x, v_i] in V coordinates for x given in Lie coordinates."""
-        out = [self.field.zero] * self.t
-        for k, c in enumerate(lie_coords):
-            if c == self.field.zero:
-                continue
-            for m, s in enumerate(self.gv(k, i)):
-                out[m] = out[m] + c * s
-        return tuple(out)
+        return self._combine(lie_coords, (self.gv(k, i) for k in range(self.lie_dim)), self.t)
 
     def apply_vv(self, v_coords, j):
         """[w, v_j] in Lie coordinates for w given in V coordinates."""
-        out = [self.field.zero] * self.lie_dim
-        for i, c in enumerate(v_coords):
-            if c == self.field.zero:
-                continue
-            for m, s in enumerate(self.vv(i, j)):
-                out[m] = out[m] + c * s
-        return tuple(out)
+        return self._combine(v_coords, (self.vv(i, j) for i in range(self.t)), self.lie_dim)
 
     # -- symbolic action ------------------------------------------------
 
@@ -268,16 +277,15 @@ class HarishChandraPair:
         rho(X_k) is the derivative of the action at I along X_k, the
         eps-coefficient of rho(I + eps X_k) over K[eps]/eps^2.  The action
         is polynomial in the group entries, so for X = sum c_k X_k and
-        b^2 = 0, rho(I + bX) = rho(I) + b sum c_k rho(X_k) exactly."""
+        b^2 = 0, rho(I + bX) = rho(I) + b sum c_k rho(X_k) exactly.  By
+        conjugation the eps-coefficient of (I + eps X) M (I - eps X) is
+        [X, M], so rho(X_k) is read off the [g,V] table."""
         if self._linear_action is None:
             field = self.field
             if self.mode == "conjugation":
-                # the eps-coefficient of (I + eps X) M (I - eps X) is [X, M]
                 rho_one = identity_matrix(self.t, field)
-                rho_x = [
-                    transpose([self._module_bracket(X, M) for M in self.module_matrices])
-                    for X in self.group.lie_basis
-                ]
+                rho_x = [transpose([self.gv(k, i) for i in range(self.t)])
+                         for k in range(self.lie_dim)]
             else:
                 E = polynomial_truncation(field, "eps", 2)
                 eps = E.basis_element(1)
@@ -300,10 +308,10 @@ class HarishChandraPair:
 
     # -- assembled Lie superalgebra -------------------------------------
 
-    def assembled_lie(self, *, check=True):
-        """Lie(G) ⊕ V as a Lie superalgebra, built once per pair.  With
-        check=True every call runs the axiom sweep and raises LieError
-        when it fails."""
+    def assembled_lie(self):
+        """Lie(G) ⊕ V as a Lie superalgebra, built once per pair from the
+        stored tables: lie_table, [g,V] and [V,V].  validate_pair runs its
+        axiom sweep."""
         from .liesuper import LieSuperAlgebra
 
         if self._lie is None:
@@ -319,10 +327,8 @@ class HarishChandraPair:
                 if terms:
                     brackets[(i, j)] = terms
 
-            for a in range(l):
-                for b in range(l):
-                    comm = mat_bracket(g.lie_basis[a], g.lie_basis[b], field.one)
-                    coords = g.lie_expander.coords_field(_flatten(comm))
+            for a, row in enumerate(g.lie_table):
+                for b, coords in enumerate(row):
                     put(a, b, list(coords) + [field.zero] * t)
             for k in range(l):
                 for i in range(t):
@@ -333,8 +339,6 @@ class HarishChandraPair:
                 for j in range(t):
                     put(l + i, l + j, list(self.vv(i, j)) + [field.zero] * t)
             self._lie = LieSuperAlgebra(field, labels, parities, brackets, check=False)
-        if check:
-            self._lie.require_axioms()
         return self._lie
 
 
@@ -398,7 +402,7 @@ def validate_pair(pair):
 
     if report.holds:
         try:
-            lie_rep = pair.assembled_lie(check=False).check_axioms()
+            lie_rep = pair.assembled_lie().check_axioms()
             if not lie_rep.holds:
                 for f in lie_rep.failures:
                     report.fail("assembled Lie superalgebra: %s" % f)
@@ -428,52 +432,32 @@ class Submodule:
         return True
 
 
+def _kernel(field, n, blocks):
+    """The x in K^n with sum_i x_i·cols[i] = 0 for every list cols of n
+    columns in blocks, as a Subspace."""
+    rows = [row for cols in blocks for row in transpose(cols) if any(row)]
+    return Subspace(field, n, nullspace(rows, field, n))
+
+
 def subordinated_closure(pair, lie_r):
     """Largest submodule with [W,V] in Lie(R) and [[W,V],V] in W, by fixpoint.
 
     lie_r: Subspace of Lie(G) coordinates.  Stabilizes in at most dim V
     steps; both containments are re-verified on the result.
     """
-    field = pair.field
-    t = pair.t
-
-    # W0 = {w : [w, V] subset Lie(R)}
-    constraints = []
-    for j in range(t):
-        # residue of [v_i, v_j] modulo lie_r, as rows of coefficients in w_i
-        cols = [lie_r.reduce(pair.vv(i, j)) for i in range(t)]
-        for m in range(pair.lie_dim):
-            row = [cols[i][m] for i in range(t)]
-            if any(c != field.zero for c in row):
-                constraints.append(row)
-    if constraints:
-        W = Subspace(field, t, nullspace(constraints, field, t))
-    else:
-        W = Subspace(field, t, identity_matrix(t, field))
-
-    steps = 0
-    while True:
-        constraints = []
-        for j in range(t):
-            for k in range(t):
-                cols = [
-                    W.reduce(pair.apply_gv(pair.vv(i, j), k)) for i in range(t)
-                ]
-                for m in range(t):
-                    row = [cols[i][m] for i in range(t)]
-                    if any(c != field.zero for c in row):
-                        constraints.append(row)
-        if constraints:
-            cut = Subspace(field, t, nullspace(constraints, field, t))
-            new = W.intersect(cut)
-        else:
-            new = W
+    field, t = pair.field, pair.t
+    # W0 = {w : [w, V] in Lie(R)}: column i is the residue of [v_i, v_j]
+    W = _kernel(field, t, ([lie_r.reduce(pair.vv(i, j)) for i in range(t)] for j in range(t)))
+    for _ in range(t + 1):
+        new = W.intersect(_kernel(field, t, (
+            [W.reduce(pair.apply_gv(pair.vv(i, j), k)) for i in range(t)]
+            for j in range(t) for k in range(t)
+        )))
         if new == W:
             break
         W = new
-        steps += 1
-        if steps > t:
-            raise HCPError("fixpoint failed to stabilize within dim V steps")
+    else:
+        raise HCPError("fixpoint failed to stabilize within dim V steps")
 
     for row in W.rows:
         brs = [pair.apply_vv(row, j) for j in range(t)]
@@ -485,33 +469,13 @@ def subordinated_closure(pair, lie_r):
 
 
 def r_radical(pair, lie_r):
-    """(W_R, Lie(H_R)) with Lie(H_R) = {x in Lie(R) : x·V in W_R}."""
-    field = pair.field
-    W = subordinated_closure(pair, lie_r)
+    """(W_R, Lie(H_R)) with Lie(H_R) = {x in Lie(R) : x·V in W_R}: Lie(R)
+    meets the kernel of x -> ([x, v_j] mod W_R)_j."""
     t = pair.t
-    # parametrize x over lie_r's basis and constrain [x, v_j] into W
-    constraints = []
-    for j in range(t):
-        cols = [
-            W.sub.reduce(pair.apply_gv(row, j)) for row in lie_r.rows
-        ]
-        for m in range(t):
-            row = [cols[s][m] for s in range(len(lie_r.rows))]
-            if any(c != field.zero for c in row):
-                constraints.append(row)
-    if lie_r.dim == 0:
-        lie_hr = Subspace(field, pair.lie_dim)
-    elif constraints:
-        sols = nullspace(constraints, field, lie_r.dim)
-        vecs = []
-        for sol in sols:
-            v = [field.zero] * pair.lie_dim
-            for c, row in zip(sol, lie_r.rows):
-                v = [a + c * b for a, b in zip(v, row)]
-            vecs.append(v)
-        lie_hr = Subspace(field, pair.lie_dim, vecs)
-    else:
-        lie_hr = Subspace(field, pair.lie_dim, lie_r.rows)
+    W = subordinated_closure(pair, lie_r)
+    lie_hr = lie_r.intersect(_kernel(pair.field, pair.lie_dim, (
+        [W.sub.reduce(pair.gv(k, j)) for k in range(pair.lie_dim)] for j in range(t)
+    )))
     # [W_R, V] must land in Lie(H_R)
     for row in W.sub.rows:
         for j in range(t):

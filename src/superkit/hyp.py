@@ -87,7 +87,7 @@ def dual_hopf(H, *, check=True):
 def counit_kernel_ideal(A, eps):
     """The ideal generated by ker(eps) (eps given as a coordinate row)."""
     vecs = nullspace([list(eps)], A.field, A.dim)
-    return SuperIdeal(A, [Element(A, v) for v in vecs], close=True)
+    return SuperIdeal(A, [Element(A, v) for v in vecs])
 
 
 def augmentation_filtration(H):

@@ -194,7 +194,7 @@ def validate_pair(pair):
 
     if report.holds:
         try:
-            lie_rep = pair.assembled_lie(check=False).check_axioms()
+            lie_rep = pair.assembled_lie().check_axioms()
             if not lie_rep.holds:
                 for f in lie_rep.failures:
                     report.fail("assembled Lie superalgebra: %s" % f)

@@ -343,7 +343,7 @@ def test_03_group_axioms():
 def test_04_tangent_bracket_full_sweep():
     for mk in (gl11_pair, gl21_pair):
         pair = mk(Q)
-        lie = pair.assembled_lie(check=False)
+        lie = pair.assembled_lie()
         n = lie.dim
         for i in range(n):
             for j in range(n):

@@ -9,6 +9,7 @@ from superkit.algebra import (
     DualSuperNumbers,
     Element,
     SuperAlgebra,
+    SuperIdeal,
     first_non_multiplicative,
     grassmann,
     ideal_generated_by,
@@ -22,7 +23,7 @@ from superkit.algebra import (
 )
 from superkit.fields import PrimeField, Rationals
 from superkit.gamma import tangent_algebra
-from superkit.linalg import dense, mat_mul, solve, transpose
+from superkit.linalg import Subspace, dense, mat_mul, solve, transpose
 
 from conftest import random_element
 
@@ -141,6 +142,27 @@ class TestIdealsAndQuotients:
             assert proj.apply(A.multiply(x, y)) == Qa.multiply(
                 proj.apply(x), proj.apply(y)
             )
+
+    def test_closure_that_does_not_grow_raises(self, monkeypatch):
+        """A round that adds vectors but leaves the span as it was cannot
+        reach a fixpoint: _close raises instead of looping."""
+
+        class Looping(Exception):
+            pass
+
+        calls = []
+
+        def stuck(self, vectors):
+            calls.append(vectors)
+            if len(calls) > 5:
+                raise Looping
+            return self
+
+        A = grassmann(Q, ["a", "b"])
+        monkeypatch.setattr(Subspace, "add_vectors", stuck)
+        with pytest.raises(AlgebraError, match="did not grow"):
+            SuperIdeal(A, [A.element({"a": 1})])
+        assert len(calls) == 1
 
 
 def idempotent_algebra(field):

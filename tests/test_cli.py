@@ -56,6 +56,14 @@ class TestNormalForm:
         assert code == 0
         assert "oracle: ok" in out
 
+    def test_fractional_coefficient_with_oracle(self, capsys):
+        code, out, _ = run(capsys, ["nf", "gl11", "--coeffs", "Lambda(a1,a2)",
+                                    "e(1/2*a1,v-) e(a2,v+)", "--check-oracle"])
+        assert code == 0
+        assert "even[0][0] = 1 - 1/2*a1*a2" in out
+        assert "odd v- = 1/2*a1" in out
+        assert "oracle: ok" in out
+
     def test_strategies_same_output(self, capsys):
         out_l = run(capsys, self.ARGS + ["--strategy", "leftmost"])[1]
         out_r = run(capsys, self.ARGS + ["--strategy", "rightmost"])[1]
@@ -149,6 +157,13 @@ class TestHypDecompose:
         )
         assert code == 0
         assert "phi[1]*g1 : 1" in out
+        assert "roundtrip: PASS" in out
+
+    def test_fractional_coordinates(self, capsys):
+        code, out, _ = run(capsys, ["hyp-decompose", "L2", "1/2,0,-2/3,0"])
+        assert code == 0
+        assert "phi[1] : 1/2" in out
+        assert "phi[1]*g2 : -2/3" in out
         assert "roundtrip: PASS" in out
 
     def test_wrong_length(self, capsys):
@@ -307,6 +322,16 @@ class TestMalformedFixture:
                                      _point("relations", "alpha*(alpha_i - 1"), ["validate"]),
         "pair-action-trailing-plus": ("gl11.pair.json", _action("m_0_0 +"), ["validate"]),
         "pair-action-unknown-name": ("gl11.pair.json", _action("alpha"), ["validate"]),
+        # JSON true and false are no integers, wherever an integer is allowed
+        "alg-bool-parities": ("grassmann2.alg.json", _set("parities", [False, True, True, False]),
+                              ["gr"]),
+        "pair-bool-row-parities": ("gl11.pair.json", _set("row_parities", [False, True]),
+                                   ["validate"]),
+        "pair-bool-point-entry": ("gl11.pair.json",
+                                  lambda data: (_point("matrix", True)(data),
+                                                _point("relations", "True*alpha_i - 1")(data)),
+                                  ["validate"]),
+        "pair-bool-relation": ("gl11.pair.json", _point("relations", True), ["validate"]),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from superkit import gamma as G
-from superkit.algebra import AlgebraError, Element, grassmann
+from superkit.algebra import AlgebraError, Element, grassmann, polynomial_truncation
 from superkit.fields import PrimeField, Rationals
 from superkit.fixtures import gl11_pair, gl21_pair
 from superkit.hcp import pseudoabelian_example
@@ -162,7 +162,7 @@ class TestTangentBracket:
 
     def test_gl21_sweep_small(self):
         pair = gl21_pair(Q)
-        lie = pair.assembled_lie(check=False)
+        lie = pair.assembled_lie()
         n = lie.dim
         for i in (1, 5, 6, 8):
             for j in (2, 5, 7, 8):
@@ -309,6 +309,79 @@ class TestClosedFormConjugation:
         for k, X in enumerate(rho_x):
             for i in range(pair.t):
                 assert tuple(X[m][i] for m in range(pair.t)) == pair.gv(k, i)
+
+    @pytest.mark.parametrize("field_name", sorted(FIELDS))
+    @pytest.mark.parametrize("pair_name", ["gl11", "gl21"])
+    def test_lie_action_table_is_eps_derivative(self, pair_name, field_name):
+        """The [g,V] table read by linear_action is the eps-coefficient of
+        rho_over(I + eps X_k) over K[eps]/eps^2, the matrix-mode route."""
+        field = FIELDS[field_name]
+        pair = PAIR_BUILDERS[pair_name](field)
+        E = polynomial_truncation(field, "eps", 2)
+        eps = E.basis_element(1)
+        rho_one, rho_x = pair.linear_action()
+        ident = G.rmat_identity(E, pair.group.size)
+        got = pair.rho_over(E, ident, ident)
+        assert [[x.terms.get(0, field.zero) for x in row] for row in got] == rho_one
+        for X, want in zip(pair.group.lie_basis, rho_x):
+            got = pair.rho_over(E, G._unit_plus(E, eps, X), G._unit_plus(E, -eps, X))
+            assert [[x.terms.get(1, field.zero) for x in row] for row in got] == want
+
+
+def f_matrix_referee(pair, R, b, lie_coords):
+    """I + b·X entry by entry, one scale per Lie basis vector and entry."""
+    n = pair.group.size
+    out = G.rmat_identity(R, n)
+    for k, c in enumerate(lie_coords):
+        if not c:
+            continue
+        X = pair.group.lie_basis[k]
+        for i in range(n):
+            for j in range(n):
+                if X[i][j]:
+                    out[i][j] = out[i][j] + b.scale(c * X[i][j])
+    return out
+
+
+def e_matrix_referee(pair, R, a, idx, twist):
+    """I + a·M·diag(twist) entry by entry for the module matrix M of v_idx."""
+    n = pair.group.size
+    out = G.rmat_identity(R, n)
+    M = pair.module_matrices[idx]
+    for i in range(n):
+        for j in range(n):
+            if M[i][j] != pair.field.zero:
+                out[i][j] = out[i][j] + a.scale(M[i][j] * twist[j])
+    return out
+
+
+class TestUnitPlus:
+    """f_matrix and _e_matrix go through one I + a·M helper; the entry-by-entry
+    builders above are their referees."""
+
+    @pytest.mark.parametrize("field_name", sorted(FIELDS))
+    @pytest.mark.parametrize("pair_name", sorted(PAIR_BUILDERS))
+    def test_f_matrix_matches_referee(self, pair_name, field_name, rng):
+        field = FIELDS[field_name]
+        pair = PAIR_BUILDERS[pair_name](field)
+        R = grassmann(field, ["a1", "a2", "a3", "a4"])
+        for _ in range(10):
+            b = R.multiply(random_odd(rng, R), random_odd(rng, R))
+            lie = tuple(field.from_int(rng.randint(-2, 2)) for _ in range(pair.lie_dim))
+            assert G.f_matrix(pair, R, b, lie) == f_matrix_referee(pair, R, b, lie)
+
+    @pytest.mark.parametrize("field_name", sorted(FIELDS))
+    @pytest.mark.parametrize("pair_name", ["gl11", "gl21"])
+    def test_e_matrix_matches_referee(self, pair_name, field_name, rng):
+        field = FIELDS[field_name]
+        pair = PAIR_BUILDERS[pair_name](field)
+        R = grassmann(field, ["a1", "a2", "a3", "a4"])
+        for twist in G._candidate_twists(pair):
+            for _ in range(5):
+                a = random_odd(rng, R)
+                idx = rng.randrange(pair.t)
+                assert G._e_matrix(pair, R, a, idx, twist) == e_matrix_referee(
+                    pair, R, a, idx, twist)
 
 
 class TestIdentityToken:

@@ -1,10 +1,16 @@
+import os
+import random
+
 import pytest
 import sympy
 
 from superkit.fields import PrimeField, Rationals
-from superkit.fixtures import BUILTIN_PAIRS, gl11_pair, gl21_pair, pair_from_json, pair_to_json
+from superkit.fixtures import (
+    BUILTIN_PAIRS, gl11_pair, gl21_pair, pair_from_json, pair_to_json, resolve_pair,
+)
 from superkit.hcp import (
     HCPError,
+    HarishChandraPair,
     Submodule,
     brute_force_largest_subordinated,
     check_exact_sequence,
@@ -13,10 +19,11 @@ from superkit.hcp import (
     subordinated_closure,
     validate_pair,
 )
-from superkit.linalg import Subspace, identity_matrix
+from superkit.linalg import Subspace, identity_matrix, nullspace
 
 Q = Rationals()
 F5 = PrimeField(5)
+FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "fixtures")
 
 
 def full_lie(pair):
@@ -37,6 +44,12 @@ class TestValidation:
         report = validate_pair(pseudoabelian_example(Q, 2))
         assert report.holds, report.failures
 
+    def test_module_matrices_with_explicit_gv_table_rejected(self):
+        pair = gl11_pair(Q)
+        with pytest.raises(HCPError, match="no table may be given"):
+            HarishChandraPair(pair.group, pair.module_labels, pair._vv,
+                              module_matrices=pair.module_matrices, bracket_gv={})
+
     def test_broken_symmetry_detected(self):
         pair = gl11_pair(Q)
         pair._vv[(0, 1)] = (Q.one, Q.zero)  # no longer matches (1, 0)
@@ -47,7 +60,8 @@ class TestValidation:
 class TestAssembledLie:
     def test_matches_gl_super(self):
         pair = gl11_pair(Q)
-        L = pair.assembled_lie(check=True)
+        L = pair.assembled_lie()
+        L.require_axioms()
         # [v+, v-] = x1 + x2 (= E11 + E22 in the ambient matrices)
         br = L.bracket_basis(2, 3)
         assert br == {0: Q.one, 1: Q.one}
@@ -99,6 +113,85 @@ class TestRadical:
             assert best.dim <= W.sub.dim
             for row in best.rows:
                 assert W.sub.contains(row)
+
+
+def closure_referee(pair, lie_r):
+    """subordinated_closure with every constraint row written out."""
+    field, t = pair.field, pair.t
+    constraints = []
+    for j in range(t):
+        cols = [lie_r.reduce(pair.vv(i, j)) for i in range(t)]
+        for m in range(pair.lie_dim):
+            row = [cols[i][m] for i in range(t)]
+            if any(c != field.zero for c in row):
+                constraints.append(row)
+    W = Subspace(field, t, nullspace(constraints, field, t) if constraints
+                 else identity_matrix(t, field))
+    while True:
+        constraints = []
+        for j in range(t):
+            for k in range(t):
+                cols = [W.reduce(pair.apply_gv(pair.vv(i, j), k)) for i in range(t)]
+                for m in range(t):
+                    row = [cols[i][m] for i in range(t)]
+                    if any(c != field.zero for c in row):
+                        constraints.append(row)
+        if constraints:
+            new = W.intersect(Subspace(field, t, nullspace(constraints, field, t)))
+        else:
+            new = W
+        if new == W:
+            return W
+        W = new
+
+
+def radical_referee(pair, lie_r):
+    """(W_R, Lie(H_R)) with x parametrised over the rows of lie_r and
+    [x, v_j] constrained into W_R."""
+    field, t = pair.field, pair.t
+    W = closure_referee(pair, lie_r)
+    constraints = []
+    for j in range(t):
+        cols = [W.reduce(pair.apply_gv(row, j)) for row in lie_r.rows]
+        for m in range(t):
+            row = [cols[s][m] for s in range(len(lie_r.rows))]
+            if any(c != field.zero for c in row):
+                constraints.append(row)
+    if lie_r.dim == 0:
+        return W, Subspace(field, pair.lie_dim)
+    if not constraints:
+        return W, Subspace(field, pair.lie_dim, lie_r.rows)
+    vecs = []
+    for sol in nullspace(constraints, field, lie_r.dim):
+        v = [field.zero] * pair.lie_dim
+        for c, row in zip(sol, lie_r.rows):
+            v = [a + c * b for a, b in zip(v, row)]
+        vecs.append(v)
+    return W, Subspace(field, pair.lie_dim, vecs)
+
+
+SHIPPED_PAIRS = sorted(BUILTIN_PAIRS) + sorted(
+    "fixtures/" + name for name in os.listdir(FIXTURES) if name.endswith(".pair.json")
+)
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(3), F5], ids=str)
+@pytest.mark.parametrize("spec", SHIPPED_PAIRS)
+def test_radical_matches_referee(spec, field, monkeypatch):
+    monkeypatch.chdir(os.path.dirname(FIXTURES))
+    pair = resolve_pair(field, spec)
+    rng = random.Random("radical %s %s" % (spec, field))
+    l = pair.lie_dim
+    spaces = [full_lie(pair), Subspace(field, l)] + [
+        Subspace(field, l, [[field.from_int(rng.randint(-2, 2)) for _ in range(l)]
+                            for _ in range(rng.randint(0, l))])
+        for _ in range(20)
+    ]
+    for lie_r in spaces:
+        W, lie_hr = r_radical(pair, lie_r)
+        W_ref, hr_ref = radical_referee(pair, lie_r)
+        assert W.sub.rows == W_ref.rows
+        assert lie_hr.rows == hr_ref.rows
 
 
 class TestSubmoduleStability:
