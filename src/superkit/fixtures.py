@@ -1,9 +1,8 @@
 """Built-in pair fixtures: gl(1|1), gl(2|1) and the pseudoabelian example;
 JSON fixtures; and the named fixtures of the command line.
 
-gl(1|1) and gl(2|1) come from one builder, _gl_pair, which derives the
-[V,V] table once, as anticommutators of matrix units; the Lie(G) and [g,V]
-tables are derived once by hcp when the pair is built."""
+gl(1|1) and gl(2|1) come from one builder, _gl_pair, which derives [V,V]
+once from matrix units; hcp derives the Lie(G) and [g,V] tables once."""
 
 from __future__ import annotations
 

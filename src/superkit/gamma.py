@@ -103,13 +103,13 @@ def rmat_inverse(R, A):
     return [row[n:] for row in aug]
 
 
-def _unit_plus(R, a, M):
-    """I + a·M over R for a field matrix M, over the nonzero entries of M."""
-    out = rmat_identity(R, len(M))
-    for i, row in enumerate(M):
-        for j, x in enumerate(row):
-            if x:
-                out[i][j] = out[i][j] + a.scale(x)
+def _unit_plus(R, n, a, entries):
+    """I + a·M over R, n x n, for the field matrix M that is the sum of
+    its entries (i, j, c): one a.scale(c) per entry, so only the nonzero
+    entries of M need be given."""
+    out = rmat_identity(R, n)
+    for i, j, c in entries:
+        out[i][j] = out[i][j] + a.scale(c)
     return out
 
 
@@ -122,13 +122,13 @@ def _lift(R, hmat):
 
 
 def f_matrix(pair, R, b, lie_coords):
-    """I + b·X for X = sum lie_coords_k X_k (field coordinates)."""
-    n = pair.group.size
-    X = [[pair.field.zero] * n for _ in range(n)]
-    for c, Xk in zip(lie_coords, pair.group.lie_basis):
-        if c:
-            X = [[x + c * y for x, y in zip(row, krow)] for row, krow in zip(X, Xk)]
-    return _unit_plus(R, b, X)
+    """I + b·X for X = sum lie_coords_k X_k (field coordinates), from the
+    entries c·X_k[i][j] of the nonzero terms."""
+    return _unit_plus(R, pair.group.size, b, (
+        (i, j, c * x)
+        for c, X in zip(lie_coords, pair.group.lie_basis) if c
+        for i, row in enumerate(X) for j, x in enumerate(row) if x
+    ))
 
 
 class GammaElement:
@@ -574,7 +574,9 @@ def _e_matrix(pair, R, a, idx, twist):
     """I + a·M over R for the module matrix M of v_idx, column j of M
     scaled by twist[j]."""
     M = pair.module_matrices[idx]
-    return _unit_plus(R, a, [[x * s for x, s in zip(row, twist)] for row in M])
+    return _unit_plus(R, len(M), a, (
+        (i, j, x * twist[j]) for i, row in enumerate(M) for j, x in enumerate(row) if x
+    ))
 
 
 def calibrate_supermatrix(pair):

@@ -11,20 +11,13 @@ Lie(G); and the induced Lie(G) action on V.  Conditions checked:
   (c) [v,v]·v = 0 expanded over formal commuting coefficients (the cubic
       identity; valid uniformly, including characteristic 3).
 
-Each structure table is derived once, when the group or pair is built,
-and read everywhere else:
-
-  Lie(G) structure constants  MatrixGroupModel.lie_table, by the check that
-                              the Lie basis closes under the commutator;
-  [g,V]                       HarishChandraPair: the commutators [X_k, M_i]
-                              of the module matrices, or the caller's table
-                              when the action is a polynomial matrix;
-  [V,V]                       the caller's table (fixtures._gl_pair derives
-                              it for gl(m|n));
-  rho(X_k)                    linear_action: the transposed [g,V] table for
-                              module matrices, the eps-derivative of the
-                              action otherwise;
-  Lie(G) ⊕ V                  assembled_lie, from the three tables.
+Each structure table is derived once, when the group or pair is built:
+MatrixGroupModel.lie_table holds the Lie(G) structure constants (its
+closure check computes them); HarishChandraPair derives [g,V] from the
+module matrices, or takes the caller's table with a polynomial action;
+[V,V] is the caller's (fixtures._gl_pair derives it for gl(m|n));
+linear_action reads rho(X_k) off the [g,V] table, or differentiates a
+polynomial action; assembled_lie builds Lie(G) ⊕ V from the three tables.
 
 Also: the largest R-subordinated submodule W_R by fixpoint iteration,
 the radical data (W_R, Lie(H_R)), the pseudoabelian example, and the

@@ -324,7 +324,10 @@ class TestClosedFormConjugation:
         got = pair.rho_over(E, ident, ident)
         assert [[x.terms.get(0, field.zero) for x in row] for row in got] == rho_one
         for X, want in zip(pair.group.lie_basis, rho_x):
-            got = pair.rho_over(E, G._unit_plus(E, eps, X), G._unit_plus(E, -eps, X))
+            def shifted(a):
+                return [[y + a.scale(x) for x, y in zip(row, irow)] for row, irow in zip(X, ident)]
+
+            got = pair.rho_over(E, shifted(eps), shifted(-eps))
             assert [[x.terms.get(1, field.zero) for x in row] for row in got] == want
 
 
