@@ -323,11 +323,12 @@ class TestClosedFormConjugation:
         ident = G.rmat_identity(E, pair.group.size)
         got = pair.rho_over(E, ident, ident)
         assert [[x.terms.get(0, field.zero) for x in row] for row in got] == rho_one
-        for X, want in zip(pair.group.lie_basis, rho_x):
-            def shifted(a):
-                return [[y + a.scale(x) for x, y in zip(row, irow)] for row, irow in zip(X, ident)]
 
-            got = pair.rho_over(E, shifted(eps), shifted(-eps))
+        def shifted(a, X):
+            return [[y + a.scale(x) for x, y in zip(row, irow)] for row, irow in zip(X, ident)]
+
+        for X, want in zip(pair.group.lie_basis, rho_x):
+            got = pair.rho_over(E, shifted(eps, X), shifted(-eps, X))
             assert [[x.terms.get(1, field.zero) for x in row] for row in got] == want
 
 
