@@ -123,6 +123,14 @@ def _each(items, kind, what):
     return items
 
 
+def _parities(items, size, what):
+    """size parities, each 0 or 1 (an integer or its decimal text)."""
+    for p in _each(_sized(items, size, what), (int, str), what):
+        if str(p) not in ("0", "1"):
+            raise ValueError("an entry of %s is not a parity 0 or 1" % what)
+    return [int(p) for p in items]
+
+
 def _scalars(field, items, size, what):
     return [_parse_scalar(field, c) for c in _sized(items, size, what)]
 
@@ -145,7 +153,7 @@ def _key(key, bounds, what):
 def algebra_from_json(field, data):
     labels = _each(_entry(data, "labels"), str, "labels")
     n = len(labels)
-    parities = _each(_sized(_entry(data, "parities"), n, "parities"), (int, str), "parities")
+    parities = _parities(_entry(data, "parities"), n, "parities")
     products = {}
     for key, terms in _entry(data, "products", dict).items():
         products[_key(key, (n, n), "product")] = {
@@ -155,7 +163,7 @@ def algebra_from_json(field, data):
     return SuperAlgebra(
         field,
         labels,
-        [int(p) for p in parities],
+        parities,
         _scalars(field, _entry(data, "unit"), n, "unit"),
         products,
         check=True,
@@ -251,7 +259,7 @@ def pair_from_json(field, data):
     }
     row_parities = data.get("row_parities")
     if row_parities is not None:
-        _each(_sized(row_parities, size, "row_parities"), (int, str), "row_parities")
+        row_parities = _parities(row_parities, size, "row_parities")
     kwargs = {"name": data.get("name"), "row_parities": row_parities}
     if "module_matrices" in data:
         kwargs["module_matrices"] = [

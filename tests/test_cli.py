@@ -283,6 +283,9 @@ def _action(text):
     return mutate
 
 
+PATH = "<fixture path>"
+
+
 class TestMalformedFixture:
     """A malformed fixture name or file exits 2 with one stderr line."""
 
@@ -332,6 +335,12 @@ class TestMalformedFixture:
                                                 _point("relations", "True*alpha_i - 1")(data)),
                                   ["validate"]),
         "pair-bool-relation": ("gl11.pair.json", _point("relations", True), ["validate"]),
+        # a parity is 0 or 1, not any integer read modulo 2
+        "alg-parity-3": ("grassmann2.alg.json", _set("parities", [0, 3, 1, 0]), ["gr"]),
+        "pair-row-parity-2": ("gl11.pair.json", _set("row_parities", [0, 2]), ["validate"]),
+        "pair-row-parity-2-nf": ("gl11.pair.json", _set("row_parities", [0, 2]),
+                                 ["nf", PATH, "e(a1,v-) e(a2,v+)", "--coeffs", "Lambda(a1,a2)",
+                                  "--check-oracle"]),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -346,7 +355,9 @@ class TestMalformedFixture:
                     data = json.load(fh)
                 mutate(data)
                 path.write_text(json.dumps(data))
-            argv = argv + [str(path)]
+            # the path goes where the case puts PATH, else last
+            argv = ([str(path) if a == PATH else a for a in argv] if PATH in argv
+                    else argv + [str(path)])
         code, out, err = run(capsys, argv)
         assert code == 2, err
         assert out == ""
