@@ -22,18 +22,12 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement, permutations
 
-from .algebra import AxiomReport, SuperVectorSpace
+from .algebra import AxiomReport, SuperVectorSpace, _add_scaled
 from .linalg import BasisExpander
 
 
 class LieError(ValueError):
     pass
-
-
-def _accumulate(out, coeff, terms):
-    """out += coeff * terms, both {index: scalar}."""
-    for k, c in terms.items():
-        out[k] = out[k] + coeff * c if k in out else coeff * c
 
 
 class LieSuperAlgebra:
@@ -128,11 +122,11 @@ class LieSuperAlgebra:
                     # super Jacobi: [[x,y],z] = [x,[y,z]] - (-1)^{|x||y|}[y,[x,z]]
                     diff = {}
                     for a, c in ij.items():
-                        _accumulate(diff, c, table.get((a, k), none))
+                        _add_scaled(diff, c, table.get((a, k), none))
                     for b, c in jk.items():
-                        _accumulate(diff, -c, table.get((i, b), none))
+                        _add_scaled(diff, -c, table.get((i, b), none))
                     for b, c in ik.items():
-                        _accumulate(diff, s2 * c, table.get((j, b), none))
+                        _add_scaled(diff, s2 * c, table.get((j, b), none))
                     if any(diff.values()):
                         report.fail("(B4) fails at (%s,%s,%s)" % (labels[i], labels[j], labels[k]))
         # (B2) with formal commuting coefficients on the odd part
@@ -141,7 +135,7 @@ class LieSuperAlgebra:
             acc = {}
             for (i, j, k) in set(permutations(multiset)):
                 for a, c in table.get((i, j), none).items():
-                    _accumulate(acc, c, table.get((a, k), none))
+                    _add_scaled(acc, c, table.get((a, k), none))
             if any(acc.values()):
                 report.fail(
                     "(B2) fails on coefficient of %s" % "*".join(labels[t] for t in multiset)
