@@ -13,7 +13,9 @@ its cost follows the number of nonzero terms, not the dimension.  The
 dense coordinate tuple stays available as Element.coords.  Sums of
 products (sum_products, and through it mat_mul_over for matrices over the
 algebra) contract every product into one terms dict per sum through the
-same loop.
+same loop.  span_products is the one place where products of two spans
+are formed for a Subspace test ("U·V ⊆ W"): ideals, filtration pieces,
+coinvariants and the hyperalgebra filtration all close through it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from __future__ import annotations
 from functools import reduce
 from operator import add
 
-from .linalg import Subspace, apply_columns, dense, kron, solve, sparse, transpose
+from .linalg import (
+    Subspace, apply_columns, dense, identity_matrix, kron, solve, sparse, transpose,
+)
 
 
 class AlgebraError(ValueError):
@@ -299,6 +303,18 @@ def mat_mul_over(R, A, B):
     ]
 
 
+def span_products(A, left, right):
+    """The dense coordinates of x·y for each dense row x of left and y of
+    right, in that order, for the Subspace tests that take dense vectors;
+    each product is one sparse contraction on the table of A."""
+    prod, n, zero = A._prod, A.dim, A.field.zero
+    right = [sparse(y) for y in right]
+    for x in left:
+        x = sparse(x)
+        for y in right:
+            yield tuple(dense(_contract(prod, x, y), n, zero))
+
+
 def first_non_multiplicative(source, target, images):
     """The first basis pair (i, j), row by row, with phi(e_i e_j) !=
     phi(e_i) phi(e_j), or None if there is none.  phi: source -> target is
@@ -473,14 +489,9 @@ class SuperIdeal:
 
     def _close(self, sub):
         A = self.algebra
+        basis = identity_matrix(A.dim, A.field)
         while True:
-            new = []
-            for row in sub.rows:
-                v = Element(A, row)
-                for i in range(A.dim):
-                    prod = A.multiply(A.basis_element(i), v).coords
-                    if not sub.contains(prod):
-                        new.append(prod)
+            new = [p for p in span_products(A, basis, sub.rows) if not sub.contains(p)]
             if not new:
                 return sub
             # each round must grow the span, so at most dim A rounds run
@@ -490,14 +501,11 @@ class SuperIdeal:
             sub = grown
 
     def _check_ideal(self):
+        # the last round of _close found every product e_i·v inside the span
         A = self.algebra
         for row in self.sub.rows:
-            v = Element(A, row)
-            if v.parity() is None:
+            if Element(A, row).parity() is None:
                 raise AlgebraError("ideal basis is not homogeneous")
-            for i in range(A.dim):
-                if not self.sub.contains(A.multiply(A.basis_element(i), v).coords):
-                    raise AlgebraError("subspace is not an ideal")
 
     @property
     def dim(self):
@@ -657,29 +665,19 @@ def quotient_by_ideal(A, ideal):
         red = sub.reduce(coords)
         return [red[i] for i in comp]
 
-    products = {}
-    for a, i in enumerate(comp):
-        for b, j in enumerate(comp):
-            prod = A.multiply(A.basis_element(i), A.basis_element(j))
-            terms = {}
-            for t, c in zip(range(len(comp)), project_coords(prod.coords)):
-                if c:
-                    terms[t] = c
-            if terms:
-                products[(a, b)] = terms
+    units = identity_matrix(A.dim, field)
+    basis = [units[i] for i in comp]
+    products = {
+        divmod(ab, len(comp)): sparse(project_coords(p))
+        for ab, p in enumerate(span_products(A, basis, basis))
+    }
     unit = project_coords(A.unit.coords)
     Q = SuperAlgebra(
         field, labels, parities, unit, products, check=False,
         name="%s/I" % (A.name or "?"),
     )
-    rows = []
-    for t, i in enumerate(comp):
-        row = []
-        for j in range(A.dim):
-            e = [field.zero] * A.dim
-            e[j] = field.one
-            row.append(project_coords(e)[t])
-        rows.append(row)
+    # row t of the projection holds coordinate t of the image of each e_j
+    rows = transpose([project_coords(e) for e in units])
     proj = LinearMap(A, Q, rows)
     section = [A.basis_element(i) for i in comp]
     return Q, proj, section

@@ -13,15 +13,24 @@ selected in echelon order.  Coordinates on it come from one inverse
 matrix, and the class of a vector in degree k drops its other components;
 vectors going in and coordinates coming out are sparse dicts.
 
+Each chain class states its direction as `step` (1 for
+FilteredSuperAlgebra, -1 for hyp.HypFiltration), and GradedCompanion builds
+gr once for both: a product of classes is the class of the product of their
+representatives, which AdaptedBasis.class_coords rejects when it has a
+component on the far side of its degree.
+
 The canonical map gr(A) ⊗ gr(B) -> gr(A ⊗ B) is applied as sparse
 columns, one per source basis pair, and its multiplicativity is checked by
-algebra.first_non_multiplicative, like every algebra-morphism check.
+algebra.first_non_multiplicative, like every algebra-morphism check;
+GradedReport.check_bijection, its degreewise bijection test, serves
+hyp.check_gr_hyp_duality too.
 """
 
 from __future__ import annotations
 
 from .algebra import (
-    AxiomReport, Element, SuperAlgebra, first_non_multiplicative, tensor, tensor_pure,
+    AxiomReport, Element, SuperAlgebra, first_non_multiplicative, span_products, tensor,
+    tensor_pure,
 )
 from .linalg import (
     Subspace, apply_columns, dense, identity_matrix, invert_matrix, kron, rank, reduce_by,
@@ -34,6 +43,8 @@ class FiltrationError(ValueError):
 
 
 class FilteredSuperAlgebra:
+    step = 1  # a descending chain, for AdaptedBasis
+
     def __init__(self, algebra, chain, *, check=True):
         self.algebra = algebra
         self.chain = list(chain)
@@ -66,27 +77,22 @@ class FilteredSuperAlgebra:
 
     def _check_ideals(self):
         A = self.algebra
+        basis = identity_matrix(A.dim, A.field)
         for k in range(1, len(self.chain)):
-            for row in self.chain[k].rows:
-                v = Element(A, row)
-                if v.parity() is None:
-                    raise FiltrationError("level %d is not graded" % k)
-                for i in range(A.dim):
-                    if not self.chain[k].contains(A.multiply(A.basis_element(i), v).coords):
-                        raise FiltrationError("level %d is not an ideal" % k)
+            piece = self.chain[k]
+            if any(Element(A, row).parity() is None for row in piece.rows):
+                raise FiltrationError("level %d is not graded" % k)
+            if not all(map(piece.contains, span_products(A, basis, piece.rows))):
+                raise FiltrationError("level %d is not an ideal" % k)
 
     def _check_multiplicative(self):
         A = self.algebra
-        elems = [[Element(A, row) for row in piece.rows] for piece in self.chain]
         for k in range(len(self.chain)):
             for l in range(len(self.chain)):
                 target = self.piece(k + l)
-                for u in elems[k]:
-                    for v in elems[l]:
-                        if not target.contains(A.multiply(u, v).coords):
-                            raise FiltrationError(
-                                "I_%d * I_%d escapes I_%d" % (k, l, k + l)
-                            )
+                products = span_products(A, self.chain[k].rows, self.chain[l].rows)
+                if not all(map(target.contains, products)):
+                    raise FiltrationError("I_%d * I_%d escapes I_%d" % (k, l, k + l))
 
 
 def adic_filtration(algebra, ideal):
@@ -97,13 +103,9 @@ def adic_filtration(algebra, ideal):
     steps = 0
     while current.dim > 0:
         chain.append(current)
-        nxt_vecs = []
-        for ru in current.rows:
-            for rv in ideal.sub.rows:
-                nxt_vecs.append(
-                    algebra.multiply(Element(algebra, ru), Element(algebra, rv)).coords
-                )
-        current = Subspace(field, algebra.dim, nxt_vecs)
+        current = Subspace(
+            field, algebra.dim, span_products(algebra, current.rows, ideal.sub.rows)
+        )
         steps += 1
         if steps > algebra.dim + 1:
             raise FiltrationError("ideal is not nilpotent")
@@ -119,7 +121,6 @@ class AdaptedBasis:
     must be the zero space for k = 0)."""
 
     def __init__(self, field, n, piece, length, step):
-        self.field = field
         self.step = step
         vecs, degrees = [], []
         for k in range(length):
@@ -159,42 +160,27 @@ class AdaptedBasis:
                 raise FiltrationError("element is not in filtration level %d" % k)
         return {t: c for t, c in ad.items() if degrees[t] == k}
 
-    def tensor_coords(self, flat):
-        """{(u, v): c} of a sparse vector of V⊗V on the adapted ⊗ adapted basis."""
-        zero = self.field.zero
-        n = len(self.cols)
-        out = {}
-        for st, c in flat.items():
-            s, t = divmod(st, n)
-            for u, x in self.cols[s].items():
-                for v, y in self.cols[t].items():
-                    out[(u, v)] = out.get((u, v), zero) + c * x * y
-        return {key: c for key, c in out.items() if c}
-
 
 class GradedCompanion:
-    """gr A on an adapted basis; also exposes projections to components."""
+    """gr of an algebra filtered by a chain (a FilteredSuperAlgebra, or a
+    hyp.HypFiltration of the dual) on the adapted basis of the chain, in
+    the direction chain.step; also exposes projections to components."""
 
-    def __init__(self, filtration):
-        self.filtration = filtration
-        A = filtration.algebra
-        self.basis = AdaptedBasis(A.field, A.dim, filtration.piece, filtration.length, 1)
-        self.reps = [Element(A, v) for v in self.basis.vecs]
+    def __init__(self, algebra, chain):
+        self.algebra = algebra
+        self.chain = chain
+        self.basis = AdaptedBasis(algebra.field, algebra.dim, chain.piece, chain.length, chain.step)
+        self.reps = [Element(algebra, v) for v in self.basis.vecs]
         self.degrees = self.basis.degrees
         self._build_gr()
 
-    def adapted_coords(self, elem):
-        return self.basis.coords(elem.terms)
-
     def class_coords(self, elem, k):
-        """Coordinates {index: c} of elem + I_{k+1} in the degree-k component.
-
-        Requires elem in I_k (components of degree < k must vanish)."""
+        """Coordinates {index: c} of the class of elem in the degree-k
+        component; elem must lie in piece k of the chain."""
         return self.basis.class_coords(elem.terms, k)
 
     def _build_gr(self):
-        A = self.filtration.algebra
-        field = A.field
+        A = self.algebra
         n = A.dim
         labels = []
         count = {}
@@ -206,26 +192,22 @@ class GradedCompanion:
         for i in range(n):
             for j in range(n):
                 prod = A.multiply(self.reps[i], self.reps[j])
-                deg = self.degrees[i] + self.degrees[j]
-                ad = self.adapted_coords(prod)
-                if any(self.degrees[t] < deg for t in ad):
-                    raise FiltrationError("product drops below its degree")
-                terms = {t: c for t, c in ad.items() if self.degrees[t] == deg}
+                terms = self.class_coords(prod, self.degrees[i] + self.degrees[j])
                 if terms:
                     products[(i, j)] = terms
-        # the unit lives in degree 0; higher-degree components are cut off
-        unit = dense(self.basis.class_coords(A.unit.terms, 0), n, field.zero)
+        # the unit lives in degree 0; its other components are cut off
+        unit = dense(self.class_coords(A.unit, 0), n, A.field.zero)
         self.gr = SuperAlgebra(
-            field, labels, parities, unit, products, check=False,
+            A.field, labels, parities, unit, products, check=False,
             name="gr(%s)" % (A.name or "?"),
         )
 
     def verify_well_defined(self):
         """Products of classes do not depend on the chosen representatives."""
-        A = self.filtration.algebra
+        A = self.algebra
         for i in range(len(self.reps)):
             k = self.degrees[i]
-            for row in self.filtration.piece(k + 1).rows:
+            for row in self.chain.piece(k + self.chain.step).rows:
                 shifted = self.reps[i] + Element(A, row)
                 for j in range(len(self.reps)):
                     l = self.degrees[j]
@@ -238,7 +220,7 @@ class GradedCompanion:
 
 
 def graded_companion(filtration):
-    return GradedCompanion(filtration)
+    return GradedCompanion(filtration.algebra, filtration)
 
 
 def tensor_piece(left, right, k):
@@ -272,6 +254,19 @@ class GradedReport(AxiomReport):
         super().__init__()
         self.degree_dims = {}
 
+    def check_bijection(self, field, cols, src_degrees, tgt_degrees):
+        """Record the dimensions of each degree and check that the map with
+        sparse columns cols (source index -> {target index: c}), which keeps
+        degrees, is a bijection in each of them."""
+        for deg in sorted(set(src_degrees) | set(tgt_degrees)):
+            src = [s for s, d in enumerate(src_degrees) if d == deg]
+            tgt = [t for t, d in enumerate(tgt_degrees) if d == deg]
+            self.degree_dims[deg] = (len(src), len(tgt))
+            if len(src) != len(tgt):
+                self.fail("degree %d dimensions differ" % deg)
+            elif rank([[cols[s].get(t, field.zero) for s in src] for t in tgt], field) != len(src):
+                self.fail("degree %d map is not bijective" % deg)
+
 
 def check_gr_tensor_iso(FA, FB):
     """Compare gr(A) ⊗ gr(B) with gr(A⊗B) via a ⊗ b -> (a⊗b) + T_{k+l+1}.
@@ -286,8 +281,6 @@ def check_gr_tensor_iso(FA, FB):
     grT = graded_companion(FT)
     source = tensor(grA.gr, grB.gr)
     T = FT.algebra
-    field = T.field
-    nT = T.dim
 
     # columns of the canonical map, indexed like the source basis
     cols = []
@@ -302,18 +295,7 @@ def check_gr_tensor_iso(FA, FB):
                 report.fail("image of basis pair (%d,%d) misses its degree" % (i, j))
                 cols.append({})
 
-    # degreewise bijectivity
-    for deg in sorted(set(src_degrees) | set(grT.degrees)):
-        src_idx = [s for s in range(len(src_degrees)) if src_degrees[s] == deg]
-        tgt_idx = [t for t in range(nT) if grT.degrees[t] == deg]
-        report.degree_dims[deg] = (len(src_idx), len(tgt_idx))
-        if len(src_idx) != len(tgt_idx):
-            report.fail("degree %d dimensions differ" % deg)
-            continue
-        mat = [[cols[s].get(t, field.zero) for s in src_idx] for t in tgt_idx]
-        if rank(mat, field) != len(src_idx):
-            report.fail("degree %d map is not bijective" % deg)
-
+    report.check_bijection(T.field, cols, src_degrees, grT.degrees)
     if apply_columns(cols, source.unit.terms) != grT.gr.unit.terms:
         report.fail("unit is not preserved")
     bad = first_non_multiplicative(source, grT.gr, cols)

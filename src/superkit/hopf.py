@@ -15,9 +15,11 @@ alpha(a ⊗ a') = a a'_(0) ⊗ a'_(1).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .algebra import (
-    AxiomReport, Element, first_non_multiplicative, grassmann, ground_algebra, tensor,
-    tensor_pure,
+    AxiomReport, Element, first_non_multiplicative, grassmann, ground_algebra, span_products,
+    tensor, tensor_pure,
 )
 from .linalg import Subspace, apply_columns, nullspace, rank, sparse
 
@@ -51,7 +53,6 @@ class HopfSuperAlgebra:
         if len(self.antipode) != algebra.dim or any(len(c) != algebra.dim for c in self.antipode):
             raise HopfError("antipode matrix has wrong shape")
         self._delta_cols = _flat_columns(self.delta, algebra.dim, algebra.dim, "coproduct")
-        self.square = tensor(algebra, algebra)
         if check:
             report = check_hopf_axioms(self)
             if not report.holds:
@@ -60,6 +61,11 @@ class HopfSuperAlgebra:
     @property
     def field(self):
         return self.algebra.field
+
+    @cached_property
+    def square(self):
+        """A ⊗ A, where the coproduct takes its values; built on first use."""
+        return tensor(self.algebra, self.algebra)
 
     def coproduct(self, elem):
         """Delta as an element of A ⊗ A."""
@@ -326,11 +332,8 @@ class Coaction:
         keys = sorted({k for col in cols for k in col})
         mat = [[cols[b].get(key, field.zero) for b in range(n)] for key in keys]
         sub = Subspace(field, n, nullspace(mat, field, n))
-        for ru in sub.rows:
-            for rv in sub.rows:
-                prod = A.multiply(Element(A, ru), Element(A, rv))
-                if not sub.contains(prod.coords):
-                    raise HopfError("coinvariants failed to close under product")
+        if not all(map(sub.contains, span_products(A, sub.rows, sub.rows))):
+            raise HopfError("coinvariants failed to close under product")
         return sub
 
     def check_alpha_surjective(self):

@@ -174,6 +174,23 @@ def apply_columns(cols, vec):
     return {t: v for t, v in out.items() if v}
 
 
+def apply_tensor_columns(cols, flat):
+    """The image {(u, v): c} of a sparse vector {s·n + t: c} of V ⊗ V,
+    n = len(cols), under the linear map with columns cols on each factor."""
+    n = len(cols)
+    out = {}
+    get = out.get
+    for st, c in flat.items():
+        s, t = divmod(st, n)
+        col_t = cols[t].items()
+        for u, x in cols[s].items():
+            cx = c * x
+            for v, y in col_t:
+                w = get((u, v))
+                out[(u, v)] = cx * y if w is None else w + cx * y
+    return {key: w for key, w in out.items() if w}
+
+
 def sparse(vec):
     """{index: entry} of the nonzero entries of a dense vector."""
     return {i: x for i, x in enumerate(vec) if x}

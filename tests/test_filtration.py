@@ -252,3 +252,106 @@ def test_class_coords_far_side_raises_both_ways():
         up.class_coords(top, 1)
     assert not up.class_coords(sparse(H.eps), 1)
     assert up.class_coords(top, 2)
+
+
+# -- algebra.span_products against the loops it replaced -----------------------
+
+
+def _reference_close(A, generators):
+    """The ideal spanned by the generators' homogeneous parts, closed by the
+    per-row loop of e_i·v products that SuperIdeal._close used to run."""
+    sub = Subspace(A.field, A.dim, [
+        part.coords for g in generators for p in (0, 1)
+        if not (part := g.homogeneous_part(p)).is_zero()
+    ])
+    while True:
+        new = []
+        for row in sub.rows:
+            v = Element(A, row)
+            for i in range(A.dim):
+                prod = A.multiply(A.basis_element(i), v).coords
+                if not sub.contains(prod):
+                    new.append(prod)
+        if not new:
+            return sub
+        sub = sub.add_vectors(new)
+
+
+def _reference_adic_chain(A, ideal):
+    """The pieces of adic_filtration as its per-pair product loop built them."""
+    chain = [Subspace(A.field, A.dim, identity_matrix(A.dim, A.field))]
+    current = ideal.sub
+    while current.dim > 0:
+        chain.append(current)
+        current = Subspace(A.field, A.dim, [
+            A.multiply(Element(A, ru), Element(A, rv)).coords
+            for ru in current.rows for rv in ideal.sub.rows
+        ])
+    return chain + [Subspace(A.field, A.dim)]
+
+
+def _reference_multiplicative(A, chain):
+    """I_k I_l <= I_{k+l} by the per-pair loop of _check_multiplicative."""
+    elems = [[Element(A, row) for row in piece.rows] for piece in chain]
+    for k in range(len(chain)):
+        for l in range(len(chain)):
+            target = chain[min(k + l, len(chain) - 1)]
+            for u in elems[k]:
+                for v in elems[l]:
+                    if not target.contains(A.multiply(u, v).coords):
+                        return False
+    return True
+
+
+def _kernel_algebras(field):
+    for t in (2, 3, 4):
+        yield grassmann(field, ["a%d" % (i + 1) for i in range(t)])
+    for m in (3, 5):
+        yield polynomial_truncation(field, "t", m)
+    yield tensor(grassmann(field, ["a", "b"]), polynomial_truncation(field, "t", 3))
+    yield tensor(grassmann(field, ["a"]), grassmann(field, ["b", "c"]))
+
+
+def _random_homogeneous(rng, A, rows=None):
+    """A homogeneous element: a few random basis vectors of one parity
+    (other than the unit), or the parity-p part of a random combination of
+    the given rows."""
+    p = rng.randrange(2)
+    if rows is not None:
+        combo = Element(A, [A.field.zero] * A.dim)
+        for row in rng.sample(rows, min(len(rows), 2)):
+            combo = combo + Element(A, row).scale(A.field.from_int(rng.choice([-2, -1, 1, 2])))
+        return combo.homogeneous_part(p)
+    idx = [i for i in range(1, A.dim) if A.space.parities[i] == p] or [1]
+    coords = [A.field.zero] * A.dim
+    for i in rng.sample(idx, min(len(idx), rng.randint(1, 3))):
+        coords[i] = A.field.from_int(rng.choice([-2, -1, 1, 2]))
+    return Element(A, coords)
+
+
+@pytest.mark.parametrize("field", [Q, F3, F5], ids=["Q", "F3", "F5"])
+def test_span_products_callers_match_product_loops(field):
+    rng = random.Random(1300 + (field.char or 0))
+    outcomes = []
+    for A in _kernel_algebras(field):
+        for _ in range(6):
+            gens = [_random_homogeneous(rng, A) for _ in range(rng.randint(1, 2))]
+            I1 = SuperIdeal(A, gens)
+            assert I1.sub.rows == _reference_close(A, gens).rows
+            F = adic_filtration(A, I1)
+            assert [p.rows for p in F.chain] == [p.rows for p in _reference_adic_chain(A, I1)]
+            # a seeded chain A >= I1 >= I2 >= 0, often not multiplicative
+            gens2 = [_random_homogeneous(rng, A, I1.sub.rows) for _ in range(rng.randint(1, 2))]
+            I2 = SuperIdeal(A, gens2)
+            assert I2.sub.rows == _reference_close(A, gens2).rows
+            chain = [F.chain[0], I1.sub, I2.sub, Subspace(field, A.dim)]
+            want = _reference_multiplicative(A, chain)
+            try:
+                FilteredSuperAlgebra(A, chain, check=False)._check_multiplicative()
+                got = True
+            except FiltrationError:
+                got = False
+            assert got == want
+            outcomes.append(want)
+    # both outcomes are exercised
+    assert any(outcomes) and not all(outcomes)

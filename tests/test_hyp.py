@@ -1,21 +1,31 @@
+import json
+import random
+
 import pytest
 
-from superkit.algebra import odd_ideal
+from superkit import hyp
+from superkit.algebra import Element, SuperAlgebra, SuperIdeal, odd_ideal, tensor_pure
 from superkit.fields import PrimeField, Rationals
-from superkit.filtration import adic_filtration
-from superkit.hopf import check_hopf_axioms, grassmann_hopf
+from superkit.filtration import (
+    AdaptedBasis, FilteredSuperAlgebra, FiltrationError, GradedReport, adic_filtration,
+)
+from superkit.fixtures import hopf_from_json
+from superkit.hopf import HopfError, HopfSuperAlgebra, check_hopf_axioms, grassmann_hopf
 from superkit.hyp import (
     CanonicalDecomposition,
     HypError,
     HypFiltration,
     additive_truncation,
+    apply_functional,
     augmentation_filtration,
     check_gr_hyp_duality,
     check_hyp_filtration,
+    counit_kernel_ideal,
     dual_hopf,
     graded_hopf,
     tensor_hopf,
 )
+from superkit.linalg import Subspace, apply_columns, dense, identity_matrix, rank, sparse
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -181,3 +191,298 @@ class TestGrHyp:
         )
         report = check_gr_hyp_duality(H, augmentation_filtration(H))
         assert report.holds, report.failures
+
+
+# -- check_gr_hyp_duality against the hand-built comparison it replaced -------
+
+
+def _reference_graded_hopf(H, filtration):
+    """gr A with its Hopf maps as graded_hopf built them for a descending
+    chain: classes by an explicit degree test, the structure swept."""
+    A, field, n = H.algebra, H.field, H.algebra.dim
+    basis = AdaptedBasis(field, n, filtration.piece, filtration.length, 1)
+    reps, degrees = [Element(A, v) for v in basis.vecs], basis.degrees
+    products = {}
+    for i in range(n):
+        for j in range(n):
+            deg = degrees[i] + degrees[j]
+            ad = basis.coords(A.multiply(reps[i], reps[j]).terms)
+            if any(degrees[t] < deg for t in ad):
+                raise FiltrationError("product drops below its degree")
+            terms = {t: c for t, c in ad.items() if degrees[t] == deg}
+            if terms:
+                products[(i, j)] = terms
+    gr = SuperAlgebra(field, ["d%d" % i for i in range(n)], [r.parity() for r in reps],
+                      dense(basis.class_coords(A.unit.terms, 0), n, field.zero), products,
+                      check=False, name="gr(%s)" % A.name)
+    delta = []
+    for b in range(n):
+        table = {}
+        for st, c in H.coproduct(reps[b]).terms.items():
+            s, t = divmod(st, n)
+            for u, x in basis.cols[s].items():
+                for v, y in basis.cols[t].items():
+                    table[(u, v)] = table.get((u, v), field.zero) + c * x * y
+        k = degrees[b]
+        if any(degrees[u] + degrees[v] < k for (u, v), c in table.items() if c):
+            raise FiltrationError("coproduct is not compatible with the filtration")
+        delta.append({(u, v): c for (u, v), c in table.items() if degrees[u] + degrees[v] == k})
+    eps = [H.counit(r) for r in reps]
+    antipode = [dense(basis.class_coords(H.apply_antipode(reps[b]).terms, degrees[b]), n,
+                      field.zero) for b in range(n)]
+    return HopfSuperAlgebra(gr, delta, eps, antipode, check=True), basis, reps
+
+
+def _reference_gr_hyp(H, filtration):
+    """The comparison as check_gr_hyp_duality made it by hand: its own
+    adapted basis of the dual, classes of convolution products, and one
+    failure string per escape.  hyp.dual_hopf is looked up on each call, so
+    a patched dual reaches it."""
+    report = GradedReport()
+    field, n = H.field, H.algebra.dim
+    grH, grbasis, reps = _reference_graded_hopf(H, filtration)
+    D2 = hyp.dual_hopf(grH, check=False)
+    D1 = hyp.dual_hopf(H, check=False)
+    F = HypFiltration(H, filtration)
+    basis = AdaptedBasis(field, n, F.piece, F.length, -1)
+    adapted, adeg = basis.vecs, basis.degrees
+    theta = [Element(D2.algebra, [
+        apply_functional(adapted[i], reps[m]) if grbasis.degrees[m] == adeg[i] else field.zero
+        for m in range(n)
+    ]) for i in range(n)]
+    for deg in sorted(set(adeg)):
+        src = sum(1 for d in adeg if d == deg)
+        tgt = sum(1 for d in grbasis.degrees if d == deg)
+        report.degree_dims[deg] = (src, tgt)
+        if src != tgt:
+            report.fail("degree %d dimensions differ" % deg)
+    if rank([x.coords for x in theta], field) != n:
+        report.fail("comparison map is not bijective")
+    theta_cols = [x.terms for x in theta]
+    if apply_columns(theta_cols, basis.class_coords(sparse(H.eps), 0)) != D2.algebra.unit.terms:
+        report.fail("unit is not preserved")
+    for i in range(n):
+        rhs = apply_functional(adapted[i], H.algebra.unit) if adeg[i] == 0 else field.zero
+        if D2.counit(theta[i]) != rhs:
+            report.fail("counit differs at adapted index %d" % i)
+    for i in range(n):
+        for j in range(n):
+            prod = D1.algebra.multiply(Element(D1.algebra, adapted[i]),
+                                       Element(D1.algebra, adapted[j]))
+            try:
+                cls = basis.class_coords(prod.terms, adeg[i] + adeg[j])
+            except FiltrationError:
+                report.fail("product escapes its filtration degree at (%d,%d)" % (i, j))
+                continue
+            if apply_columns(theta_cols, cls) != D2.algebra.multiply(theta[i], theta[j]).terms:
+                report.fail("product differs at adapted pair (%d,%d)" % (i, j))
+                return report
+    for i in range(n):
+        k = adeg[i]
+        cop = D1.coproduct(Element(D1.algebra, adapted[i])).terms
+        lhs = {}
+        for st, c in cop.items():
+            s, t = divmod(st, n)
+            for u, x in basis.cols[s].items():
+                for v, y in basis.cols[t].items():
+                    lhs[(u, v)] = lhs.get((u, v), field.zero) + c * x * y
+        lhs = {key: c for key, c in lhs.items() if c}
+        if any(adeg[u] + adeg[v] > k for u, v in lhs):
+            report.fail("dual coproduct exceeds level at index %d" % i)
+            continue
+        keep = [(u, v) for u, v in lhs if adeg[u] + adeg[v] == k]
+        got = apply_columns([tensor_pure(D2.square, theta[u], theta[v]).terms for u, v in keep],
+                            {s: lhs[key] for s, key in enumerate(keep)})
+        if got != D2.coproduct(theta[i]).terms:
+            report.fail("coproduct differs at adapted index %d" % i)
+            return report
+        s_img = D1.apply_antipode(Element(D1.algebra, adapted[i])).terms
+        try:
+            s_cls = basis.class_coords(s_img, k)
+        except FiltrationError:
+            report.fail("dual antipode exceeds level at index %d" % i)
+            continue
+        if apply_columns(theta_cols, s_cls) != D2.apply_antipode(theta[i]).terms:
+            report.fail("antipode differs at adapted index %d" % i)
+    return report
+
+
+def _gr_hyp_cases():
+    """Λ1-Λ3 over Q and F5, add3, add5, add3⊗Λ1, add3⊗Λ2, add5⊗Λ1 and the
+    JSON Λ3 fixture."""
+    lam = grassmann_hopf
+    for field in (Q, F5):
+        for t in (1, 2, 3):
+            yield "L%d/%s" % (t, field.name), lambda f=field, t=t: lam(
+                f, ["t%d" % (i + 1) for i in range(t)])
+    for p, t in ((3, 0), (5, 0), (3, 1), (3, 2), (5, 1)):
+        field = PrimeField(p)
+        name = "add%d%s/F%d" % (p, "xL%d" % t if t else "", p)
+        yield name, lambda f=field, p=p, t=t: (
+            tensor_hopf(additive_truncation(f, p).as_hopf(),
+                        lam(f, ["t%d" % (i + 1) for i in range(t)]))
+            if t else additive_truncation(f, p).as_hopf())
+
+    def json_lambda3():
+        with open("fixtures/grassmann3.hopf.json") as fh:
+            return hopf_from_json(Q, json.load(fh))
+
+    yield "json-L3/Q", json_lambda3
+
+
+def _seeded_chains(H, rng):
+    """The augmentation chain, the odd-ideal chain and three seeded chains
+    A >= m >= J >= 0 or A >= J >= J^2 >= ... for ideals J in m = ker eps."""
+    A, field = H.algebra, H.field
+    m = counit_kernel_ideal(A, H.eps).sub
+    yield augmentation_filtration(H)
+    if any(A.space.parities):
+        yield adic_filtration(A, odd_ideal(A))
+    for _ in range(3):
+        gens = []
+        for row in rng.sample(m.rows, min(2, m.dim)):
+            gens.append(Element(A, row).scale(field.from_int(rng.choice([1, 2])))
+                        .homogeneous_part(rng.randrange(2)))
+        J = SuperIdeal(A, gens + [Element(A, rng.choice(m.rows))])
+        if rng.randrange(2):
+            yield adic_filtration(A, J)
+        else:
+            full = Subspace(field, A.dim, identity_matrix(A.dim, field))
+            yield FilteredSuperAlgebra(A, [full, m, J.sub, Subspace(field, A.dim)], check=False)
+
+
+def _outcome(check, H, chain):
+    try:
+        report = check(H, chain)
+    except FiltrationError:
+        return "FiltrationError"
+    except HopfError:
+        return "gr is not Hopf"
+    if any(msg.startswith("gr: ") for msg in report.failures):
+        return "gr is not Hopf"
+    return report.holds, report.degree_dims
+
+
+@pytest.mark.parametrize("make", [pytest.param(m, id=name) for name, m in _gr_hyp_cases()])
+def test_gr_hyp_duality_matches_reference(make):
+    H = make()
+    rng = random.Random(13)
+    outcomes = []
+    for chain in _seeded_chains(H, rng):
+        want = _outcome(_reference_gr_hyp, H, chain)
+        assert _outcome(check_gr_hyp_duality, H, chain) == want
+        outcomes.append(want)
+    # the augmentation chain holds, with equal dimensions in each degree
+    assert outcomes[0][0] and all(a == b for a, b in outcomes[0][1].values())
+
+
+def _perturb_hyp_gr(monkeypatch, kind, seed):
+    """Patch hyp.dual_hopf so that the dual of a gr algebra, the hyp(gr A)
+    side of the comparison, comes with one seeded structure entry changed."""
+    real = hyp.dual_hopf
+    rng = random.Random(seed)
+
+    def bump(col, key, one):
+        v = col.get(key, 0 * one) + one
+        if v:
+            col[key] = v
+        else:
+            del col[key]
+
+    def patched(H, *, check=True):
+        D = real(H, check=check)
+        if not (H.algebra.name or "").startswith("gr("):
+            return D
+        one, n = D.field.one, D.algebra.dim
+        D.square  # built before the change, as HopfSuperAlgebra once built it eagerly
+        if kind == "product":
+            key = rng.choice(sorted(D.algebra._prod))
+            terms = D.algebra._prod[key]
+            k = rng.choice(sorted(terms))
+            terms[k] = -terms[k]
+        elif kind == "antipode":
+            bump(D._antipode_cols[rng.randrange(n)], rng.randrange(n), one)
+        elif kind == "coproduct":
+            bump(D._delta_cols[rng.randrange(n)], rng.randrange(n * n), one)
+        elif kind == "counit":
+            D.eps[rng.randrange(n)] += one
+        elif kind == "unit":
+            D.algebra._unit_terms = dict(D.algebra._unit_terms)
+            bump(D.algebra._unit_terms, rng.randrange(n), one)
+        return D
+
+    monkeypatch.setattr(hyp, "dual_hopf", patched)
+
+
+PERTURBED = {
+    "product": "product differs at adapted pair",
+    "antipode": "antipode differs at adapted index",
+    "coproduct": "coproduct differs at adapted index",
+    "counit": "counit is not preserved",
+    "unit": "unit is not preserved",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PERTURBED))
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: grassmann_hopf(Q, ["t1", "t2"]), id="L2/Q"),
+    pytest.param(lambda: tensor_hopf(additive_truncation(F3, 3).as_hopf(),
+                                     grassmann_hopf(F3, ["t1"])), id="add3xL1/F3"),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_perturbed_hyp_gr_is_rejected(monkeypatch, make, kind, seed):
+    H = make()
+    _perturb_hyp_gr(monkeypatch, kind, seed)
+    chain = augmentation_filtration(H)
+    assert not _reference_gr_hyp(H, chain).holds
+    _perturb_hyp_gr(monkeypatch, kind, seed)
+    report = check_gr_hyp_duality(H, chain)
+    assert not report.holds
+    assert any(msg.startswith(PERTURBED[kind]) for msg in report.failures), report.failures
+
+
+def test_gr_sweep_failures_are_reported(monkeypatch):
+    """A gr A that fails the Hopf axioms shows in the report, prefixed."""
+    real = hyp.graded_hopf
+
+    def patched(H, chain):
+        grH, comp = real(H, chain)
+        if chain.step == 1:
+            grH._antipode_cols[-1] = {0: H.field.one}
+        return grH, comp
+
+    monkeypatch.setattr(hyp, "graded_hopf", patched)
+    H = grassmann_hopf(Q, ["t1", "t2"])
+    report = check_gr_hyp_duality(H, augmentation_filtration(H))
+    assert "gr: antipode law fails at d2.1" in report.failures, report.failures
+
+
+def test_degreewise_bijection_failures():
+    report = GradedReport()
+    # degree 0 maps e_0 -> e_0; degree 1 sends both sources to one line
+    report.check_bijection(Q, [{0: Q.one}, {1: Q.one}, {1: Q.from_int(2)}, {}],
+                           [0, 1, 1, 2], [0, 1, 1, 3])
+    assert report.degree_dims == {0: (1, 1), 1: (2, 2), 2: (1, 0), 3: (0, 1)}
+    assert report.failures == ["degree 1 map is not bijective", "degree 2 dimensions differ",
+                               "degree 3 dimensions differ"]
+
+
+def test_dual_without_koszul_sign_is_reported(monkeypatch):
+    """A fault of dual_hopf reaches both sides of theta alike; the
+    multiplicativity of the coproduct of hyp(gr A) still shows it."""
+    real = hyp.dual_hopf
+
+    def unsigned(H, *, check=True):
+        # the convolution product without the sign of two odd factors
+        D = real(H, check=check)
+        par = D.algebra.space.parities
+        for (i, j), terms in D.algebra._prod.items():
+            if par[i] and par[j]:
+                for k in terms:
+                    terms[k] = -terms[k]
+        return D
+
+    monkeypatch.setattr(hyp, "dual_hopf", unsigned)
+    H = grassmann_hopf(Q, ["t1", "t2"])
+    report = check_gr_hyp_duality(H, augmentation_filtration(H))
+    assert report.failures == ["hyp(gr A): coproduct is not multiplicative at (1,2)"]
