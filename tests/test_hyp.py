@@ -383,11 +383,10 @@ def _perturb_hyp_gr(monkeypatch, kind, seed):
     rng = random.Random(seed)
 
     def bump(col, key, one):
-        v = col.get(key, 0 * one) + one
+        # add one to a sparse entry, keeping no zero
+        v = col.pop(key, 0 * one) + one
         if v:
             col[key] = v
-        else:
-            del col[key]
 
     def patched(H, *, check=True):
         D = real(H, check=check)
