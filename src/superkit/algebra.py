@@ -24,7 +24,7 @@ from functools import reduce
 from operator import add
 
 from .linalg import (
-    Subspace, apply_columns, dense, identity_matrix, kron, solve, sparse, transpose,
+    Subspace, add_scaled, apply_columns, dense, identity_matrix, kron, solve, sparse, transpose,
 )
 
 
@@ -206,6 +206,7 @@ class Element:
 
 def _add_terms(x, y, sign):
     """The terms of x + sign·y (sign 1 or -1), cancelled sums dropped."""
+    # not linalg.add_scaled: this merge, which cancels as it goes, was 2.2x faster
     out = dict(x)
     for i, c in y.items():
         v = out.get(i)
@@ -235,20 +236,12 @@ def _contract(prod, x, y, out=None):
             if t is None:
                 continue
             c = a * b
+            # linalg.add_scaled inline: a call per table entry cost 5-14 % here
             for k, s in t.items():
                 v = get(k)
                 acc[k] = c * s if v is None else v + c * s
     if out is None:
         return {k: v for k, v in acc.items() if v}
-
-
-def _add_scaled(out, c, terms):
-    """Add c·terms into the accumulator dict out, for a field scalar c;
-    cancelled sums are kept, as by _contract with an accumulator."""
-    get = out.get
-    for k, s in terms.items():
-        v = get(k)
-        out[k] = c * s if v is None else v + c * s
 
 
 def sum_products(R, pieces):
@@ -257,10 +250,10 @@ def sum_products(R, pieces):
 
     Each product goes into one terms dict per key, so no Element is made
     for a single product or a partial sum: _contract adds it, or, when x
-    or y is a multiple c·1 of the unit, _add_scaled adds c times the other
-    factor (most entries of the matrices in normalize and the oracles are
-    such multiples).  Cancelled sums are dropped once, at the end, and a
-    key whose sum is zero is left out."""
+    or y is a multiple c·1 of the unit, linalg.add_scaled adds c times the
+    other factor (most entries of the matrices in normalize and the
+    oracles are such multiples).  Cancelled sums are dropped once, at the
+    end, and a key whose sum is zero is left out."""
     prod, u = R._prod, R.unit_index
     acc = {}
     for key, x, y in pieces:
@@ -269,9 +262,9 @@ def sum_products(R, pieces):
             out = acc[key] = {}
         xt, yt = x.terms, y.terms
         if len(xt) == 1 and u in xt:
-            _add_scaled(out, xt[u], yt)
+            add_scaled(out, xt[u], yt)
         elif len(yt) == 1 and u in yt:
-            _add_scaled(out, yt[u], xt)
+            add_scaled(out, yt[u], xt)
         else:
             _contract(prod, xt, yt, out)
     sums = {}
@@ -346,10 +339,7 @@ class SuperAlgebra:
             support[0] if len(support) == 1 and self._unit_terms[support[0]] == field.one
             else None
         )
-        if check:
-            self._validate(full=True)
-        else:
-            self._validate(full=False)
+        self._validate(full=check)
 
     @property
     def dim(self):
@@ -427,15 +417,14 @@ class SuperAlgebra:
                     )
         if self.unit.parity() not in (0,):
             raise AlgebraError("unit must be even")
+        prod, one, unit = self._prod, field.one, self._unit_terms
         for i in range(n):
-            b = self.basis_element(i)
-            if self.multiply(self.unit, b) != b or self.multiply(b, self.unit) != b:
+            b = {i: one}
+            if _contract(prod, unit, b) != b or _contract(prod, b, unit) != b:
                 raise AlgebraError("unit law fails at %s" % (self.space.labels[i],))
         if full:
             # (e_i e_j) e_k = e_i (e_j e_k), contracted on the table; both
             # sides vanish when (i, j) and (j, k) have no product
-            prod = self._prod
-            one = field.one
             for i in range(n):
                 for j in range(n):
                     pij = prod.get((i, j))
@@ -456,21 +445,20 @@ class SuperAlgebra:
 
 
 class LinearMap:
-    """Linear map between algebra carriers: rows of the matrix index the target."""
+    """Linear map between algebra carriers, stored as sparse columns: cols[j]
+    is the image {index: c} of the j-th basis vector of the source."""
 
-    def __init__(self, source, target, rows):
+    def __init__(self, source, target, cols):
         self.source = source
         self.target = target
-        self.rows = [tuple(r) for r in rows]
-        if len(self.rows) != target.dim or any(len(r) != source.dim for r in self.rows):
+        self.cols = cols
+        if len(cols) != source.dim or any(not 0 <= k < target.dim for col in cols for k in col):
             raise AlgebraError("map matrix has wrong shape")
 
     def apply(self, elem):
         if elem.algebra is not self.source:
             raise AlgebraError("element not in the source algebra")
-        f = self.source.field
-        terms = elem.terms.items()
-        return Element(self.target, [f.sum(r[j] * c for j, c in terms) for r in self.rows])
+        return Element._from_terms(self.target, apply_columns(self.cols, elem.terms))
 
 
 class SuperIdeal:
@@ -676,9 +664,7 @@ def quotient_by_ideal(A, ideal):
         field, labels, parities, unit, products, check=False,
         name="%s/I" % (A.name or "?"),
     )
-    # row t of the projection holds coordinate t of the image of each e_j
-    rows = transpose([project_coords(e) for e in units])
-    proj = LinearMap(A, Q, rows)
+    proj = LinearMap(A, Q, [sparse(project_coords(e)) for e in units])
     section = [A.basis_element(i) for i in comp]
     return Q, proj, section
 

@@ -33,8 +33,8 @@ from operator import add
 from . import linalg
 from .algebra import AxiomReport, Element, lift_matrix, mat_mul_over, polynomial_truncation
 from .linalg import (
-    Subspace, apply_columns, dense, identity_matrix, mat_bracket, mat_mul, nullspace, rank,
-    sparse, transpose,
+    Subspace, apply_columns, dense, identity_matrix, kernel, mat_bracket, mat_mul, rank, sparse,
+    transpose,
 )
 from .symbolic import Poly, Reducer, eval_at
 
@@ -429,7 +429,7 @@ def _kernel(field, n, blocks):
     """The x in K^n with sum_i x_i·cols[i] = 0 for every list cols of n
     columns in blocks, as a Subspace."""
     rows = [row for cols in blocks for row in transpose(cols) if any(row)]
-    return Subspace(field, n, nullspace(rows, field, n))
+    return kernel(field, n, rows)
 
 
 def subordinated_closure(pair, lie_r):
@@ -566,7 +566,7 @@ def check_exact_sequence(inner, w_to_v, lie_embed, mid, outer, v_to_u,
     proj_rows = [tuple(r) for r in v_to_u]
     if rank(proj_rows, field) != t_out:
         report.fail("(1) V -> U is not surjective")
-    ker = Subspace(field, t_mid, nullspace(proj_rows, field, t_mid)) if t_mid else Subspace(field, 0)
+    ker = kernel(field, t_mid, proj_rows)
     img = Subspace(field, t_mid, w_cols)
     if ker != img:
         report.fail("(1) kernel of V -> U differs from the image of W")

@@ -11,6 +11,11 @@ algebra.first_non_multiplicative.
 Also contains right coactions of a Hopf algebra on an algebra carrier,
 their coinvariants and the surjectivity test for the Galois-type map
 alpha(a ⊗ a') = a a'_(0) ⊗ a'_(1).
+
+Three kernels do the arithmetic: algebra._contract forms every product
+given by a table (the antipode law, x ⊗_R x for group-likes),
+linalg.add_scaled accumulates scaled sparse vectors, and linalg.kernel
+gives the primitives and the coinvariants from the flat columns.
 """
 
 from __future__ import annotations
@@ -18,10 +23,10 @@ from __future__ import annotations
 from functools import cached_property
 
 from .algebra import (
-    AxiomReport, Element, first_non_multiplicative, grassmann, ground_algebra, span_products,
-    tensor, tensor_pure,
+    AxiomReport, Element, _contract, first_non_multiplicative, grassmann, ground_algebra,
+    span_products, tensor, tensor_pure,
 )
-from .linalg import Subspace, apply_columns, nullspace, rank, sparse
+from .linalg import add_scaled, apply_columns, dense, kernel, rank, sparse
 
 
 class HopfError(ValueError):
@@ -132,27 +137,27 @@ def check_hopf_axioms(H):
         report.fail("antipode does not fix the unit")
     _morphism_report(report, "antipode", A, A, H._antipode_cols, True)
 
-    # coassociativity and counit law
+    # coassociativity, counit law and antipode law
+    prod, S = A._prod, H._antipode_cols
     for b in range(n):
         if not _coassociative(H.delta, H.delta, b, field.zero):
             report.fail("coassociativity fails at %s" % A.space.labels[b])
 
+        # the counit law, and sum c·S(e_i)·e_j and sum c·e_i·S(e_j) over the
+        # terms c·e_i⊗e_j of Delta e_b for the antipode law
         lid = [field.zero] * n
         rid = [field.zero] * n
+        acc_l, acc_r = {}, {}
         for (i, j), c in H.delta[b].items():
             lid[j] = lid[j] + H.eps[i] * c
             rid[i] = rid[i] + c * H.eps[j]
-        target = A.basis_element(b)
-        if Element(A, lid) != target or Element(A, rid) != target:
+            _contract(prod, S[i], {j: c}, acc_l)
+            _contract(prod, {i: c}, S[j], acc_r)
+        target = {b: field.one}
+        if sparse(lid) != target or sparse(rid) != target:
             report.fail("counit law fails at %s" % A.space.labels[b])
-
-        acc_l = A.zero()
-        acc_r = A.zero()
-        for (i, j), c in H.delta[b].items():
-            acc_l = acc_l + A.multiply(H.apply_antipode(A.basis_element(i)), A.basis_element(j)).scale(c)
-            acc_r = acc_r + A.multiply(A.basis_element(i), H.apply_antipode(A.basis_element(j))).scale(c)
-        want = A.unit.scale(H.eps[b])
-        if acc_l != want or acc_r != want:
+        want = A.unit.scale(H.eps[b]).terms
+        if any({k: v for k, v in acc.items() if v} != want for acc in (acc_l, acc_r)):
             report.fail("antipode law fails at %s" % A.space.labels[b])
     return report
 
@@ -162,12 +167,8 @@ def _coassociative(tau, delta, b, zero):
     coefficient tables over triples; tau = delta for a Hopf coproduct."""
     left, right = {}, {}
     for (i, j), c in tau[b].items():
-        for (u, v), d in tau[i].items():
-            key = (u, v, j)
-            left[key] = left.get(key, zero) + c * d
-        for (u, v), d in delta[j].items():
-            key = (i, u, v)
-            right[key] = right.get(key, zero) + c * d
+        add_scaled(left, c, {(u, v, j): d for (u, v), d in tau[i].items()})
+        add_scaled(right, c, {(i, u, v): d for (u, v), d in delta[j].items()})
     return all(left.get(k, zero) == right.get(k, zero) for k in set(left) | set(right))
 
 
@@ -206,72 +207,50 @@ def grassmann_hopf(field, generators):
     return HopfSuperAlgebra(A, delta, eps, antipode, check=True)
 
 
+def _column_kernel(field, cols):
+    """The x with sum_b x_b·cols[b] = 0 for sparse columns cols, as a Subspace."""
+    keys = sorted({k for col in cols for k in col})
+    return kernel(field, len(cols), [[col.get(k, field.zero) for col in cols] for k in keys])
+
+
 def primitives(H):
     """Basis of {x : Delta x = x⊗1 + 1⊗x}, as an echelon Subspace."""
-    A = H.algebra
-    field = H.field
-    n = A.dim
-    rows = []
-    for b in range(n):
-        col = {}
-        for (i, j), c in H.delta[b].items():
-            col[(i, j)] = col.get((i, j), field.zero) + c
+    n = H.algebra.dim
+    unit = H.algebra.unit.terms
+    cols = []
+    for b, col in enumerate(H._delta_cols):
         # subtract b⊗1 + 1⊗b, with the unit possibly a combination
-        for u, cu in A.unit.terms.items():
-            col[(b, u)] = col.get((b, u), field.zero) - cu
-            col[(u, b)] = col.get((u, b), field.zero) - cu
-        rows.append(col)
-    mat = []
-    keys = sorted({k for col in rows for k in col})
-    for key in keys:
-        mat.append([rows[b].get(key, field.zero) for b in range(n)])
-    return Subspace(field, n, nullspace(mat, field, n))
+        col = dict(col)
+        add_scaled(col, -H.field.one, {b * n + u: cu for u, cu in unit.items()})
+        add_scaled(col, -H.field.one, {u * n + b: cu for u, cu in unit.items()})
+        cols.append(col)
+    return _column_kernel(H.field, cols)
 
 
 def is_group_like(H, R, coords):
     """Group-likeness of x = sum_{h,r} coords[h][r] · h⊗r in H ⊗ R.
 
     coords: nested list indexed by (basis of H, basis of R).
-    Checks Delta_R x = x ⊗_R x and eps_R(x) = 1_R.
+    Checks Delta_R x = x ⊗_R x and eps_R(x) = 1_R, in (H ⊗ H) ⊗ R.  x ⊗_R x
+    is the product of x placed in the first factor, sum c·(h⊗1)⊗r, and x
+    placed in the second, sum c·(1⊗h)⊗r; the Koszul sign of tensor gives
+    (-1)^{|r||h'|}.
     """
-    A = H.algebra
-    field = H.field
-    nA, nR = A.dim, R.dim
-    lhs = {}
-    for h in range(nA):
-        for r in range(nR):
-            c = coords[h][r]
-            if c == field.zero:
-                continue
-            for (i, j), s in H.delta[h].items():
-                key = (i, j, r)
-                lhs[key] = lhs.get(key, field.zero) + c * s
-    rhs = {}
-    parities = A.space.parities
-    rpar = R.space.parities
-    for h in range(nA):
-        for r in range(nR):
-            c1 = coords[h][r]
-            if c1 == field.zero:
-                continue
-            for h2 in range(nA):
-                for r2 in range(nR):
-                    c2 = coords[h2][r2]
-                    if c2 == field.zero:
-                        continue
-                    sign = field.one if rpar[r] * parities[h2] == 0 else -field.one
-                    val = sign * c1 * c2
-                    for rr, cr in R.product_coords(r, r2).items():
-                        key = (h, h2, rr)
-                        rhs[key] = rhs.get(key, field.zero) + val * cr
-    for key in set(lhs) | set(rhs):
-        if lhs.get(key, field.zero) != rhs.get(key, field.zero):
-            return False
-    eps_x = [field.zero] * nR
-    for h in range(nA):
-        for r in range(nR):
-            eps_x[r] = eps_x[r] + coords[h][r] * H.eps[h]
-    return tuple(eps_x) == R.unit.coords
+    n, nR = H.algebra.dim, R.dim
+    unit = H.algebra.unit.terms
+    delta_x, first, second, eps_x = {}, {}, {}, {}
+    for h, row in enumerate(coords):
+        for r, c in enumerate(row):
+            if c:
+                add_scaled(delta_x, c, {st * nR + r: d for st, d in H._delta_cols[h].items()})
+                add_scaled(first, c, {(h * n + u) * nR + r: cu for u, cu in unit.items()})
+                add_scaled(second, c, {(u * n + h) * nR + r: cu for u, cu in unit.items()})
+                add_scaled(eps_x, c, {r: H.eps[h]})
+    prod = tensor(H.square, R)._prod
+    return (
+        {k: v for k, v in delta_x.items() if v} == _contract(prod, first, second)
+        and {k: v for k, v in eps_x.items() if v} == R.unit.terms
+    )
 
 
 class Coaction:
@@ -314,24 +293,22 @@ class Coaction:
             acc = [field.zero] * A.dim
             for (i, j), c in self.tau[b].items():
                 acc[i] = acc[i] + c * self.hopf.eps[j]
-            if Element(A, acc) != A.basis_element(b):
+            if sparse(acc) != {b: field.one}:
                 report.fail("coaction counit law fails at %s" % A.space.labels[b])
         return report
 
     def coinvariants(self):
         """Echelon basis of {a : tau(a) = a ⊗ 1}; also checks it is a subalgebra."""
         A, D = self.carrier, self.hopf.algebra
-        field = A.field
-        n = A.dim
+        m = D.dim
+        unit = D.unit.terms
         cols = []
-        for b in range(n):
-            col = dict(self.tau[b])
-            for u, cu in D.unit.terms.items():
-                col[(b, u)] = col.get((b, u), field.zero) - cu
+        for b, col in enumerate(self._tau_cols):
+            # subtract b⊗1
+            col = dict(col)
+            add_scaled(col, -A.field.one, {b * m + u: cu for u, cu in unit.items()})
             cols.append(col)
-        keys = sorted({k for col in cols for k in col})
-        mat = [[cols[b].get(key, field.zero) for b in range(n)] for key in keys]
-        sub = Subspace(field, n, nullspace(mat, field, n))
+        sub = _column_kernel(A.field, cols)
         if not all(map(sub.contains, span_products(A, sub.rows, sub.rows))):
             raise HopfError("coinvariants failed to close under product")
         return sub
@@ -343,15 +320,11 @@ class Coaction:
         nA, nD = A.dim, D.dim
         cols = []
         for a in range(nA):
-            ba = A.basis_element(a)
-            for b in range(nA):
-                coords = [field.zero] * (nA * nD)
-                for (i, j), c in self.tau[b].items():
-                    prod = A.multiply(ba, A.basis_element(i))
-                    for t, x in prod.terms.items():
-                        idx = t * nD + j
-                        coords[idx] = coords[idx] + c * x
-                cols.append(coords)
+            for table in self.tau:
+                col = {}
+                for (i, j), c in table.items():
+                    add_scaled(col, c, {t * nD + j: x for t, x in A.product_coords(a, i).items()})
+                cols.append(dense(col, nA * nD, field.zero))
         return rank(cols, field) == nA * nD
 
 

@@ -24,21 +24,25 @@ are handled by TruncatedLocal: their coproduct is an algebra morphism only
 modulo the tensor filtration, and convolution products are computed
 leniently, with an exactness flag telling whether the truncation level was
 deep enough for the result to be trustworthy.
+
+The convolution product is one table, convolution_table, which dual_hopf
+and TruncatedLocal share; products on it, like every product given by a
+table, go through algebra._contract.  Annihilators are linalg.kernel.
 """
 
 from __future__ import annotations
 
 from .algebra import (
-    AxiomReport, Element, SuperAlgebra, SuperIdeal, first_non_multiplicative, span_products,
-    tensor,
+    AxiomReport, Element, SuperAlgebra, SuperIdeal, _contract, first_non_multiplicative,
+    span_products, tensor,
 )
 from .filtration import (
     FiltrationError, GradedCompanion, GradedReport, adic_filtration, tensor_piece,
 )
 from .hopf import HopfSuperAlgebra, check_hopf_axioms
 from .linalg import (
-    Subspace, apply_columns, apply_tensor_columns, dense, identity_matrix, invert_matrix, kron,
-    nullspace, sparse,
+    Subspace, apply_columns, apply_tensor_columns, dense, invert_matrix, kernel, kron, nullspace,
+    sparse,
 )
 
 
@@ -54,10 +58,18 @@ def apply_functional(phi, elem):
 
 def annihilator(field, n, sub):
     """Functionals vanishing on a subspace, as an echelon Subspace."""
-    if sub.dim == 0:
-        return Subspace(field, n, identity_matrix(n, field))
-    mat = [list(row) for row in sub.rows]
-    return Subspace(field, n, nullspace(mat, field, n))
+    return kernel(field, n, sub.rows)
+
+
+def convolution_table(delta, par):
+    """The product table {(i, j): {k: c}} of the convolution on the dual
+    basis, (phi psi)(e_k) = sum (-1)^{|i||j|} Delta(e_k)[i, j] phi_i psi_j,
+    for the coproduct tables delta and basis parities par."""
+    table = {}
+    for k, entries in enumerate(delta):
+        for (i, j), c in entries.items():
+            table.setdefault((i, j), {})[k] = -c if par[i] * par[j] else c
+    return table
 
 
 def dual_hopf(H, *, check=True):
@@ -67,23 +79,15 @@ def dual_hopf(H, *, check=True):
     n = A.dim
     par = A.space.parities
     labels = ["%s'" % lab for lab in A.space.labels]
-    products = {}
-    for k in range(n):
-        for (i, j), c in H.delta[k].items():
-            sign = field.one if par[i] * par[j] == 0 else -field.one
-            products.setdefault((i, j), {})[k] = (
-                products.get((i, j), {}).get(k, field.zero) + sign * c
-            )
     unit = list(H.eps)
     dual = SuperAlgebra(
-        field, labels, list(par), unit, products, check=False,
+        field, labels, list(par), unit, convolution_table(H.delta, par), check=False,
         name="hyp(%s)" % (A.name or "?"),
     )
     delta = [dict() for _ in range(n)]
     for (s, t), terms in A._prod.items():
-        sign = field.one if par[s] * par[t] == 0 else -field.one
         for k, c in terms.items():
-            delta[k][(s, t)] = delta[k].get((s, t), field.zero) + sign * c
+            delta[k][(s, t)] = -c if par[s] * par[t] else c
     eps = list(A.unit.coords)
     antipode = [
         tuple(H.antipode[j][k] for j in range(n)) for k in range(n)
@@ -212,6 +216,7 @@ class TruncatedLocal:
         self.name = name
         self.chain = adic_filtration(algebra, counit_kernel_ideal(algebra, eps))
         self.hyp = HypFiltration(self, self.chain)
+        self._conv = convolution_table(self.delta, algebra.space.parities)
 
     @property
     def field(self):
@@ -222,20 +227,11 @@ class TruncatedLocal:
 
     def convolve(self, phi, psi):
         """(value row, exact flag) of the lenient convolution product."""
-        field = self.field
-        n = self.algebra.dim
         par = self.algebra.space.parities
-        psi_par = {par[i] for i, c in enumerate(psi) if c != field.zero}
-        if len(psi_par) > 1:
+        if len({par[i] for i, c in enumerate(psi) if c}) > 1:
             raise HypError("second factor must be parity homogeneous")
-        pp = psi_par.pop() if psi_par else 0
-        out = [field.zero] * n
-        for k in range(n):
-            acc = field.zero
-            for (i, j), c in self.delta[k].items():
-                sign = -field.one if pp == 1 and par[i] == 1 else field.one
-                acc = acc + sign * c * phi[i] * psi[j]
-            out[k] = acc
+        out = _contract(self._conv, sparse(phi), sparse(psi))
+        out = dense(out, self.algebra.dim, self.field.zero)
         exact = self.hyp_level(phi) + self.hyp_level(psi) <= self.level
         return out, exact
 
@@ -288,15 +284,11 @@ def tensor_hopf(HA, HB):
     for a in range(nA):
         for b in range(nB):
             k = a * nB + b
+            # each key below is met once: (a1, a2, b1, b2) determines it
             for (a1, a2), ca in HA.delta[a].items():
                 for (b1, b2), cb in HB.delta[b].items():
-                    sign = (
-                        -field.one
-                        if parA[a2] * parB[b1] == 1
-                        else field.one
-                    )
-                    key = (a1 * nB + b1, a2 * nB + b2)
-                    delta[k][key] = delta[k].get(key, field.zero) + sign * ca * cb
+                    c = ca * cb
+                    delta[k][(a1 * nB + b1, a2 * nB + b2)] = -c if parA[a2] * parB[b1] else c
     eps = kron(HA.eps, HB.eps, field)
     # S(a ⊗ b) = S(a) ⊗ S(b): the Koszul signs of S being an anti-morphism
     # and of the swap in (1 ⊗ S(b))(S(a) ⊗ 1) cancel

@@ -7,11 +7,13 @@ Axioms checked:
         coefficients.  (B2) is checked directly and not deduced from (B4):
         in characteristic 3 it is independent.
 
-The sweeps contract the structure constants, the sparse table
-{(i, j): {k: c}} of nonzero brackets, and form no dense bracket: a double
-bracket [[e_i,e_j],e_k] is a sum over the support of one table entry, so
-(B4) and (B2) cost O(s^2) per basis triple for at most s terms per entry.
-gl(m|n) is built from the nonzero matrix entries and one pivot inverse.
+The structure constants are the sparse table {(i, j): {k: c}} of nonzero
+brackets, and the bracket of two vectors is algebra._contract on it, the
+kernel of every product given by a table.  The sweeps form no dense
+bracket: a double bracket [[e_i,e_j],e_k] is a sum over the support of one
+table entry, accumulated by linalg.add_scaled, so (B4) and (B2) cost
+O(s^2) per basis triple for at most s terms per entry.  gl(m|n) is built
+from the nonzero matrix entries and one pivot inverse.
 
 Elements are coordinate lists over the field; for coefficient extensions
 g ⊗ R the coordinates are elements of a supercommutative R and the
@@ -22,8 +24,8 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement, permutations
 
-from .algebra import AxiomReport, SuperVectorSpace, _add_scaled
-from .linalg import BasisExpander
+from .algebra import AxiomReport, SuperVectorSpace, _contract
+from .linalg import BasisExpander, add_scaled, dense, sparse
 
 
 class LieError(ValueError):
@@ -61,17 +63,7 @@ class LieSuperAlgebra:
 
     def bracket(self, x, y):
         """Bracket of coordinate vectors over the base field."""
-        out = [self.field.zero] * self.dim
-        for i, ci in enumerate(x):
-            if not ci:
-                continue
-            for j, cj in enumerate(y):
-                if not cj:
-                    continue
-                c = ci * cj
-                for k, s in self.bracket_basis(i, j).items():
-                    out[k] = out[k] + c * s
-        return tuple(out)
+        return tuple(dense(_contract(self.table, sparse(x), sparse(y)), self.dim, self.field.zero))
 
     def bracket_over(self, R, x, y):
         """Bracket on g ⊗ R.  x, y are lists of R Elements (coordinates)."""
@@ -122,11 +114,11 @@ class LieSuperAlgebra:
                     # super Jacobi: [[x,y],z] = [x,[y,z]] - (-1)^{|x||y|}[y,[x,z]]
                     diff = {}
                     for a, c in ij.items():
-                        _add_scaled(diff, c, table.get((a, k), none))
+                        add_scaled(diff, c, table.get((a, k), none))
                     for b, c in jk.items():
-                        _add_scaled(diff, -c, table.get((i, b), none))
+                        add_scaled(diff, -c, table.get((i, b), none))
                     for b, c in ik.items():
-                        _add_scaled(diff, s2 * c, table.get((j, b), none))
+                        add_scaled(diff, s2 * c, table.get((j, b), none))
                     if any(diff.values()):
                         report.fail("(B4) fails at (%s,%s,%s)" % (labels[i], labels[j], labels[k]))
         # (B2) with formal commuting coefficients on the odd part
@@ -135,7 +127,7 @@ class LieSuperAlgebra:
             acc = {}
             for (i, j, k) in set(permutations(multiset)):
                 for a, c in table.get((i, j), none).items():
-                    _add_scaled(acc, c, table.get((a, k), none))
+                    add_scaled(acc, c, table.get((a, k), none))
             if any(acc.values()):
                 report.fail(
                     "(B2) fails on coefficient of %s" % "*".join(labels[t] for t in multiset)
@@ -201,14 +193,14 @@ class MatrixLieSuper(LieSuperAlgebra):
                         raise LieError("matrix is not homogeneous of its parity")
         expander = _MatrixBasis(field, [[x for row in m for x in row] for m in self.matrices])
         # the nonzero entries of each matrix, row by row: [(column, entry)]
-        sparse = [[[(c, x) for c, x in enumerate(row) if x] for row in m]
-                  for m in self.matrices]
+        entries = [[[(c, x) for c, x in enumerate(row) if x] for row in m]
+                   for m in self.matrices]
         brackets = {}
         n = len(labels)
         for i in range(n):
             for j in range(n):
                 sign = field.one if parities[i] * parities[j] == 0 else -field.one
-                comm = _supercommutator(sparse[i], sparse[j], sign, field)
+                comm = _supercommutator(entries[i], entries[j], sign, field)
                 try:
                     coords = expander.coords_field(comm)
                 except LieError:

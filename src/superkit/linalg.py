@@ -120,6 +120,12 @@ def nullspace(rows, field, ncols=None):
     return basis
 
 
+def kernel(field, n, rows):
+    """The x in field^n with row·x = 0 for every row, as a Subspace: no
+    rows give the whole space, and n = 0 the zero space."""
+    return Subspace(field, n, nullspace(rows, field, n))
+
+
 def solve(rows, rhs, field):
     """One solution x of A x = rhs, or None.  A given as list of rows."""
     n = len(rows[0]) if rows else 0
@@ -161,16 +167,23 @@ def kron(u, v, field):
     return out
 
 
+def add_scaled(out, c, terms):
+    """Add c·terms into the accumulator dict out, for a scalar c and a
+    sparse vector terms; cancelled sums are kept, and the caller drops
+    them once, after the last addition."""
+    get = out.get
+    for k, s in terms.items():
+        v = get(k)
+        out[k] = c * s if v is None else v + c * s
+
+
 def apply_columns(cols, vec):
     """sum_j x·cols[j] over the entries j: x of vec: the image of vec under
     the linear map with columns cols.  vec, every column and the result
     are sparse vectors."""
     out = {}
-    get = out.get
     for j, x in vec.items():
-        for t, y in cols[j].items():
-            v = get(t)
-            out[t] = x * y if v is None else v + x * y
+        add_scaled(out, x, cols[j])
     return {t: v for t, v in out.items() if v}
 
 
@@ -178,6 +191,7 @@ def apply_tensor_columns(cols, flat):
     """The image {(u, v): c} of a sparse vector {s·n + t: c} of V ⊗ V,
     n = len(cols), under the linear map with columns cols on each factor."""
     n = len(cols)
+    # its own loop: the keys are the pairs (u, v) of two column entries
     out = {}
     get = out.get
     for st, c in flat.items():

@@ -23,7 +23,9 @@ from superkit.algebra import (
 )
 from superkit.fields import PrimeField, Rationals
 from superkit.gamma import tangent_algebra
-from superkit.linalg import Subspace, dense, mat_mul, solve, transpose
+from superkit.linalg import (
+    Subspace, dense, identity_matrix, kernel, mat_mul, nullspace, solve, transpose,
+)
 
 from conftest import random_element
 
@@ -280,6 +282,60 @@ class TestValidation:
                 },
                 check=True,
             )
+
+
+class TestKernel:
+    @pytest.mark.parametrize("field", [Q, F3, F5], ids=lambda f: f.name)
+    def test_no_rows_give_the_whole_space(self, field):
+        for n in range(1, 5):
+            assert kernel(field, n, []) == Subspace(field, n, identity_matrix(n, field))
+
+    def test_zero_ambient_gives_the_zero_space(self):
+        for rows in ([], [()], [(), ()]):
+            assert kernel(Q, 0, rows) == Subspace(Q, 0)
+
+    def test_rows_give_their_nullspace(self):
+        rows = [(Q.one, Q.one, Q.zero), (Q.zero, Q.one, -Q.one)]
+        K = kernel(Q, 3, rows)
+        assert K.dim == 1 and K == Subspace(Q, 3, nullspace(rows, Q, 3))
+        assert all(sum(r * x for r, x in zip(row, K.rows[0])) == 0 for row in rows)
+
+
+def dense_unit_law_failure(A, unit):
+    """The label of the first e_i with u·e_i != e_i or e_i·u != e_i, for the
+    element u with coordinates unit, on the table of A; None if there is none."""
+    u = Element(A, unit)
+    for i in range(A.dim):
+        e = A.basis_element(i)
+        if dense_multiply(A, u, e) != e.coords or dense_multiply(A, e, u) != e.coords:
+            return A.space.labels[i]
+    return None
+
+
+def test_unit_law_matches_the_dense_referee():
+    import random
+
+    rng = random.Random(5)
+    seen = {"raise": 0, "hold": 0}
+    for field in (Q, F3, F5):
+        for A in (grassmann(field, ["a", "b"]), polynomial_truncation(field, "t", 3),
+                  shifted_unit_algebra(field), idempotent_algebra(field)):
+            even = [i for i in range(A.dim) if A.space.parities[i] == 0]
+            for _ in range(4):
+                unit = list(A.unit.coords)
+                if rng.random() < 0.75:
+                    i = rng.choice(even)
+                    unit[i] = unit[i] + field.from_int(rng.choice((-1, 1, 2)))
+                label = dense_unit_law_failure(A, unit)
+                try:
+                    SuperAlgebra(field, A.space.labels, A.space.parities, unit,
+                                 table_of(A), check=False)
+                    got = None
+                except AlgebraError as exc:
+                    got = str(exc)
+                assert got == (None if label is None else "unit law fails at %s" % label)
+                seen["hold" if label is None else "raise"] += 1
+    assert min(seen.values()) > 0, seen
 
 
 # -- the dense kernel, kept as the referee of the sparse one --------------

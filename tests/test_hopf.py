@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from superkit.algebra import AxiomReport, Element, grassmann, tensor, tensor_pure
+from superkit.algebra import AxiomReport, Element, grassmann, span_products, tensor, tensor_pure
 from superkit.fields import PrimeField, Rationals
+from superkit.linalg import Subspace, nullspace, rank
 from superkit.hopf import (
     Coaction,
     HopfError,
@@ -275,8 +278,6 @@ def perturbed_coaction(H, rng):
 
 
 def test_sweeps_match_the_dense_referee_on_perturbed_tables():
-    import random
-
     rng = random.Random(9)
     seen = {"hopf": {True: 0, False: 0}, "coaction": {True: 0, False: 0}}
     for H in _referee_hopfs():
@@ -309,3 +310,166 @@ def test_structure_table_key_outside_the_basis_is_rejected():
     for antipode in (H.antipode[:1], [col + (Q.zero,) for col in H.antipode]):
         with pytest.raises(HopfError, match="antipode matrix has wrong shape"):
             HopfSuperAlgebra(H.algebra, H.delta, H.eps, antipode, check=True)
+
+
+# -- referees: the loops that primitives, coinvariants, the alpha rank test
+# and is_group_like replaced, compared on seeded inputs ---------------------
+
+
+def reference_primitives(H):
+    A = H.algebra
+    field = H.field
+    n = A.dim
+    rows = []
+    for b in range(n):
+        col = {}
+        for (i, j), c in H.delta[b].items():
+            col[(i, j)] = col.get((i, j), field.zero) + c
+        for u, cu in A.unit.terms.items():
+            col[(b, u)] = col.get((b, u), field.zero) - cu
+            col[(u, b)] = col.get((u, b), field.zero) - cu
+        rows.append(col)
+    mat = []
+    keys = sorted({k for col in rows for k in col})
+    for key in keys:
+        mat.append([rows[b].get(key, field.zero) for b in range(n)])
+    return Subspace(field, n, nullspace(mat, field, n))
+
+
+def reference_coinvariants(co):
+    """The coinvariant rows, or the failure message of the closure test."""
+    A, D = co.carrier, co.hopf.algebra
+    field = A.field
+    n = A.dim
+    cols = []
+    for b in range(n):
+        col = dict(co.tau[b])
+        for u, cu in D.unit.terms.items():
+            col[(b, u)] = col.get((b, u), field.zero) - cu
+        cols.append(col)
+    keys = sorted({k for col in cols for k in col})
+    mat = [[cols[b].get(key, field.zero) for b in range(n)] for key in keys]
+    sub = Subspace(field, n, nullspace(mat, field, n))
+    if not all(map(sub.contains, span_products(A, sub.rows, sub.rows))):
+        return "coinvariants failed to close under product"
+    return sub.rows
+
+
+def reference_alpha_surjective(co):
+    A, D = co.carrier, co.hopf.algebra
+    field = A.field
+    nA, nD = A.dim, D.dim
+    cols = []
+    for a in range(nA):
+        ba = A.basis_element(a)
+        for b in range(nA):
+            coords = [field.zero] * (nA * nD)
+            for (i, j), c in co.tau[b].items():
+                prod = A.multiply(ba, A.basis_element(i))
+                for t, x in prod.terms.items():
+                    idx = t * nD + j
+                    coords[idx] = coords[idx] + c * x
+            cols.append(coords)
+    return rank(cols, field) == nA * nD
+
+
+def coinvariants_outcome(co):
+    try:
+        return co.coinvariants().rows
+    except HopfError as exc:
+        return str(exc)
+
+
+def test_kernels_and_alpha_match_the_referee_on_perturbed_tables():
+    rng = random.Random(14)
+    seen = {"primitives": set(), "coinvariants": set(), "alpha": set()}
+    for H in _referee_hopfs():
+        for _ in range(6):
+            P = perturbed_hopf(H, rng)
+            want = reference_primitives(P)
+            assert primitives(P) == want
+            seen["primitives"].add(want == reference_primitives(H))
+        if H.algebra.dim <= 6 and check_hopf_axioms(H).holds:
+            for _ in range(6):
+                co = perturbed_coaction(H, rng)
+                want = reference_coinvariants(co)
+                assert coinvariants_outcome(co) == want
+                seen["coinvariants"].add(isinstance(want, str))
+                want = reference_alpha_surjective(co)
+                assert co.check_alpha_surjective() == want
+                seen["alpha"].add(want)
+    assert all(outcomes == {True, False} for outcomes in seen.values()), seen
+
+
+def reference_is_group_like(H, R, coords):
+    A = H.algebra
+    field = H.field
+    nA, nR = A.dim, R.dim
+    lhs = {}
+    for h in range(nA):
+        for r in range(nR):
+            c = coords[h][r]
+            if c == field.zero:
+                continue
+            for (i, j), s in H.delta[h].items():
+                key = (i, j, r)
+                lhs[key] = lhs.get(key, field.zero) + c * s
+    rhs = {}
+    parities = A.space.parities
+    rpar = R.space.parities
+    for h in range(nA):
+        for r in range(nR):
+            c1 = coords[h][r]
+            if c1 == field.zero:
+                continue
+            for h2 in range(nA):
+                for r2 in range(nR):
+                    c2 = coords[h2][r2]
+                    if c2 == field.zero:
+                        continue
+                    sign = field.one if rpar[r] * parities[h2] == 0 else -field.one
+                    val = sign * c1 * c2
+                    for rr, cr in R.product_coords(r, r2).items():
+                        key = (h, h2, rr)
+                        rhs[key] = rhs.get(key, field.zero) + val * cr
+    for key in set(lhs) | set(rhs):
+        if lhs.get(key, field.zero) != rhs.get(key, field.zero):
+            return False
+    eps_x = [field.zero] * nR
+    for h in range(nA):
+        for r in range(nR):
+            eps_x[r] = eps_x[r] + coords[h][r] * H.eps[h]
+    return tuple(eps_x) == R.unit.coords
+
+
+def group_like_cases(rng):
+    """(H, R, coords) for products of 1⊗1 + c·t_i⊗a_i over Λ(t_1..t_k),
+    each followed by a copy with one entry shifted."""
+    for field in (Q, PrimeField(3), F5):
+        for k in (1, 2, 3):
+            H = grassmann_hopf(field, ["t%d" % i for i in range(1, k + 1)])
+            A = H.algebra
+            R = grassmann(field, ["a%d" % i for i in range(1, k + 1)])
+            T = tensor(A, R)
+            for _ in range(3):
+                x = T.unit
+                for i in range(1, k + 1):
+                    ta = tensor_pure(T, A.element({"t%d" % i: 1}), R.element({"a%d" % i: 1}))
+                    x = T.multiply(x, T.unit + ta.scale(_bump(field, rng)))
+                coords = [[x.terms.get(h * R.dim + r, field.zero) for r in range(R.dim)]
+                          for h in range(A.dim)]
+                yield H, R, coords
+                h, r = rng.randrange(A.dim), rng.randrange(R.dim)
+                coords = [list(row) for row in coords]
+                coords[h][r] = coords[h][r] + _bump(field, rng)
+                yield H, R, coords
+
+
+def test_is_group_like_matches_the_referee():
+    rng = random.Random(41)
+    seen = {True: 0, False: 0}
+    for H, R, coords in group_like_cases(rng):
+        want = reference_is_group_like(H, R, coords)
+        assert is_group_like(H, R, coords) == want
+        seen[want] += 1
+    assert seen[True] >= 27 and seen[False] > 0, seen

@@ -15,7 +15,9 @@ from superkit.hyp import (
     CanonicalDecomposition,
     HypError,
     HypFiltration,
+    TruncatedLocal,
     additive_truncation,
+    annihilator,
     apply_functional,
     augmentation_filtration,
     check_gr_hyp_duality,
@@ -109,6 +111,75 @@ class TestLenientTruncation:
         delta = [Q.zero, Q.one]
         out, exact = T.convolve(list(T.eps), delta)
         assert out == delta and exact
+
+
+def reference_convolve(T, phi, psi):
+    """The loop that TruncatedLocal.convolve replaced."""
+    field = T.field
+    n = T.algebra.dim
+    par = T.algebra.space.parities
+    psi_par = {par[i] for i, c in enumerate(psi) if c != field.zero}
+    if len(psi_par) > 1:
+        raise HypError("second factor must be parity homogeneous")
+    pp = psi_par.pop() if psi_par else 0
+    out = [field.zero] * n
+    for k in range(n):
+        acc = field.zero
+        for (i, j), c in T.delta[k].items():
+            sign = -field.one if pp == 1 and par[i] == 1 else field.one
+            acc = acc + sign * c * phi[i] * psi[j]
+        out[k] = acc
+    exact = T.hyp_level(phi) + T.hyp_level(psi) <= T.level
+    return out, exact
+
+
+def _truncations():
+    """Additive truncations, alone (all even) and tensored with Λ(t1, t2)
+    as a TruncatedLocal: the second factor can be odd, and the coproduct
+    has terms with two odd factors, where the Koszul sign shows."""
+    for field, m in ((Q, 3), (Q, 4), (F3, 3), (F5, 5)):
+        T = additive_truncation(field, m)
+        yield T
+        H = tensor_hopf(T.as_hopf(check=False), grassmann_hopf(field, ["t1", "t2"]))
+        yield TruncatedLocal(H.algebra, H.delta, H.eps, m - 1)
+
+
+def test_convolve_matches_the_referee():
+    rng = random.Random(23)
+    seen = {"exact": set(), "psi parity": set(), "mixed": 0}
+    for T in _truncations():
+        field, par = T.field, T.algebra.space.parities
+
+        def functional(parity=None):
+            return [field.from_int(rng.choice((0, 0, 0, -1, 1, 2)))
+                    if parity is None or par[i] == parity else field.zero
+                    for i in range(T.algebra.dim)]
+
+        for _ in range(12):
+            phi = functional()
+            for parity in sorted(set(par)):
+                psi = functional(parity)
+                want = reference_convolve(T, phi, psi)
+                assert T.convolve(phi, psi) == want
+                seen["exact"].add(want[1])
+                if any(psi):
+                    seen["psi parity"].add(parity)
+            if len(set(par)) == 2:
+                psi = [field.one] * T.algebra.dim
+                for convolve in (T.convolve, lambda a, b: reference_convolve(T, a, b)):
+                    with pytest.raises(HypError, match="parity homogeneous"):
+                        convolve(phi, psi)
+                seen["mixed"] += 1
+    assert seen["exact"] == {True, False} and seen["psi parity"] == {0, 1}, seen
+    assert seen["mixed"] > 0
+
+
+@pytest.mark.parametrize("field", [Q, F3, F5], ids=lambda f: f.name)
+def test_annihilator_of_the_zero_space_is_everything(field):
+    for n in range(4):
+        assert annihilator(field, n, Subspace(field, n)) == Subspace(
+            field, n, identity_matrix(n, field))
+        assert annihilator(field, n, Subspace(field, n, identity_matrix(n, field))).dim == 0
 
 
 @pytest.mark.parametrize("field", [Q, F3, F5], ids=lambda f: f.name)

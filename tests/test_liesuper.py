@@ -33,6 +33,43 @@ def test_gl11_bracket_of_odd_pair():
     assert list(br) == want
 
 
+def reference_bracket(L, x, y):
+    """The dense triple loop that LieSuperAlgebra.bracket replaced."""
+    out = [L.field.zero] * L.dim
+    for i, ci in enumerate(x):
+        if not ci:
+            continue
+        for j, cj in enumerate(y):
+            if not cj:
+                continue
+            c = ci * cj
+            for k, s in L.bracket_basis(i, j).items():
+                out[k] = out[k] + c * s
+    return tuple(out)
+
+
+def test_bracket_matches_the_dense_referee():
+    rng = random.Random(31)
+    seen = set()
+    for field in (Q, F3, F5):
+        for m, n in ((1, 1), (2, 1), (1, 2)):
+            L = gl_super(field, m, n)
+
+            def vector(parity=None):
+                return [field.from_int(rng.choice((0, 0, -1, 1, 2)))
+                        if parity is None or L.space.parities[i] == parity else field.zero
+                        for i in range(L.dim)]
+
+            for _ in range(10):
+                x, y = vector(), vector()
+                even = vector(0)
+                for a, b in ((x, y), (y, x), (even, even), (x, L.basis_coords(0))):
+                    want = reference_bracket(L, a, b)
+                    assert L.bracket(a, b) == want
+                    seen.add(any(want))
+    assert seen == {True, False}
+
+
 def test_odd_self_bracket_is_anticommutator():
     L = gl_super(Q, 1, 1)
     i_v = L.space.index("E12")
