@@ -451,7 +451,7 @@ def group_like_cases(rng):
             A = H.algebra
             R = grassmann(field, ["a%d" % i for i in range(1, k + 1)])
             T = tensor(A, R)
-            for _ in range(3):
+            for _ in range(2):
                 x = T.unit
                 for i in range(1, k + 1):
                     ta = tensor_pure(T, A.element({"t%d" % i: 1}), R.element({"a%d" % i: 1}))
@@ -472,4 +472,4 @@ def test_is_group_like_matches_the_referee():
         want = reference_is_group_like(H, R, coords)
         assert is_group_like(H, R, coords) == want
         seen[want] += 1
-    assert seen[True] >= 27 and seen[False] > 0, seen
+    assert seen[True] >= 18 and seen[False] > 0, seen
