@@ -231,24 +231,25 @@ def is_group_like(H, R, coords):
     """Group-likeness of x = sum_{h,r} coords[h][r] · h⊗r in H ⊗ R.
 
     coords: nested list indexed by (basis of H, basis of R).
-    Checks Delta_R x = x ⊗_R x and eps_R(x) = 1_R, in (H ⊗ H) ⊗ R.  x ⊗_R x
-    is the product of x placed in the first factor, sum c·(h⊗1)⊗r, and x
-    placed in the second, sum c·(1⊗h)⊗r; the Koszul sign of tensor gives
-    (-1)^{|r||h'|}.
+    Checks Delta_R x = x ⊗_R x and eps_R(x) = 1_R, in (H ⊗ H) ⊗ R.  In
+    x ⊗_R x, (h⊗1)(1⊗h') = h⊗h' is the basis vector h·n + h' of H ⊗ H, so
+    only R's table is contracted, with the Koszul sign (-1)^{|r||h'|}: the
+    grade involution of row h against an odd h'.
     """
     n, nR = H.algebra.dim, R.dim
-    unit = H.algebra.unit.terms
-    delta_x, first, second, eps_x = {}, {}, {}, {}
-    for h, row in enumerate(coords):
-        for r, c in enumerate(row):
-            if c:
-                add_scaled(delta_x, c, {st * nR + r: d for st, d in H._delta_cols[h].items()})
-                add_scaled(first, c, {(h * n + u) * nR + r: cu for u, cu in unit.items()})
-                add_scaled(second, c, {(u * n + h) * nR + r: cu for u, cu in unit.items()})
-                add_scaled(eps_x, c, {r: H.eps[h]})
-    prod = tensor(H.square, R)._prod
+    par, rpar = H.algebra.space.parities, R.space.parities
+    rows = {h: {r: c for r, c in enumerate(row) if c} for h, row in enumerate(coords)}
+    delta_x, square, eps_x = {}, {}, {}
+    for h, row in rows.items():
+        for r, c in row.items():
+            add_scaled(delta_x, c, {st * nR + r: d for st, d in H._delta_cols[h].items()})
+            add_scaled(eps_x, c, {r: H.eps[h]})
+        inv = {r: -c if rpar[r] else c for r, c in row.items()}
+        for h2, row2 in rows.items():
+            for rr, v in _contract(R._prod, inv if par[h2] else row, row2).items():
+                square[(h * n + h2) * nR + rr] = v
     return (
-        {k: v for k, v in delta_x.items() if v} == _contract(prod, first, second)
+        {k: v for k, v in delta_x.items() if v} == square
         and {k: v for k, v in eps_x.items() if v} == R.unit.terms
     )
 

@@ -257,13 +257,11 @@ class BasisExpander:
         if len(red) != len(basis):
             raise self.error("expansion basis is not independent")
         pinv = invert_matrix([[b[p] for b in basis] for p in pivots], field) if basis else []
-        # coordinate i is the sum of c * vec[p] over reads[i]
-        self.reads = [[(p, c) for p, c in zip(pivots, row) if c] for row in pinv]
-        # entry t of a vector in the span is the sum of b_i[t] * coordinate i
-        self.entries = [
-            [(i, b[t]) for i, b in enumerate(basis) if b[t]]
-            for t in range(len(basis[0]) if basis else 0)
-        ]
+        # coordinate i is the sum of c * vec[p] over the (i, c) in readers[p]
+        self.readers = {p: [(i, row[k]) for i, row in enumerate(pinv) if row[k]]
+                        for k, p in enumerate(pivots)}
+        # the nonzero entries (t, b[t]) of each basis vector b
+        self.supports = [[(t, x) for t, x in enumerate(b) if x] for b in basis]
 
     def coords_field(self, vec):
         coords, ok = self.coords_generic(vec, mul, add, not_, self.field.zero)
@@ -273,25 +271,26 @@ class BasisExpander:
 
     def coords_generic(self, vec, scal, add, is_zero, zero):
         """(coords, ok) for vec over a commutative ring containing K whose
-        zero is `zero`; entries that test false are zero and are skipped."""
-        coords = []
-        for reads in self.reads:
-            acc = None
-            for p, c in reads:
-                x = vec[p]
-                if x:
-                    term = scal(c, x)
-                    acc = term if acc is None else add(acc, term)
-            coords.append(zero if acc is None else acc)
+        zero is `zero`.  Only the support of vec, its entries other than
+        `zero`, is read; vec is rebuilt from the sparse basis vectors and
+        compared on the union of the two supports.  An entry can be nonzero
+        and yet vanish in the ring (a Poly in an ideal), so each compared
+        entry is tested with is_zero, rebuilt or not."""
+        support = [(t, x) for t, x in enumerate(vec) if x != zero]
+        coords = {}
+        for t, x in support:
+            for i, c in self.readers.get(t, ()):
+                term = scal(c, x)
+                coords[i] = add(coords[i], term) if i in coords else term
+        recon = {}
+        for i, y in coords.items():
+            for t, b in self.supports[i]:
+                term = scal(b, y)
+                recon[t] = add(recon[t], term) if t in recon else term
+        out = [coords.get(i, zero) for i in range(len(self.supports))]
         minus_one = -self.field.one
-        for t, x in enumerate(vec):
-            recon = None
-            for i, b in (self.entries[t] if self.entries else ()):
-                y = coords[i]
-                if y:
-                    term = scal(b, y)
-                    recon = term if recon is None else add(recon, term)
-            diff = x if recon is None else add(x, scal(minus_one, recon))
-            if not is_zero(diff):
-                return coords, False
-        return coords, True
+        for t, x in support:
+            r = recon.pop(t, None)
+            if not is_zero(x if r is None else add(x, scal(minus_one, r))):
+                return out, False
+        return out, all(is_zero(r) for r in recon.values())

@@ -1,3 +1,5 @@
+import random
+from operator import add, mul, not_
 from unittest import mock
 
 import pytest
@@ -24,8 +26,10 @@ from superkit.algebra import (
 from superkit.fields import PrimeField, Rationals
 from superkit.gamma import tangent_algebra
 from superkit.linalg import (
-    Subspace, dense, identity_matrix, kernel, mat_mul, nullspace, solve, transpose,
+    BasisExpander, Subspace, dense, identity_matrix, invert_matrix, kernel, mat_mul, nullspace,
+    rref, solve, transpose,
 )
+from superkit.symbolic import Poly, Reducer
 
 from conftest import random_element
 
@@ -299,6 +303,82 @@ class TestKernel:
         K = kernel(Q, 3, rows)
         assert K.dim == 1 and K == Subspace(Q, 3, nullspace(rows, Q, 3))
         assert all(sum(r * x for r, x in zip(row, K.rows[0])) == 0 for row in rows)
+
+
+def reference_coords_generic(field, basis, vec, scal, add, is_zero, zero):
+    """The dense expansion that BasisExpander.coords_generic replaced: each
+    coordinate reads every pivot, and every entry of vec is rebuilt."""
+    _, pivots = rref(basis, field)
+    pinv = invert_matrix([[b[p] for b in basis] for p in pivots], field)
+    reads = [[(p, c) for p, c in zip(pivots, row) if c] for row in pinv]
+    entries = [[(i, b[t]) for i, b in enumerate(basis) if b[t]] for t in range(len(basis[0]))]
+    coords = []
+    for row in reads:
+        acc = None
+        for p, c in row:
+            x = vec[p]
+            if x:
+                term = scal(c, x)
+                acc = term if acc is None else add(acc, term)
+        coords.append(zero if acc is None else acc)
+    minus_one = -field.one
+    for t, x in enumerate(vec):
+        recon = None
+        for i, b in entries[t]:
+            y = coords[i]
+            if y:
+                term = scal(b, y)
+                recon = term if recon is None else add(recon, term)
+        diff = x if recon is None else add(x, scal(minus_one, recon))
+        if not is_zero(diff):
+            return coords, False
+    return coords, True
+
+
+@pytest.mark.parametrize("field", [Q, F3, F5], ids=lambda f: f.name)
+def test_coords_generic_matches_the_dense_reference(field):
+    # over the field, over R = Λ(a, b) and over Polys modulo p*q - 1; the
+    # last entry of K^7 lies in no basis vector's support, so it is never
+    # rebuilt, and p*q - 1 there is nonzero yet zero modulo the ideal
+    rng = random.Random(61 + field.char)
+    R = grassmann(field, ["a", "b"])
+    vanishing = Poly.read(field, "p*q - 1")
+    polys = [Poly.read(field, t) for t in ("1", "p", "q", "p*q", "p^2 - q")]
+    times = lambda c, x: x * c  # noqa: E731
+    rings = [  # (sample, scal, is_zero, zero, an entry that vanishes in the ring)
+        (lambda: field.from_int(rng.randint(-2, 2)), mul, not_, field.zero, None),
+        (lambda: random_element(rng, R, bound=2), times, Element.is_zero, R.zero(), None),
+        (lambda: rng.choice(polys) * field.from_int(rng.randint(-2, 2)), times,
+         Reducer([vanishing]).is_zero, Poly(field), vanishing),
+    ]
+    seen = set()
+    for sample, scal, is_zero, zero, null in rings:
+        for _ in range(12):
+            k = rng.randint(1, 4)
+            basis = [tuple(field.from_int(rng.choice((0, 0, 1, -1, 2))) for _ in range(6))
+                     + (field.zero,) for _ in range(k)]
+            if len(rref(basis, field)[0]) < k:
+                continue
+            expander = BasisExpander(field, basis)
+            inside = [zero] * 7
+            for b in basis:
+                c = sample()
+                inside = [add(x, scal(e, c)) for x, e in zip(inside, b)]
+
+            def shifted(t, y):
+                return inside[:t] + [add(inside[t], y)] + inside[t + 1:]
+
+            t = rng.randrange(7)
+            vecs = [inside, shifted(t, sample())]
+            if null is not None:
+                vecs += [shifted(6, null), shifted(t, null)]
+            for vec in vecs:
+                want = reference_coords_generic(field, basis, vec, scal, add, is_zero, zero)
+                assert expander.coords_generic(vec, scal, add, is_zero, zero) == want
+                seen.add(want[1])
+            assert all(reference_coords_generic(field, basis, vec, scal, add, is_zero, zero)[1]
+                       for vec in vecs[:1] + vecs[2:])
+    assert seen == {True, False}
 
 
 def dense_unit_law_failure(A, unit):

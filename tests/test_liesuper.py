@@ -6,6 +6,7 @@ import pytest
 from superkit.algebra import grassmann
 from superkit.fields import PrimeField, Rationals
 from superkit.linalg import mat_bracket, solve, transpose
+from conftest import random_element
 from superkit.liesuper import (
     LieError,
     LieSuperAlgebra,
@@ -136,6 +137,49 @@ def test_bracket_over_coefficient_signs():
     assert br2[L.space.index("E11")] == ab
 
 
+def reference_bracket_over(L, R, x, y):
+    """The Element-per-term loop that bracket_over replaced."""
+    par = L.space.parities
+    out = [R.zero() for _ in range(L.dim)]
+    for i, ri in enumerate(x):
+        if ri.is_zero():
+            continue
+        for p in (0, 1):
+            rp = ri.homogeneous_part(p)
+            if rp.is_zero():
+                continue
+            for j, rj in enumerate(y):
+                if rj.is_zero():
+                    continue
+                prod = R.multiply(rp, rj)
+                if p == 1 and par[j] == 1:
+                    prod = -prod
+                for k, s in L.bracket_basis(i, j).items():
+                    out[k] = out[k] + prod.scale(s)
+    return out
+
+
+@pytest.mark.parametrize("field", [Q, F3, F5], ids=["Q", "F3", "F5"])
+def test_bracket_over_matches_the_referee(field):
+    rng = random.Random(17 + field.char)
+    seen = set()
+    for m, n in ((1, 1), (2, 1)):
+        L = gl_super(field, m, n)
+        for k in (2, 3):
+            R = grassmann(field, ["a%d" % i for i in range(k)])
+
+            def vector():
+                return [random_element(rng, R) if rng.random() < 0.4 else R.zero()
+                        for _ in range(L.dim)]
+
+            for _ in range(4):
+                x, y = vector(), vector()
+                want = reference_bracket_over(L, R, x, y)
+                assert L.bracket_over(R, x, y) == want
+                seen.update(w.is_zero() for w in want)
+    assert seen == {True, False}
+
+
 def test_ad_is_super_derivation():
     L = gl_super(Q, 2, 1)
     xs = [L.basis_coords(i) for i in (0, 1, 5)]
@@ -254,6 +298,22 @@ def perturbed(L, rng):
     return LieSuperAlgebra(field, L.space.labels, par, table, check=False)
 
 
+def sorted_witness(L, failure):
+    """The failure with its basis labels in index order: the sorted pair or
+    triple of its orbit.  (B2) failures name a multiset and stay as they are."""
+    head, at, rest = failure.partition(" at (")
+    if not at:
+        return failure
+    indices = sorted(L.space.index(label) for label in rest[:-1].split(","))
+    return "%s at (%s)" % (head, ",".join(L.space.labels[i] for i in indices))
+
+
+def representatives(L, failures):
+    """The failures at sorted pairs and triples, in their order: (B3) at
+    i <= j and (B4) at i <= j <= k, the witnesses check_axioms reports."""
+    return [f for f in failures if sorted_witness(L, f) == f]
+
+
 SMALL_GL = [(m, n) for m in range(4) for n in range(4) if 2 <= m + n <= 3]
 
 
@@ -266,7 +326,7 @@ def test_sparse_paths_match_dense_reference(m, n, field):
     rng = random.Random(1000 * m + 10 * n + field.char)
     for _ in range(3):
         P = perturbed(L, rng)
-        assert P.check_axioms().failures == dense_failures(P)
+        assert P.check_axioms().failures == representatives(P, dense_failures(P))
 
 
 def test_perturbations_are_caught():
@@ -277,3 +337,43 @@ def test_perturbations_are_caught():
         for _ in range(10)
     )
     assert caught >= 20
+
+
+def alternating_perturbation(L, rng):
+    """L's table with random entries changed at (i, j) and at its mirror
+    (j, i) with the sign of (B3), so that (B3) still holds."""
+    field, par = L.field, L.space.parities
+    table = {key: dict(terms) for key, terms in L.table.items()}
+    for _ in range(rng.randint(1, 2)):
+        i, j = sorted((rng.randrange(L.dim), rng.randrange(L.dim)))
+        if i == j and not par[i]:
+            continue  # [x,x] = 0 for even x
+        want = (par[i] + par[j]) % 2
+        k = rng.choice([t for t in range(L.dim) if par[t] == want])
+        terms = table.setdefault((i, j), {})
+        if k in terms and rng.random() < 0.5:
+            terms[k] = terms[k] * field.from_int(rng.randint(2, 4))
+        else:
+            terms[k] = terms.get(k, field.zero) + field.from_int(rng.randint(1, 4))
+        sign = -field.one if par[i] * par[j] == 0 else field.one
+        table.setdefault((j, i), {})[k] = sign * terms[k]
+    return LieSuperAlgebra(field, L.space.labels, par, table, check=False)
+
+
+@pytest.mark.parametrize("field", [Q, F3, F5], ids=["Q", "F3", "F5"])
+def test_orbit_sweep_matches_the_dense_sweep_when_b3_holds(field):
+    # given (B3) the Jacobiator is graded-alternating, so the sorted sweep
+    # fails exactly on the orbits of the dense sweep's failures
+    rng = random.Random(300 + field.char)
+    holds = set()
+    for (m, n), count in [(mn, 4) for mn in SMALL_GL] + [((2, 2), 2)]:
+        L = gl_super(field, m, n)
+        for _ in range(count):
+            P = alternating_perturbation(L, rng)
+            dense = dense_failures(P)
+            assert not any(f.startswith("(B3)") for f in dense)
+            report = P.check_axioms()
+            assert report.holds == (not dense)
+            assert set(report.failures) == {sorted_witness(P, f) for f in dense}
+            holds.add(report.holds)
+    assert holds == {True, False}
