@@ -276,7 +276,8 @@ class BasisExpander:
         compared on the union of the two supports.  An entry can be nonzero
         and yet vanish in the ring (a Poly in an ideal), so each compared
         entry is tested with is_zero, rebuilt or not."""
-        support = [(t, x) for t, x in enumerate(vec) if x != zero]
+        # bool first, the cheap test of a scalar or Poly; an Element is true
+        support = [(t, x) for t, x in enumerate(vec) if x and x != zero]
         coords = {}
         for t, x in support:
             for i, c in self.readers.get(t, ()):
