@@ -6,7 +6,6 @@ import pytest
 from superkit.algebra import grassmann
 from superkit.fields import PrimeField, Rationals
 from superkit.linalg import mat_bracket, solve, transpose
-from conftest import random_element
 from superkit.liesuper import (
     LieError,
     LieSuperAlgebra,
@@ -14,6 +13,8 @@ from superkit.liesuper import (
     check_ad_derivation,
     gl_super,
 )
+
+from conftest import random_element
 
 Q = Rationals()
 F3 = PrimeField(3)
