@@ -3,9 +3,10 @@
 An algebra is a graded basis (labels with parities in {0,1}) together with
 sparse structure constants.  Construction eagerly checks the axioms:
 parity additivity of products, supercommutativity ab = (-1)^{|a||b|} ba,
-associativity and the unit law.  Derived constructions (tensor products,
-quotients) that are correct by construction skip the cubic associativity
-sweep but everything user-supplied is verified.
+associativity and the unit law.  Derived constructions that are correct
+by construction skip the cubic associativity sweep (quotients), or every
+check (tensor products of built algebras); everything user-supplied is
+verified.
 
 An element stores only its nonzero coordinates, {basis index: coefficient};
 a product contracts the terms of its factors through the product table, so
@@ -24,7 +25,7 @@ from functools import reduce
 from operator import add
 
 from .linalg import (
-    Subspace, add_scaled, apply_columns, dense, identity_matrix, kron, solve, sparse, transpose,
+    Subspace, add_scaled, apply_columns, dense, identity_matrix, solve, sparse, transpose,
 )
 
 
@@ -325,21 +326,20 @@ def first_non_multiplicative(source, target, images):
 
 class SuperAlgebra:
     def __init__(self, field, labels, parities, unit_coords, products, *, check=True, name=None):
-        self.field = field
-        self.space = SuperVectorSpace(labels, parities)
-        self.name = name
-        self._prod = {}
-        for (i, j), terms in products.items():
-            terms = {k: c for k, c in terms.items() if c}
-            if terms:
-                self._prod[(i, j)] = terms
-        self._unit_terms = sparse(unit_coords)
-        support = list(self._unit_terms)
-        self.unit_index = (
-            support[0] if len(support) == 1 and self._unit_terms[support[0]] == field.one
-            else None
-        )
+        prod = {key: t for key, terms in products.items()
+                if (t := {k: c for k, c in terms.items() if c})}
+        self._assemble(field, SuperVectorSpace(labels, parities), prod, sparse(unit_coords), name)
         self._validate(full=check)
+
+    def _assemble(self, field, space, prod, unit_terms, name):
+        """Set the fields from a table {(i, j): {k: c}} of nonzero terms and
+        the unit's terms, with no check; tensor assembles its product so."""
+        self.field, self.space, self.name = field, space, name
+        self._prod, self._unit_terms = prod, unit_terms
+        support = list(unit_terms)
+        self.unit_index = (
+            support[0] if len(support) == 1 and unit_terms[support[0]] == field.one else None
+        )
 
     @property
     def dim(self):
@@ -539,29 +539,36 @@ def grassmann(field, generators):
 
 
 def tensor(A, B):
-    """Tensor product superalgebra with the Koszul sign rule."""
+    """Tensor product superalgebra with the Koszul sign rule
+    (a⊗b)(a'⊗b') = (-1)^{|b||a'|} aa'⊗bb'.
+
+    The result is assembled, not validated: A and B passed parity
+    additivity, supercommutativity and the unit law when they were built,
+    and their Koszul-sign tensor has all three by construction (the sign
+    is what makes it supercommutative, and 1⊗1 is even), so those checks
+    could not fail here."""
     if A.field != B.field:
         raise AlgebraError("tensor factors over different fields")
     field = A.field
     dimB = B.dim
-    labels = ["%s⊗%s" % (la, lb) for la in A.space.labels for lb in B.space.labels]
-    parities = [
-        (pa + pb) % 2 for pa in A.space.parities for pb in B.space.parities
-    ]
+    par_a, par_b = A.space.parities, B.space.parities
+    space = SuperVectorSpace(
+        ["%s⊗%s" % (la, lb) for la in A.space.labels for lb in B.space.labels],
+        [(pa + pb) % 2 for pa in par_a for pb in par_b],
+    )
+    one, minus_one = field.one, -field.one
     products = {}
     for (i, k), pa in A._prod.items():
         for (j, l), pb in B._prod.items():
-            sign = field.one if B.space.parities[j] * A.space.parities[k] == 0 else -field.one
-            terms = {}
-            for u, cu in pa.items():
-                for v, cv in pb.items():
-                    terms[u * dimB + v] = sign * cu * cv
-            products[(i * dimB + j, k * dimB + l)] = terms
-    unit = kron(A.unit.coords, B.unit.coords, field)
-    return SuperAlgebra(
-        field, labels, parities, unit, products, check=False,
-        name="%s⊗%s" % (A.name or "?", B.name or "?"),
-    )
+            sign = minus_one if par_b[j] and par_a[k] else one
+            products[(i * dimB + j, k * dimB + l)] = {
+                u * dimB + v: sign * cu * cv for u, cu in pa.items() for v, cv in pb.items()
+            }
+    unit = {u * dimB + v: x * y
+            for u, x in A._unit_terms.items() for v, y in B._unit_terms.items()}
+    T = object.__new__(SuperAlgebra)
+    T._assemble(field, space, products, unit, "%s⊗%s" % (A.name or "?", B.name or "?"))
+    return T
 
 
 def tensor_pure(T, a, b):

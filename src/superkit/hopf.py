@@ -143,18 +143,16 @@ def check_hopf_axioms(H):
         if not _coassociative(H.delta, H.delta, b, field.zero):
             report.fail("coassociativity fails at %s" % A.space.labels[b])
 
-        # the counit law, and sum c·S(e_i)·e_j and sum c·e_i·S(e_j) over the
-        # terms c·e_i⊗e_j of Delta e_b for the antipode law
-        lid = [field.zero] * n
-        rid = [field.zero] * n
-        acc_l, acc_r = {}, {}
+        # sum c·ε(e_i)·e_j and sum c·e_i·ε(e_j) for the counit law, and sum
+        # c·S(e_i)·e_j and sum c·e_i·S(e_j) for the antipode law, over the
+        # terms c·e_i⊗e_j of Delta e_b
+        lid, rid, acc_l, acc_r = {}, {}, {}, {}
         for (i, j), c in H.delta[b].items():
-            lid[j] = lid[j] + H.eps[i] * c
-            rid[i] = rid[i] + c * H.eps[j]
+            add_scaled(lid, H.eps[i], {j: c})
+            add_scaled(rid, H.eps[j], {i: c})
             _contract(prod, S[i], {j: c}, acc_l)
             _contract(prod, {i: c}, S[j], acc_r)
-        target = {b: field.one}
-        if sparse(lid) != target or sparse(rid) != target:
+        if any({k: v for k, v in acc.items() if v} != {b: field.one} for acc in (lid, rid)):
             report.fail("counit law fails at %s" % A.space.labels[b])
         want = A.unit.scale(H.eps[b]).terms
         if any({k: v for k, v in acc.items() if v} != want for acc in (acc_l, acc_r)):
@@ -270,7 +268,7 @@ class Coaction:
         if len(self.tau) != carrier.dim:
             raise HopfError("coaction table has wrong size")
         self._tau_cols = _flat_columns(self.tau, carrier.dim, hopf.algebra.dim, "coaction")
-        self.mixed = tensor(carrier, hopf.algebra)
+        self.mixed = hopf.square if carrier is hopf.algebra else tensor(carrier, hopf.algebra)
         if check:
             rep = self.check_axioms()
             if not rep.holds:
@@ -291,10 +289,10 @@ class Coaction:
         for b in range(A.dim):
             if not _coassociative(self.tau, self.hopf.delta, b, field.zero):
                 report.fail("coaction coassociativity fails at %s" % A.space.labels[b])
-            acc = [field.zero] * A.dim
+            acc = {}
             for (i, j), c in self.tau[b].items():
-                acc[i] = acc[i] + c * self.hopf.eps[j]
-            if sparse(acc) != {b: field.one}:
+                add_scaled(acc, self.hopf.eps[j], {i: c})
+            if {k: v for k, v in acc.items() if v} != {b: field.one}:
                 report.fail("coaction counit law fails at %s" % A.space.labels[b])
         return report
 

@@ -157,17 +157,15 @@ class _MatrixBasis(BasisExpander):
 
 
 def _supercommutator(a, b, sign, field):
-    """a·b - sign·b·a, flattened row by row, for square matrices given by
-    their nonzero entries row by row."""
+    """The nonzero entries {r·size + c: x} of a·b - sign·b·a, for square
+    matrices given by their nonzero entries row by row."""
     size = len(a)
-    out = [field.zero] * (size * size)
+    out = {}
     for x_rows, y_rows, s in ((a, b, field.one), (b, a, -sign)):
         for r, row in enumerate(x_rows):
             for k, x in row:
-                sx = s * x
-                for c, y in y_rows[k]:
-                    out[r * size + c] += sx * y
-    return out
+                add_scaled(out, s * x, {r * size + c: y for c, y in y_rows[k]})
+    return {t: v for t, v in out.items() if v}
 
 
 class MatrixLieSuper(LieSuperAlgebra):
@@ -176,7 +174,12 @@ class MatrixLieSuper(LieSuperAlgebra):
 
     No axiom sweep is needed: each basis matrix is checked to be homogeneous
     of its declared parity for the row grading, and the supercommutator of
-    homogeneous supermatrices satisfies (B2)-(B4), as in gl(m|n)."""
+    homogeneous supermatrices satisfies (B2)-(B4), as in gl(m|n).
+
+    The build stays sparse: each supercommutator is formed from the nonzero
+    entries of the two matrices as its nonzero entries {r·size + c: x}, and
+    BasisExpander.terms_field expands it reading only that support, so a
+    pair of matrix units costs a few terms, not size² entries."""
 
     def __init__(self, field, labels, parities, matrices, row_parities):
         self.matrices = [tuple(tuple(r) for r in m) for m in matrices]
@@ -192,16 +195,15 @@ class MatrixLieSuper(LieSuperAlgebra):
         entries = [[[(c, x) for c, x in enumerate(row) if x] for row in m]
                    for m in self.matrices]
         brackets = {}
-        n = len(labels)
+        n, one, minus_one = len(labels), field.one, -field.one
         for i in range(n):
             for j in range(n):
-                sign = field.one if parities[i] * parities[j] == 0 else -field.one
+                sign = minus_one if parities[i] and parities[j] else one
                 comm = _supercommutator(entries[i], entries[j], sign, field)
                 try:
-                    coords = expander.coords_field(comm)
+                    terms = expander.terms_field(comm)
                 except LieError:
                     raise LieError("matrix basis does not close under the supercommutator")
-                terms = {k: c for k, c in enumerate(coords) if c}
                 if terms:
                     brackets[(i, j)] = terms
         super().__init__(field, labels, parities, brackets, check=False)

@@ -231,7 +231,7 @@ def transpose(a):
 def invert_matrix(a, field):
     """Inverse of a square matrix over the field, or None if singular."""
     n = len(a)
-    aug = [list(row) + identity_matrix(n, field)[i] for i, row in enumerate(a)]
+    aug = [list(row) + unit for row, unit in zip(a, identity_matrix(n, field))]
     red, pivots = rref(aug, field)
     if pivots[:n] != list(range(n)):
         return None
@@ -245,8 +245,10 @@ def rank(rows, field):
 class BasisExpander:
     """Coordinates in the span of fixed independent K-vectors, through a
     pivot inverse computed once; coords_generic works over any commutative
-    ring containing K and checks the vector by rebuilding it.  Subclasses
-    set `error` to their own exception."""
+    ring containing K and checks the vector by rebuilding it.  coords_field
+    (dense) and terms_field (sparse) are its K cases; all three read only
+    the support of the vector, through _expand.  Subclasses set `error` to
+    their own exception."""
 
     error = ValueError
 
@@ -264,20 +266,32 @@ class BasisExpander:
         self.supports = [[(t, x) for t, x in enumerate(b) if x] for b in basis]
 
     def coords_field(self, vec):
-        coords, ok = self.coords_generic(vec, mul, add, not_, self.field.zero)
+        return tuple(dense(self.terms_field(sparse(vec)), len(self.supports), self.field.zero))
+
+    def terms_field(self, vec):
+        """The nonzero coordinates {i: c}, ascending in i, of a sparse
+        K-vector vec = {index: entry}; only its support is read."""
+        coords, ok = self._expand(vec.items(), mul, add, not_)
         if not ok:
             raise self.error("vector escapes the expansion basis")
-        return tuple(coords)
+        return {i: coords[i] for i in sorted(coords) if coords[i]}
 
     def coords_generic(self, vec, scal, add, is_zero, zero):
         """(coords, ok) for vec over a commutative ring containing K whose
         zero is `zero`.  Only the support of vec, its entries other than
-        `zero`, is read; vec is rebuilt from the sparse basis vectors and
-        compared on the union of the two supports.  An entry can be nonzero
-        and yet vanish in the ring (a Poly in an ideal), so each compared
-        entry is tested with is_zero, rebuilt or not."""
+        `zero`, is read."""
         # bool first, the cheap test of a scalar or Poly; an Element is true
         support = [(t, x) for t, x in enumerate(vec) if x and x != zero]
+        coords, ok = self._expand(support, scal, add, is_zero)
+        return [coords.get(i, zero) for i in range(len(self.supports))], ok
+
+    def _expand(self, support, scal, add, is_zero):
+        """({i: coordinate}, ok) for the vector with the entries (t, x) of
+        support, the one expansion routine: the vector is rebuilt from the
+        sparse basis vectors and compared on the union of the two supports.
+        An entry can be nonzero and yet vanish in the ring (a Poly in an
+        ideal), so each compared entry is tested with is_zero, rebuilt or
+        not."""
         coords = {}
         for t, x in support:
             for i, c in self.readers.get(t, ()):
@@ -288,10 +302,9 @@ class BasisExpander:
             for t, b in self.supports[i]:
                 term = scal(b, y)
                 recon[t] = add(recon[t], term) if t in recon else term
-        out = [coords.get(i, zero) for i in range(len(self.supports))]
         minus_one = -self.field.one
         for t, x in support:
             r = recon.pop(t, None)
             if not is_zero(x if r is None else add(x, scal(minus_one, r))):
-                return out, False
-        return out, all(is_zero(r) for r in recon.values())
+                return coords, False
+        return coords, all(is_zero(r) for r in recon.values())

@@ -14,6 +14,7 @@ from superkit.algebra import (
     SuperIdeal,
     first_non_multiplicative,
     grassmann,
+    ground_algebra,
     ideal_generated_by,
     mat_mul_over,
     sum_products,
@@ -24,10 +25,13 @@ from superkit.algebra import (
     tensor_pure,
 )
 from superkit.fields import PrimeField, Rationals
+from superkit.filtration import adic_filtration, graded_companion
 from superkit.gamma import tangent_algebra
+from superkit.hopf import grassmann_hopf
+from superkit.hyp import additive_truncation, dual_hopf
 from superkit.linalg import (
-    BasisExpander, Subspace, dense, identity_matrix, invert_matrix, kernel, mat_mul, nullspace,
-    rref, solve, transpose,
+    BasisExpander, Subspace, dense, identity_matrix, invert_matrix, kernel, kron, mat_mul,
+    nullspace, rref, solve, transpose,
 )
 from superkit.symbolic import Poly, Reducer
 
@@ -829,3 +833,65 @@ def test_full_validation_matches_dense_on_perturbed_tables():
             assert full == dense
             seen["raise" if full else "hold"] += 1
     assert sum(seen.values()) >= 50 and min(seen.values()) > 0, seen
+
+
+# -- tensor against the validated build it replaced -------------------------
+
+
+def validated_tensor(A, B):
+    """The Koszul-sign tensor product handed to the public constructor, which
+    checks parity additivity, supercommutativity and the unit law: the
+    referee for algebra.tensor, which assembles the same table unchecked."""
+    field = A.field
+    dimB = B.dim
+    labels = ["%s⊗%s" % (la, lb) for la in A.space.labels for lb in B.space.labels]
+    parities = [(pa + pb) % 2 for pa in A.space.parities for pb in B.space.parities]
+    products = {}
+    for (i, k), pa in A._prod.items():
+        for (j, l), pb in B._prod.items():
+            sign = field.one if B.space.parities[j] * A.space.parities[k] == 0 else -field.one
+            terms = {}
+            for u, cu in pa.items():
+                for v, cv in pb.items():
+                    terms[u * dimB + v] = sign * cu * cv
+            products[(i * dimB + j, k * dimB + l)] = terms
+    unit = kron(A.unit.coords, B.unit.coords, field)
+    return SuperAlgebra(
+        field, labels, parities, unit, products, check=False,
+        name="%s⊗%s" % (A.name or "?", B.name or "?"),
+    )
+
+
+def tensor_factors(field):
+    lam2 = grassmann(field, ["a", "b"])
+    return [grassmann(field, ["a%d" % i for i in range(1, k + 1)]) for k in range(4)] + [
+        polynomial_truncation(field, "t", 2),
+        polynomial_truncation(field, "t", 3),
+        ground_algebra(field),
+        DualSuperNumbers(ground_algebra(field)).algebra,
+        additive_truncation(field, 3).algebra,
+        graded_companion(adic_filtration(lam2, odd_ideal(lam2))).gr,
+        dual_hopf(grassmann_hopf(field, ["t1", "t2"])).algebra,
+        shifted_unit_algebra(field),
+    ]
+
+
+@pytest.mark.parametrize("field", [Q, F3, F5], ids=lambda f: f.name)
+def test_tensor_matches_the_validated_referee(field):
+    factors = tensor_factors(field)
+    full = 0
+    for A in factors:
+        for B in factors:
+            if A.dim * B.dim > 32:
+                continue
+            T, ref = tensor(A, B), validated_tensor(A, B)
+            assert (T.name, T.space.labels, T.space.parities) == (
+                ref.name, ref.space.labels, ref.space.parities)
+            assert list(T._unit_terms.items()) == list(ref._unit_terms.items())
+            assert T.unit_index == ref.unit_index
+            assert [(key, list(terms.items())) for key, terms in T._prod.items()] == [
+                (key, list(terms.items())) for key, terms in ref._prod.items()]
+            if T.dim <= 16:
+                T._validate(full=True)
+                full += 1
+    assert full >= 120

@@ -473,3 +473,25 @@ def test_is_group_like_matches_the_referee():
         assert is_group_like(H, R, coords) == want
         seen[want] += 1
     assert seen[True] >= 18 and seen[False] > 0, seen
+
+
+# -- the coaction target ------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(3), F5], ids=["Q", "F3", "F5"])
+def test_regular_coaction_lands_in_the_cached_square(field):
+    H = grassmann_hopf(field, ["t1", "t2"])
+    assert regular_coaction(H).mixed is H.square
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(3), F5], ids=["Q", "F3", "F5"])
+def test_trivial_coaction_on_another_carrier_builds_its_own_target(field):
+    H = grassmann_hopf(field, ["t1"])
+    A = grassmann(field, ["a", "b"])
+    co = trivial_coaction(A, H)
+    assert co.mixed is not H.square
+    want = tensor(A, H.algebra)
+    assert (co.mixed.space.labels, co.mixed.space.parities) == (
+        want.space.labels, want.space.parities)
+    assert [(key, list(terms.items())) for key, terms in co.mixed._prod.items()] == [
+        (key, list(terms.items())) for key, terms in want._prod.items()]

@@ -201,6 +201,14 @@ def test_matrix_basis_must_close():
         MatrixLieSuper(field, ["a", "b"], [0, 0], mats, [0, 0])
 
 
+def test_open_matrix_basis_raises_the_closure_error():
+    # {E12, E21} of gl(1|1): [E12, E21] = E11 + E22 lies outside their span
+    L = gl_super(Q, 1, 1)
+    mats = [L.matrices[L.space.index("E12")], L.matrices[L.space.index("E21")]]
+    with pytest.raises(LieError, match="^matrix basis does not close under the supercommutator$"):
+        MatrixLieSuper(Q, ["E12", "E21"], [1, 1], mats, (0, 1))
+
+
 def test_dependent_matrix_basis_rejected():
     # E11 and 2·E11 close under the commutator but are not independent
     one, two, zero = Q.one, Q.from_int(2), Q.zero
@@ -328,6 +336,13 @@ def test_sparse_paths_match_dense_reference(m, n, field):
     for _ in range(3):
         P = perturbed(L, rng)
         assert P.check_axioms().failures == representatives(P, dense_failures(P))
+
+
+@pytest.mark.parametrize("field", [Q, F3, F5], ids=["Q", "F3", "F5"])
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 1), (1, 3)])
+def test_sparse_build_matches_the_dense_table(m, n, field):
+    L = gl_super(field, m, n)
+    assert table_items(L.table) == table_items(dense_table(L))
 
 
 def test_perturbations_are_caught():
