@@ -4,9 +4,9 @@ An algebra is a graded basis (labels with parities in {0,1}) together with
 sparse structure constants.  Construction eagerly checks the axioms:
 parity additivity of products, supercommutativity ab = (-1)^{|a||b|} ba,
 associativity and the unit law.  Derived constructions that are correct
-by construction skip the cubic associativity sweep (quotients), or every
-check (tensor products of built algebras); everything user-supplied is
-verified.
+by construction skip the cubic associativity sweep (graded companions),
+or every check (tensor products of built algebras); everything
+user-supplied is verified.
 
 An element stores only its nonzero coordinates, {basis index: coefficient};
 a product contracts the terms of its factors through the product table, so
@@ -444,23 +444,6 @@ class SuperAlgebra:
         return "SuperAlgebra(%s, dim %d)" % (self.name or "?", self.dim)
 
 
-class LinearMap:
-    """Linear map between algebra carriers, stored as sparse columns: cols[j]
-    is the image {index: c} of the j-th basis vector of the source."""
-
-    def __init__(self, source, target, cols):
-        self.source = source
-        self.target = target
-        self.cols = cols
-        if len(cols) != source.dim or any(not 0 <= k < target.dim for col in cols for k in col):
-            raise AlgebraError("map matrix has wrong shape")
-
-    def apply(self, elem):
-        if elem.algebra is not self.source:
-            raise AlgebraError("element not in the source algebra")
-        return Element._from_terms(self.target, apply_columns(self.cols, elem.terms))
-
-
 class SuperIdeal:
     """A graded two-sided ideal, stored as an echelon Subspace."""
 
@@ -592,45 +575,19 @@ def ground_algebra(field):
     )
 
 
-class DualSuperNumbers:
-    """R[eps0, eps1]: free rank 3 extension with one even and one odd square-zero
-    generator; comes with the projection p and inclusion i along R."""
-
-    def __init__(self, R):
-        field = R.field
-        D = SuperAlgebra(
-            field,
-            ["1", "eps0", "eps1"],
-            [0, 0, 1],
-            [field.one, field.zero, field.zero],
-            {
-                (0, 0): {0: field.one},
-                (0, 1): {1: field.one},
-                (1, 0): {1: field.one},
-                (0, 2): {2: field.one},
-                (2, 0): {2: field.one},
-            },
-            check=True,
-            name="K[eps0,eps1]",
-        )
-        self.base = R
-        self.factor = D
-        self.algebra = tensor(R, D)
-
-    def include(self, r):
-        return tensor_pure(self.algebra, r, self.factor.basis_element(0))
-
-    def project(self, x):
-        n = self.factor.dim
-        return Element._from_terms(
-            self.base, {i // n: c for i, c in x.terms.items() if i % n == 0}
-        )
-
-    def eps0(self):
-        return tensor_pure(self.algebra, self.base.unit, self.factor.basis_element(1))
-
-    def eps1(self):
-        return tensor_pure(self.algebra, self.base.unit, self.factor.basis_element(2))
+def dual_numbers(field):
+    """K[eps0, eps1]: one even and one odd square-zero generator, with
+    eps0·eps1 = 0; basis 1, eps0, eps1."""
+    one = field.one
+    return SuperAlgebra(
+        field,
+        ["1", "eps0", "eps1"],
+        [0, 0, 1],
+        [one, field.zero, field.zero],
+        {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (0, 2): {2: one}, (2, 0): {2: one}},
+        check=True,
+        name="K[eps0,eps1]",
+    )
 
 
 def odd_ideal(A):
@@ -644,36 +601,6 @@ def odd_ideal(A):
 
 def ideal_generated_by(A, elements):
     return SuperIdeal(A, elements)
-
-
-def quotient_by_ideal(A, ideal):
-    """Quotient algebra with the echelon-complement basis.
-
-    Returns (Q, projection LinearMap, section list of A-Elements)."""
-    field = A.field
-    sub = ideal.sub
-    comp = [i for i in range(A.dim) if i not in sub.pivots]
-    labels = [A.space.labels[i] for i in comp]
-    parities = [A.space.parities[i] for i in comp]
-
-    def project_coords(coords):
-        red = sub.reduce(coords)
-        return [red[i] for i in comp]
-
-    units = identity_matrix(A.dim, field)
-    basis = [units[i] for i in comp]
-    products = {
-        divmod(ab, len(comp)): sparse(project_coords(p))
-        for ab, p in enumerate(span_products(A, basis, basis))
-    }
-    unit = project_coords(A.unit.coords)
-    Q = SuperAlgebra(
-        field, labels, parities, unit, products, check=False,
-        name="%s/I" % (A.name or "?"),
-    )
-    proj = LinearMap(A, Q, [sparse(project_coords(e)) for e in units])
-    section = [A.basis_element(i) for i in comp]
-    return Q, proj, section
 
 
 def polynomial_truncation(field, var, bound):

@@ -11,7 +11,7 @@ import os
 import re
 
 from .algebra import (
-    DualSuperNumbers, SuperAlgebra, SuperIdeal, grassmann, ground_algebra, odd_ideal,
+    SuperAlgebra, SuperIdeal, dual_numbers, grassmann, ground_algebra, odd_ideal,
 )
 from .hcp import (
     GenericPoint,
@@ -381,7 +381,7 @@ def resolve_filtered(field, spec):
         return adic_filtration(A, odd_ideal(A))
     m = re.fullmatch(r"dual(\d*)", spec)
     if m:
-        D = DualSuperNumbers(ground_algebra(field)).factor
+        D = dual_numbers(field)
         gens = [D.basis_element(1), D.basis_element(2)]
         return adic_filtration(D, SuperIdeal(D, gens))
     if os.path.exists(spec):

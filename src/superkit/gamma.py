@@ -35,7 +35,7 @@ nilpotent ideal.
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, Element, ground_algebra, mat_mul_over, sum_products
+from .algebra import AlgebraError, Element, mat_mul_over, sum_products
 from .algebra import lift_matrix as _lift_field_matrix
 
 
@@ -194,36 +194,6 @@ def identity(pair, R):
     )
 
 
-def gen_e(pair, R, a, v):
-    """e(a, v): a odd in R, v a basis index or label of V."""
-    if isinstance(v, str):
-        v = pair.module_labels.index(v)
-    if not a.is_zero() and a.parity() != 1:
-        raise GammaError("e-coefficient must be odd")
-    coords = [R.zero()] * pair.t
-    coords[v] = a
-    return GammaElement(
-        pair, R, rmat_identity(R, pair.group.size), coords, trace=(), check=False
-    )
-
-
-def gen_f(pair, R, b, lie_coords):
-    """f(b, x): b even with b^2 = 0, x in Lie(G) by field coordinates."""
-    if not b.is_zero() and b.parity() != 0:
-        raise GammaError("f-coefficient must be even")
-    if not R.multiply(b, b).is_zero():
-        raise GammaError("f-coefficient must square to zero")
-    lie_coords = tuple(lie_coords)
-    even = f_matrix(pair, R, b, lie_coords)
-    u = GammaElement(
-        pair, R, even, [R.zero()] * pair.t,
-        trace=(("f", b, lie_coords),), check=False,
-    )
-    if not pair.group.membership_over(R, even):
-        raise GammaError("f-matrix fails the membership predicate")
-    return u
-
-
 def _conjugate_chain(pair, R, word, hmat, hmat_inv):
     """h^{-1} e(a, v_i) h = e(a, Ad(h^{-1}) v_i), expanded on the basis.
 
@@ -362,26 +332,14 @@ def inverse(u):
     return normalize(u.pair, u.R, toks)
 
 
-def conjugate(gmat, u):
-    """g u g^{-1} for an even group point g (field or R entries)."""
-    R = u.R
-    gmat = _lift(R, gmat)
-    if not u.pair.group.membership_over(R, gmat):
-        raise GammaError("conjugator fails the membership predicate")
-    ginv = rmat_inverse(R, gmat)
-    toks = [("g", gmat)] + u.tokens() + [("g", ginv)]
-    return normalize(u.pair, u.R, toks)
-
-
 # -- tangent bracket ----------------------------------------------------
 
 
 def tangent_algebra(field):
     """K[eps0,eps1] ⊗ K[eps0',eps1'] with handles on the four generators."""
-    from .algebra import DualSuperNumbers, tensor, tensor_pure
+    from .algebra import dual_numbers, tensor, tensor_pure
 
-    K = ground_algebra(field)
-    D = DualSuperNumbers(K).factor
+    D = dual_numbers(field)
     R = tensor(D, D)
     eps = {
         "e0": tensor_pure(R, D.basis_element(1), D.basis_element(0)),
@@ -580,9 +538,8 @@ def _e_matrix(pair, R, a, idx, twist):
 
 
 def calibrate_supermatrix(pair):
-    """Choose the column sign twist making relation (1) hold matricially."""
-    if pair._supermatrix_twist is not None:
-        return pair._supermatrix_twist
+    """Search for the column sign twist making relation (1) hold
+    matricially; HarishChandraPair.supermatrix_twist keeps the result."""
     from .algebra import grassmann
 
     R = grassmann(pair.field, ["cal_a", "cal_b"])
@@ -606,7 +563,6 @@ def calibrate_supermatrix(pair):
             if not ok:
                 break
         if ok:
-            pair._supermatrix_twist = twist
             return twist
     raise GammaError("no candidate twist satisfies relation (1)")
 
@@ -618,7 +574,7 @@ def oracle_supermatrix(arg, tokens=None, R=None):
         tokens = arg.tokens()
     else:
         pair = arg
-    twist = calibrate_supermatrix(pair)
+    twist = pair.supermatrix_twist()
     n = pair.group.size
     acc = rmat_identity(R, n)
     for tok in tokens:

@@ -18,6 +18,10 @@ module matrices, or takes the caller's table with a polynomial action;
 [V,V] is the caller's (fixtures._gl_pair derives it for gl(m|n));
 linear_action reads rho(X_k) off the [g,V] table, or differentiates a
 polynomial action; assembled_lie builds Lie(G) ⊕ V from the three tables.
+The pair keeps three derived invariants, each computed by its own method
+on first use: linear_action, assembled_lie and supermatrix_twist (the
+column sign twist of the supermatrix oracle, which
+gamma.calibrate_supermatrix searches for).
 
 Also: the largest R-subordinated submodule W_R by fixpoint iteration,
 the radical data (W_R, Lie(H_R)), the pseudoabelian example, and the
@@ -299,15 +303,25 @@ class HarishChandraPair:
             self._linear_action = (rho_one, rho_x)
         return self._linear_action
 
+    def supermatrix_twist(self):
+        """The column sign twist of the supermatrix oracle, found once per
+        pair by gamma.calibrate_supermatrix; a failed search raises each
+        time and caches nothing."""
+        if self._supermatrix_twist is None:
+            from .gamma import calibrate_supermatrix
+
+            self._supermatrix_twist = calibrate_supermatrix(self)
+        return self._supermatrix_twist
+
     # -- assembled Lie superalgebra -------------------------------------
 
     def assembled_lie(self):
         """Lie(G) ⊕ V as a Lie superalgebra, built once per pair from the
         stored tables: lie_table, [g,V] and [V,V].  validate_pair runs its
         axiom sweep."""
-        from .liesuper import LieSuperAlgebra
-
         if self._lie is None:
+            from .liesuper import LieSuperAlgebra
+
             g = self.group
             field = self.field
             l, t = g.lie_dim, self.t

@@ -13,14 +13,15 @@ their coinvariants and the surjectivity test for the Galois-type map
 alpha(a ⊗ a') = a a'_(0) ⊗ a'_(1).
 
 Three kernels do the arithmetic: algebra._contract forms every product
-given by a table (the antipode law, x ⊗_R x for group-likes),
+given by a table (the antipode law),
 linalg.add_scaled accumulates scaled sparse vectors, and linalg.kernel
-gives the primitives and the coinvariants from the flat columns.
+gives the coinvariants from the flat columns.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import product
 
 from .algebra import (
     AxiomReport, Element, _contract, first_non_multiplicative, grassmann, ground_algebra,
@@ -171,85 +172,40 @@ def _coassociative(tau, delta, b, zero):
 
 
 def grassmann_hopf(field, generators):
-    """Grassmann algebra with primitive odd generators; S(theta) = -theta."""
+    """Grassmann algebra with primitive odd generators; S(theta) = -theta.
+
+    For a set S of generators, Delta(theta_S) = sum over T ⊆ S of
+    sign(T, U)·theta_T ⊗ theta_U with U = S∖T, where sign(T, U) is -1 to
+    the number of pairs (t in T, u in U) with u before t: the Koszul signs
+    met in multiplying out the product of the theta_s⊗1 + 1⊗theta_s.  The
+    terms are listed in the order of that expansion, theta_s⊗1 before
+    1⊗theta_s, the first generator outermost."""
     A = grassmann(field, generators)
     n = A.dim
-    sq = tensor(A, A)
-
-    # multiplicative extension of Delta from the generators
-    delta_elems = [None] * n
-    delta_elems[0] = tensor_pure(sq, A.unit, A.unit)
-    for b in range(1, n):
-        label = A.space.labels[b]
-        parts = label.split("*")
-        acc = tensor_pure(sq, A.unit, A.unit)
-        for gname in parts:
-            gi = A.space.index(gname)
-            g = A.basis_element(gi)
-            prim = tensor_pure(sq, g, A.unit) + tensor_pure(sq, A.unit, g)
-            acc = sq.multiply(acc, prim)
-        delta_elems[b] = acc
-    delta = []
-    for b in range(n):
+    bit = {g: 1 << s for s, g in enumerate(generators)}
+    # the generators of each basis monomial, as bits, in the order of its label
+    monomials = [[bit[g] for g in label.split("*")] if b else []
+                 for b, label in enumerate(A.space.labels)]
+    pos = {sum(bits): b for b, bits in enumerate(monomials)}
+    one = field.one
+    delta, antipode = [], []
+    for b, bits in enumerate(monomials):
         table = {}
-        for t, c in delta_elems[b].terms.items():
-            table[(t // n, t % n)] = c
+        for choice in product((True, False), repeat=len(bits)):
+            T = U = swaps = 0
+            for g, left in zip(bits, choice):
+                if left:
+                    T |= g
+                    swaps += bin(U).count("1")
+                else:
+                    U |= g
+            table[(pos[T], pos[U])] = -one if swaps % 2 else one
         delta.append(table)
-    eps = [field.one if b == 0 else field.zero for b in range(n)]
-    antipode = []
-    for b in range(n):
-        deg = 0 if b == 0 else len(A.space.labels[b].split("*"))
         col = [field.zero] * n
-        col[b] = field.one if deg % 2 == 0 else -field.one
+        col[b] = -one if len(bits) % 2 else one
         antipode.append(col)
+    eps = [one if b == 0 else field.zero for b in range(n)]
     return HopfSuperAlgebra(A, delta, eps, antipode, check=True)
-
-
-def _column_kernel(field, cols):
-    """The x with sum_b x_b·cols[b] = 0 for sparse columns cols, as a Subspace."""
-    keys = sorted({k for col in cols for k in col})
-    return kernel(field, len(cols), [[col.get(k, field.zero) for col in cols] for k in keys])
-
-
-def primitives(H):
-    """Basis of {x : Delta x = x⊗1 + 1⊗x}, as an echelon Subspace."""
-    n = H.algebra.dim
-    unit = H.algebra.unit.terms
-    cols = []
-    for b, col in enumerate(H._delta_cols):
-        # subtract b⊗1 + 1⊗b, with the unit possibly a combination
-        col = dict(col)
-        add_scaled(col, -H.field.one, {b * n + u: cu for u, cu in unit.items()})
-        add_scaled(col, -H.field.one, {u * n + b: cu for u, cu in unit.items()})
-        cols.append(col)
-    return _column_kernel(H.field, cols)
-
-
-def is_group_like(H, R, coords):
-    """Group-likeness of x = sum_{h,r} coords[h][r] · h⊗r in H ⊗ R.
-
-    coords: nested list indexed by (basis of H, basis of R).
-    Checks Delta_R x = x ⊗_R x and eps_R(x) = 1_R, in (H ⊗ H) ⊗ R.  In
-    x ⊗_R x, (h⊗1)(1⊗h') = h⊗h' is the basis vector h·n + h' of H ⊗ H, so
-    only R's table is contracted, with the Koszul sign (-1)^{|r||h'|}: the
-    grade involution of row h against an odd h'.
-    """
-    n, nR = H.algebra.dim, R.dim
-    par, rpar = H.algebra.space.parities, R.space.parities
-    rows = {h: {r: c for r, c in enumerate(row) if c} for h, row in enumerate(coords)}
-    delta_x, square, eps_x = {}, {}, {}
-    for h, row in rows.items():
-        for r, c in row.items():
-            add_scaled(delta_x, c, {st * nR + r: d for st, d in H._delta_cols[h].items()})
-            add_scaled(eps_x, c, {r: H.eps[h]})
-        inv = {r: -c if rpar[r] else c for r, c in row.items()}
-        for h2, row2 in rows.items():
-            for rr, v in _contract(R._prod, inv if par[h2] else row, row2).items():
-                square[(h * n + h2) * nR + rr] = v
-    return (
-        {k: v for k, v in delta_x.items() if v} == square
-        and {k: v for k, v in eps_x.items() if v} == R.unit.terms
-    )
 
 
 class Coaction:
@@ -307,7 +263,9 @@ class Coaction:
             col = dict(col)
             add_scaled(col, -A.field.one, {b * m + u: cu for u, cu in unit.items()})
             cols.append(col)
-        sub = _column_kernel(A.field, cols)
+        # the x with sum_b x_b·cols[b] = 0
+        keys = sorted({k for col in cols for k in col})
+        sub = kernel(A.field, len(cols), [[col.get(k, A.field.zero) for col in cols] for k in keys])
         if not all(map(sub.contains, span_products(A, sub.rows, sub.rows))):
             raise HopfError("coinvariants failed to close under product")
         return sub

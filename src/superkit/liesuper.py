@@ -17,16 +17,14 @@ table entry, accumulated by linalg.add_scaled, so (B4) and (B2) cost
 O(s^2) per sorted triple for at most s terms per entry.  gl(m|n) is built
 from the nonzero matrix entries and one pivot inverse.
 
-Elements are coordinate lists over the field; for coefficient extensions
-g ⊗ R the coordinates are elements of a supercommutative R and the
-bracket carries the sign [X⊗r, Y⊗r'] = (-1)^{|r||Y|} [X,Y] ⊗ r r'.
+Elements are coordinate lists over the field.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, permutations
 
-from .algebra import AxiomReport, SuperVectorSpace, _contract, sum_products
+from .algebra import AxiomReport, SuperVectorSpace, _contract
 from .linalg import BasisExpander, add_scaled, dense, sparse
 
 
@@ -55,31 +53,12 @@ class LieSuperAlgebra:
     def dim(self):
         return self.space.dim
 
-    def basis_coords(self, i):
-        v = [self.field.zero] * self.dim
-        v[i] = self.field.one
-        return tuple(v)
-
     def bracket_basis(self, i, j):
         return self.table.get((i, j), {})
 
     def bracket(self, x, y):
         """Bracket of coordinate vectors over the base field."""
         return tuple(dense(_contract(self.table, sparse(x), sparse(y)), self.dim, self.field.zero))
-
-    def bracket_over(self, R, x, y):
-        """Bracket on g ⊗ R.  x, y are lists of R Elements (coordinates).
-        The sign (-1)^{|r||Y|} is the grade involution of r against an odd
-        Y, and algebra.sum_products adds the products."""
-        par = self.space.parities
-        xs = [(i, r, r.involution()) for i, r in enumerate(x) if not r.is_zero()]
-        ys = [(j, r) for j, r in enumerate(y) if not r.is_zero()]
-        sums = sum_products(R, (
-            (k, (inv if par[j] else r).scale(s), rj)
-            for i, r, inv in xs for j, rj in ys
-            for k, s in self.bracket_basis(i, j).items()
-        ))
-        return [sums[k] if k in sums else R.zero() for k in range(self.dim)]
 
     def require_axioms(self):
         """Raise LieError listing the failures unless the axioms hold."""
@@ -136,20 +115,6 @@ class LieSuperAlgebra:
                     "(B2) fails on coefficient of %s" % "*".join(labels[t] for t in multiset)
                 )
         return report
-
-
-def check_ad_derivation(L, x, y, z):
-    """ad(x) is a super derivation of the bracket (coordinate vectors x,y,z)."""
-    field = L.field
-    seen = [{L.space.parities[i] for i, c in enumerate(v) if c} for v in (x, y)]
-    if any(len(s) > 1 for s in seen):
-        raise LieError("homogeneous arguments required")
-    par_x, par_y = (max(s, default=0) for s in seen)
-    lhs = L.bracket(x, L.bracket(y, z))
-    t1 = L.bracket(L.bracket(x, y), z)
-    t2 = L.bracket(y, L.bracket(x, z))
-    sign = field.one if par_x * par_y == 0 else -field.one
-    return all(l == a + sign * b for l, a, b in zip(lhs, t1, t2))
 
 
 class _MatrixBasis(BasisExpander):

@@ -8,7 +8,7 @@ from superkit import gamma as G
 from superkit.algebra import AlgebraError, Element, grassmann, polynomial_truncation
 from superkit.fields import PrimeField, Rationals
 from superkit.fixtures import gl11_pair, gl21_pair
-from superkit.hcp import pseudoabelian_example
+from superkit.hcp import HarishChandraPair, pseudoabelian_example
 
 Q = Rationals()
 
@@ -62,16 +62,16 @@ class TestNormalForm:
             )
 
     def test_even_coefficient_rejected(self, pair, R):
-        with pytest.raises(G.GammaError):
-            G.gen_e(pair, R, R.unit, 0)
+        with pytest.raises(G.GammaError, match="e-coefficient must be odd"):
+            G.normalize(pair, R, [("e", R.unit, 0)])
 
     def test_f_needs_square_zero(self, pair, R):
-        with pytest.raises(G.GammaError):
-            G.gen_f(pair, R, R.unit, (Q.one, Q.zero))
+        with pytest.raises(G.GammaError, match="bad f-coefficient"):
+            G.normalize(pair, R, [("f", R.unit, (Q.one, Q.zero))])
 
     def test_f_accepts_product_of_odds(self, pair, R):
         b = R.multiply(odd(R, "a1"), odd(R, "a2"))
-        u = G.gen_f(pair, R, b, (Q.one, Q.zero))
+        u = G.normalize(pair, R, [("f", b, (Q.one, Q.zero))])
         assert u.even[0][0] == R.unit + b
 
 
@@ -108,7 +108,8 @@ class TestGroupLaws:
         a1 = odd(R, "a1")
         u = G.normalize(pair, R, [("e", a1, 0)])
         g = [[Q.from_int(2), Q.zero], [Q.zero, Q.from_int(3)]]
-        c = G.conjugate(g, u)
+        g_inv = [[Q.parse("1/2"), Q.zero], [Q.zero, Q.parse("1/3")]]
+        c = G.normalize(pair, R, [("g", g)] + u.tokens() + [("g", g_inv)])
         # Ad(diag(2,3)) scales v+ = E12 by 2/3
         assert c.coords[0] == a1.scale(Q.parse("2/3"))
         assert c.coords[1].is_zero()
@@ -149,6 +150,33 @@ class TestOracles:
         pair = pseudoabelian_example(Q, 1)
         with pytest.raises(G.GammaError):
             G.calibrate_supermatrix(pair)
+
+    def test_supermatrix_twist_is_calibrated_once_per_pair(self, R):
+        pair = gl11_pair(Q)
+        word = [("e", odd(R, "a1"), 1), ("e", odd(R, "a2"), 0)]
+        with mock.patch.object(G, "calibrate_supermatrix",
+                               wraps=G.calibrate_supermatrix) as search:
+            first = G.oracle_supermatrix(pair, word, R=R)
+            assert G.oracle_supermatrix(pair, word, R=R) == first
+        assert search.call_count == 1
+        assert pair.supermatrix_twist() == [Q.one, -Q.one]
+
+    def test_failed_twist_search_is_not_cached(self, pair, R):
+        # gl(1|1) with both rows even: both candidates are the flat twist,
+        # which violates relation (1)
+        t = pair.t
+        flat = HarishChandraPair(
+            pair.group, pair.module_labels,
+            {(i, j): pair.vv(i, j) for i in range(t) for j in range(t)},
+            module_matrices=pair.module_matrices, row_parities=(0, 0),
+        )
+        word = [("e", odd(R, "a1"), 0)]
+        with mock.patch.object(G, "calibrate_supermatrix",
+                               wraps=G.calibrate_supermatrix) as search:
+            for _ in range(2):
+                with pytest.raises(G.GammaError, match="no candidate twist"):
+                    G.oracle_supermatrix(flat, word, R=R)
+        assert search.call_count == 2
 
 
 class TestTangentBracket:
