@@ -290,9 +290,9 @@ def mat_mul_over(R, A, B):
         for x, row_b in zip(row, rows_b) if x.terms
         for k, y in row_b
     ))
-    width = len(B[0]) if B else 0
+    width, zero = len(B[0]) if B else 0, R.zero()
     return [
-        [sums[i, k] if (i, k) in sums else R.zero() for k in range(width)]
+        [sums[i, k] if (i, k) in sums else zero for k in range(width)]
         for i in range(len(A))
     ]
 
@@ -564,7 +564,8 @@ def tensor_pure(T, a, b):
 
 def lift_matrix(R, mat):
     """A matrix over the field as a matrix over R."""
-    return [[R.unit.scale(x) for x in row] for row in mat]
+    one = R.unit
+    return [[one.scale(x) for x in row] for row in mat]
 
 
 def ground_algebra(field):

@@ -21,12 +21,18 @@ An f-factor I + bX has b^2 = 0, so it conjugates the chain in closed form,
 Ad((I + bX)^{-1}) = rho(I) - b·rho(X), from field matrices rho(X_k)
 computed once per pair (HarishChandraPair.linear_action).
 
-Products over R: a matrix product over R (rmat_mul, in normalize and the
-supermatrix oracle, and rho_over's g M g^-1) is algebra.mat_mul_over, and
-the enveloping oracle's product hands its coefficient products to
-algebra.sum_products.  Both contract every product of coefficients into
-one terms dict per output entry or PBW monomial and make an Element only
-for the finished sum.
+Products over R: no matrix of the form I + a·M is multiplied in full.
+An e- or f-token multiplies the accumulator A (g in normalize, the
+product in the supermatrix oracle) by _times_unit_plus: column j of A
+gains column i of A times a·c for each nonzero entry (i, j, c) of the
+field matrix M.  A g-token while g is still the identity replaces it, and
+its inverse is computed only when there is an e-chain to conjugate.  The
+remaining products of two matrices over R (rmat_mul) are
+algebra.mat_mul_over; rho_over's g M g^-1 and the enveloping oracle's
+product hand their coefficient products to algebra.sum_products.  All of
+them contract every product of coefficients into one terms dict per
+output entry or PBW monomial and make an Element only for the finished
+sum.
 
 Termination: every (1)/(4) correction coefficient has strictly larger
 degree in the odd generators of R, and the odd part of R generates a
@@ -47,9 +53,9 @@ _MAX_REWRITE_STEPS = 100000
 
 
 def rmat_identity(R, n):
-    return [
-        [R.unit if i == j else R.zero() for j in range(n)] for i in range(n)
-    ]
+    # Elements are immutable, so every entry shares one unit and one zero
+    one, zero = R.unit, R.zero()
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def rmat_mul(R, A, B):
@@ -61,8 +67,8 @@ def rmat_mul(R, A, B):
 def _row_over(R, width, pieces):
     """The row whose entry k is the sum of x·y over the pieces (k, x, y),
     by algebra.sum_products."""
-    sums = sum_products(R, pieces)
-    return [sums[k] if k in sums else R.zero() for k in range(width)]
+    sums, zero = sum_products(R, pieces), R.zero()
+    return [sums[k] if k in sums else zero for k in range(width)]
 
 
 def rmat_inverse(R, A):
@@ -103,13 +109,22 @@ def rmat_inverse(R, A):
     return [row[n:] for row in aug]
 
 
-def _unit_plus(R, n, a, entries):
-    """I + a·M over R, n x n, for the field matrix M that is the sum of
-    its entries (i, j, c): one a.scale(c) per entry, so only the nonzero
-    entries of M need be given."""
-    out = rmat_identity(R, n)
+def _times_unit_plus(R, A, a, entries):
+    """A·(I + a·M) over R for the field matrix M that is the sum of its
+    entries (i, j, c), so only the nonzero entries of M need be given.
+
+    Column j of A gains column i of A times a·c: one algebra.sum_products
+    call over the products A[r][i]·(a·c), in that order (A may have odd
+    entries), then one addition per touched entry.  A itself is left as
+    it is."""
+    pieces = []
     for i, j, c in entries:
-        out[i][j] = out[i][j] + a.scale(c)
+        ac = a.scale(c)
+        if ac.terms:
+            pieces.extend(((r, j), row[i], ac) for r, row in enumerate(A) if row[i].terms)
+    out = [list(row) for row in A]
+    for (r, j), s in sum_products(R, pieces).items():
+        out[r][j] = out[r][j] + s
     return out
 
 
@@ -121,14 +136,20 @@ def _lift(R, hmat):
     return hmat
 
 
-def f_matrix(pair, R, b, lie_coords):
-    """I + b·X for X = sum lie_coords_k X_k (field coordinates), from the
-    entries c·X_k[i][j] of the nonzero terms."""
-    return _unit_plus(R, pair.group.size, b, (
+def _f_entries(pair, lie_coords):
+    """The entries c·X_k[i][j] of X = sum lie_coords_k X_k, one for each
+    nonzero coordinate c and nonzero entry of X_k."""
+    return [
         (i, j, c * x)
         for c, X in zip(lie_coords, pair.group.lie_basis) if c
         for i, row in enumerate(X) for j, x in enumerate(row) if x
-    ))
+    ]
+
+
+def f_matrix(pair, R, b, lie_coords):
+    """I + b·X for X = sum lie_coords_k X_k (field coordinates)."""
+    return _times_unit_plus(R, rmat_identity(R, pair.group.size), b,
+                            _f_entries(pair, lie_coords))
 
 
 class GammaElement:
@@ -194,14 +215,15 @@ def identity(pair, R):
     )
 
 
-def _conjugate_chain(pair, R, word, hmat, hmat_inv):
+def _conjugate_chain(pair, R, word, hmat):
     """h^{-1} e(a, v_i) h = e(a, Ad(h^{-1}) v_i), expanded on the basis.
+    h^{-1} is computed only for a nonempty chain.
 
     The expansion of one e into several basis e's is harmless: all share
     the odd factor a, so their mutual corrections vanish (a^2 = 0)."""
     if not word:
         return []
-    rho = pair.rho_over(R, hmat_inv, hmat)
+    rho = pair.rho_over(R, rmat_inverse(R, hmat), hmat)
     out = []
     for (a, idx) in word:
         for m in range(pair.t):
@@ -252,7 +274,7 @@ def normalize(pair, R, tokens, strategy="leftmost"):
 
     def absorb_f(b, lie_coords, left):
         nonlocal g
-        g = rmat_mul(R, g, f_matrix(pair, R, b, lie_coords))
+        g = _times_unit_plus(R, g, b, _f_entries(pair, lie_coords))
         trace.append(("f", b, lie_coords))
         return _conjugate_chain_f(pair, R, left, b, lie_coords)
 
@@ -276,8 +298,8 @@ def normalize(pair, R, tokens, strategy="leftmost"):
             if hmat == ident:
                 word = _conjugate_chain_f(pair, R, word, None, ())
             else:
-                word = _conjugate_chain(pair, R, word, hmat, rmat_inverse(R, hmat))
-                g = rmat_mul(R, g, hmat)
+                word = _conjugate_chain(pair, R, word, hmat)
+                g = hmat if g is ident else rmat_mul(R, g, hmat)
             trace.append(("g", tuple(tuple(r) for r in hmat)))
         else:
             raise GammaError("unknown token %r" % (kind,))
@@ -528,13 +550,18 @@ def _candidate_twists(pair):
     return [col_twist, flat]
 
 
+def _e_entries(pair, idx, twist):
+    """The nonzero entries of the module matrix M of v_idx, column j of M
+    scaled by twist[j]."""
+    return [(i, j, x * twist[j])
+            for i, row in enumerate(pair.module_matrices[idx]) for j, x in enumerate(row) if x]
+
+
 def _e_matrix(pair, R, a, idx, twist):
     """I + a·M over R for the module matrix M of v_idx, column j of M
     scaled by twist[j]."""
-    M = pair.module_matrices[idx]
-    return _unit_plus(R, len(M), a, (
-        (i, j, x * twist[j]) for i, row in enumerate(M) for j, x in enumerate(row) if x
-    ))
+    return _times_unit_plus(R, rmat_identity(R, pair.group.size), a,
+                            _e_entries(pair, idx, twist))
 
 
 def calibrate_supermatrix(pair):
@@ -575,18 +602,18 @@ def oracle_supermatrix(arg, tokens=None, R=None):
     else:
         pair = arg
     twist = pair.supermatrix_twist()
-    n = pair.group.size
-    acc = rmat_identity(R, n)
+    acc = ident = rmat_identity(R, pair.group.size)
     for tok in tokens:
         kind = tok[0]
         if kind == "e":
             _, a, idx = tok
-            acc = rmat_mul(R, acc, _e_matrix(pair, R, a, idx, twist))
+            acc = _times_unit_plus(R, acc, a, _e_entries(pair, idx, twist))
         elif kind == "f":
             _, b, lie_coords = tok
-            acc = rmat_mul(R, acc, f_matrix(pair, R, b, lie_coords))
+            acc = _times_unit_plus(R, acc, b, _f_entries(pair, lie_coords))
         elif kind == "g":
-            acc = rmat_mul(R, acc, _lift(R, tok[1]))
+            hmat = _lift(R, tok[1])
+            acc = hmat if acc is ident else rmat_mul(R, acc, hmat)
         else:
             raise GammaError("unknown token %r" % (kind,))
     return [tuple(row) for row in acc]

@@ -35,7 +35,7 @@ from itertools import combinations_with_replacement, permutations
 from operator import add
 
 from . import linalg
-from .algebra import AxiomReport, Element, lift_matrix, mat_mul_over, polynomial_truncation
+from .algebra import AxiomReport, Element, lift_matrix, polynomial_truncation, sum_products
 from .linalg import (
     Subspace, apply_columns, dense, identity_matrix, kernel, mat_bracket, mat_mul, rank, sparse,
     transpose,
@@ -134,15 +134,42 @@ class MatrixGroupModel:
         return all(eval_at(c, at, R.unit).is_zero() for c in self.closed_conditions)
 
 
-def _conjugation(mats, g, g_inv, expander, is_zero, zero, error, mul=mat_mul):
-    """The matrix whose column i holds the expander coordinates of g M_i g^-1
-    for the i-th of mats, over the ring with that zero test and zero
-    (Polys modulo an ideal, or a superalgebra); HCPError(error) if one
-    escapes the span.  mul is the matrix product: linalg.mat_mul for
-    Polys, the sparse algebra.mat_mul_over for a superalgebra."""
+def _poly_sums(pieces):
+    """{key: the sum of x·y over the pieces (key, x, y)} for Polys: the
+    Poly counterpart of algebra.sum_products."""
+    sums = {}
+    for key, x, y in pieces:
+        p = x * y
+        sums[key] = sums[key] + p if key in sums else p
+    return sums
+
+
+def _conjugation(mats, g, g_inv, expander, is_zero, zero, error, sums):
+    """The matrix whose column m holds the expander coordinates of
+    g M_m g^-1 for the m-th of the field matrices mats, over the ring with
+    that zero test and zero (Polys modulo an ideal, or a superalgebra);
+    HCPError(error) if one escapes the span.
+
+    Entry (k, l) of g M g^-1 is the sum of g[k][i]·c·g^-1[j][l] over the
+    nonzero entries (i, j, c) of M, the entries of g and g^-1 equal to
+    zero skipped, so M is never lifted to the ring.  sums adds up the
+    products x·y of the pieces (key, x, y) by key: algebra.sum_products
+    over a superalgebra, _poly_sums for Polys."""
+    n = len(g)
+    # the entries other than zero of each column of g and each row of g^-1
+    g_cols = [[(k, row[i]) for k, row in enumerate(g) if row[i] != zero] for i in range(n)]
+    inv_rows = [[(l, y) for l, y in enumerate(row) if y != zero] for row in g_inv]
     cols = []
     for M in mats:
-        vec = _flatten(mul(mul(g, M), g_inv))
+        pieces = []
+        for i, row in enumerate(M):
+            for j, c in enumerate(row):
+                if c:
+                    for k, x in g_cols[i]:
+                        xc = x * c
+                        pieces.extend(((k, l), xc, y) for l, y in inv_rows[j])
+        entries = sums(pieces)
+        vec = [entries.get((k, l), zero) for k in range(n) for l in range(n)]
         c, ok = expander.coords_generic(vec, lambda c, x: x * c, add, is_zero, zero)
         if not ok:
             raise HCPError(error)
@@ -249,13 +276,13 @@ class HarishChandraPair:
             return [[eval_at(e, at, one) for e in row] for row in self.action_expr]
         return _conjugation(self.module_matrices, point.matrix, point.inverse, self.module_expander,
                             point.reducer.is_zero, Poly(self.field),
-                            "generic action escapes the module")
+                            "generic action escapes the module", _poly_sums)
 
     def ad_symbolic(self, point):
         g = self.group
         return _conjugation(g.lie_basis, point.matrix, point.inverse, g.lie_expander,
                             point.reducer.is_zero, Poly(self.field),
-                            "adjoint action escapes the Lie algebra")
+                            "adjoint action escapes the Lie algebra", _poly_sums)
 
     # -- coefficient-algebra action -------------------------------------
 
@@ -264,9 +291,9 @@ class HarishChandraPair:
         if self.mode == "matrix":
             at = self.group.entries(gmat)
             return [[eval_at(e, at, R.unit) for e in row] for row in self.action_expr]
-        return _conjugation([lift_matrix(R, M) for M in self.module_matrices], gmat, gmat_inv,
-                            self.module_expander, Element.is_zero, R.zero(),
-                            "action escapes the module over R", partial(mat_mul_over, R))
+        return _conjugation(self.module_matrices, gmat, gmat_inv, self.module_expander,
+                            Element.is_zero, R.zero(), "action escapes the module over R",
+                            partial(sum_products, R))
 
     def linear_action(self):
         """(rho(I), [rho(X_k)]): t x t field matrices, computed once per pair.

@@ -189,15 +189,21 @@ class Poly:
 
 def eval_at(poly, assignment, one):
     """poly at the values assignment[name] in the ring whose unit is `one`:
-    the field, Polys, or a superalgebra at even (commuting) elements."""
-    out = one * poly.field.zero
+    the field, Polys, or a superalgebra at even (commuting) elements.
+
+    The values commute, so each monomial multiplies its factors first and
+    is scaled by its coefficient once, and the sum starts at the first
+    term: `one` enters only a constant term or the zero polynomial."""
+    out = None
     for mono, c in poly.terms.items():
-        term = one * c
+        term = None
         for name, e in mono:
+            x = assignment[name]
             for _ in range(e):
-                term = term * assignment[name]
-        out = out + term
-    return out
+                term = x if term is None else term * x
+        term = one * c if term is None else term * c
+        out = term if out is None else out + term
+    return one * poly.field.zero if out is None else out
 
 
 def _remainder(poly, basis):

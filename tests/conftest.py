@@ -5,6 +5,7 @@ import pytest
 
 from superkit.algebra import Element
 from superkit.fields import PrimeField, Rationals
+from superkit.gamma import GammaError, rmat_inverse
 
 float_guard.install()
 
@@ -41,6 +42,36 @@ def random_element(rng, A, parity=None, bound=3):
             continue
         coords[i] = field.from_int(rng.randint(-bound, bound))
     return Element(A, coords)
+
+
+def random_point(rng, pair, R):
+    """An invertible even point over R of the pair's group: block diagonal
+    for gl(m|n) (unit-part scalars plus even nilpotents), upper unitriangular
+    for the additive group of the pseudoabelian pairs."""
+    field, n = R.field, pair.group.size
+    u = R.unit_index
+    even = [i for i in range(R.dim) if R.space.parities[i] == 0 and i != u]
+
+    def entry(c):
+        coords = [field.zero] * R.dim
+        coords[u] = field.from_int(c)
+        for i in even:
+            coords[i] = field.from_int(rng.randint(-1, 1))
+        return Element(R, coords)
+
+    while True:
+        if pair.row_parities is None:
+            g = [[R.unit, entry(rng.randint(-2, 2))], [R.zero(), R.unit]]
+        else:
+            rp = pair.row_parities
+            g = [[entry(rng.choice([1, 2, -1]) if i == j else rng.randint(-1, 1))
+                  if rp[i] == rp[j] else R.zero() for j in range(n)] for i in range(n)]
+        try:
+            g_inv = rmat_inverse(R, g)
+        except GammaError:
+            continue
+        assert pair.group.membership_over(R, g)
+        return g, g_inv
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from conftest import random_point
 from superkit import gamma as G
 from superkit.algebra import AlgebraError, Element, grassmann, polynomial_truncation
 from superkit.fields import PrimeField, Rationals
@@ -326,7 +327,7 @@ class TestClosedFormConjugation:
             assert got == want
             word = [(random_odd(rng, R), rng.randrange(t)) for _ in range(3)]
             assert G._conjugate_chain_f(pair, R, word, b, lie) == G._conjugate_chain(
-                pair, R, word, G.f_matrix(pair, R, b, lie), G.f_matrix(pair, R, -b, lie)
+                pair, R, word, G.f_matrix(pair, R, b, lie)
             )
 
     @pytest.mark.parametrize("field_name", sorted(FIELDS))
@@ -526,3 +527,121 @@ class TestEnvelopingProduct:
         got = oracle.product(X, Y)
         assert (0, 1) not in got
         assert got == reference_product(oracle, X, Y)
+
+
+# -- A·(I + a·M) as a sparse update, against the full product ----------------
+
+
+def unit_plus_referee(R, n, a, entries):
+    """I + a·M over R, n x n, for the field matrix M that is the sum of its
+    entries (i, j, c): the whole matrix that normalize and the supermatrix
+    oracle used to multiply by."""
+    out = G.rmat_identity(R, n)
+    for i, j, c in entries:
+        out[i][j] = out[i][j] + a.scale(c)
+    return out
+
+
+def times_unit_plus_referee(R, A, a, entries):
+    entries = list(entries)
+    return G.rmat_mul(R, A, unit_plus_referee(R, len(A[0]), a, entries))
+
+
+def random_entries(rng, field, n):
+    """A random dense n x n field matrix as its nonzero entries; with
+    entries (i, j) and (j, k) an update that reads a changed column shows."""
+    return [(i, j, c) for i in range(n) for j in range(n)
+            if (c := field.from_int(rng.randint(-2, 2)))]
+
+
+class TestTimesUnitPlus:
+    """_times_unit_plus(R, A, a, entries) = A·(I + a·M), refereed by the
+    product with the whole matrix I + a·M."""
+
+    @pytest.mark.parametrize("field_name", sorted(FIELDS))
+    @pytest.mark.parametrize("pair_name", sorted(PAIR_BUILDERS))
+    def test_matches_full_product(self, pair_name, field_name, rng):
+        field = FIELDS[field_name]
+        pair = PAIR_BUILDERS[pair_name](field)
+        R = grassmann(field, ["a1", "a2", "a3", "a4"])
+        n = pair.group.size
+        for _ in range(8):
+            # A with odd and even entries, as the supermatrix accumulator has
+            A = [[random_mixed(rng, R) for _ in range(n)] for _ in range(n)]
+            lie = tuple(field.from_int(rng.randint(-2, 2)) for _ in range(pair.lie_dim))
+            b = R.multiply(random_odd(rng, R), random_odd(rng, R))
+            cases = [(b, G._f_entries(pair, lie)),
+                     (random_mixed(rng, R), random_entries(rng, field, n))]
+            if pair.mode == "conjugation":
+                for twist in G._candidate_twists(pair):
+                    cases.append((random_odd(rng, R),
+                                  G._e_entries(pair, rng.randrange(pair.t), twist)))
+            for a, entries in cases:
+                before = [list(row) for row in A]
+                assert G._times_unit_plus(R, A, a, entries) == times_unit_plus_referee(
+                    R, A, a, entries)
+                assert A == before
+
+
+# -- call counts: the products and inverses that are no longer made ------------
+
+
+def conjugate_chain_referee(pair, R, word, hmat):
+    """_conjugate_chain with h^{-1} computed before the chain is looked at."""
+    hmat_inv = G.rmat_inverse(R, hmat)
+    if not word:
+        return []
+    out = []
+    rho = pair.rho_over(R, hmat_inv, hmat)
+    for a, idx in word:
+        for m in range(pair.t):
+            coeff = R.multiply(rho[m][idx], a)
+            if not coeff.is_zero():
+                out.append((coeff, m))
+    return out
+
+
+def full_matrix_path():
+    """normalize and the oracles on the path of whole matrices I + a·M and
+    eagerly computed inverses."""
+    return mock.patch.multiple(G, _times_unit_plus=times_unit_plus_referee,
+                               _conjugate_chain=conjugate_chain_referee)
+
+
+class TestCallCounts:
+    @pytest.mark.parametrize("field_name", sorted(FIELDS))
+    @pytest.mark.parametrize("pair_name", sorted(PAIR_BUILDERS))
+    def test_multiply_inverts_once(self, pair_name, field_name, rng):
+        field = FIELDS[field_name]
+        pair = PAIR_BUILDERS[pair_name](field)
+        R = grassmann(field, ["a1", "a2", "a3", "a4"])
+        ident = G.rmat_identity(R, pair.group.size)
+        for _ in range(3):
+            (g1, _), (g2, _) = random_point(rng, pair, R), random_point(rng, pair, R)
+            if ident in (g1, g2):
+                continue
+            chain = [("e", random_odd(rng, R), rng.randrange(pair.t)) for _ in range(2)]
+            u = G.normalize(pair, R, [("g", g1)] + chain)
+            w = G.normalize(pair, R, [("g", g2), ("e", random_odd(rng, R), 0)])
+            assert any(not a.is_zero() for a in u.coords)
+            with mock.patch.object(G, "rmat_inverse", wraps=G.rmat_inverse) as inv:
+                got = G.multiply(u, w)
+            assert inv.call_count == 1
+            with full_matrix_path():
+                assert G.multiply(u, w) == got
+
+    @pytest.mark.parametrize("field_name", sorted(FIELDS))
+    @pytest.mark.parametrize("pair_name", ["gl11", "gl21"])
+    def test_e_word_oracle_makes_no_matrix_product(self, pair_name, field_name, rng):
+        field = FIELDS[field_name]
+        pair = PAIR_BUILDERS[pair_name](field)
+        R = grassmann(field, ["a1", "a2", "a3", "a4"])
+        pair.supermatrix_twist()  # the calibration multiplies matrices
+        for k in range(1, 6):
+            word = [("e", random_odd(rng, R), rng.randrange(pair.t)) for _ in range(k)]
+            with mock.patch.object(G, "rmat_mul", wraps=G.rmat_mul) as mul:
+                got = G.oracle_supermatrix(pair, word, R=R)
+            assert mul.call_count == 0
+            with full_matrix_path():
+                assert G.oracle_supermatrix(pair, word, R=R) == got
+            assert G.oracle_supermatrix(G.normalize(pair, R, word)) == got

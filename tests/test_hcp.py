@@ -1,9 +1,14 @@
 import os
 import random
+from functools import partial
+from operator import add
 
 import pytest
 import sympy
 
+from conftest import random_point
+from superkit import hcp
+from superkit.algebra import Element, grassmann, lift_matrix, mat_mul_over, sum_products
 from superkit.fields import PrimeField, Rationals
 from superkit.fixtures import (
     BUILTIN_PAIRS, gl11_pair, gl21_pair, pair_from_json, pair_to_json, resolve_pair,
@@ -19,7 +24,8 @@ from superkit.hcp import (
     subordinated_closure,
     validate_pair,
 )
-from superkit.linalg import Subspace, identity_matrix, nullspace
+from superkit.linalg import Subspace, identity_matrix, mat_mul, nullspace, transpose
+from superkit.symbolic import Poly
 
 Q = Rationals()
 F5 = PrimeField(5)
@@ -297,3 +303,57 @@ class TestSerialization:
         assert report.holds, report.failures
         W, lie_hr = r_radical(back, full_lie(back))
         assert W.sub.dim == 2 and lie_hr.dim == 1
+
+
+# -- g M g^-1 from the sparse entries of M, against the lifted products ---------
+
+
+def conjugation_referee(mats, g, g_inv, expander, is_zero, zero, error, mul=mat_mul):
+    """hcp._conjugation as it was: g M g^-1 by two whole matrix products,
+    each M lifted to the ring first when the ring is a superalgebra."""
+    cols = []
+    for M in mats:
+        vec = [x for row in mul(mul(g, M), g_inv) for x in row]
+        c, ok = expander.coords_generic(vec, lambda c, x: x * c, add, is_zero, zero)
+        if not ok:
+            raise HCPError(error)
+        cols.append(c)
+    return transpose(cols)
+
+
+CONJUGATION_PAIRS = {
+    "gl11": gl11_pair,
+    "gl21": gl21_pair,
+    "pseudoabelian1": lambda field: pseudoabelian_example(field, 1),
+}
+CONJUGATION_FIELDS = {"Q": Q, "F3": PrimeField(3), "F5": F5}
+
+
+@pytest.mark.parametrize("field_name", sorted(CONJUGATION_FIELDS))
+@pytest.mark.parametrize("pair_name", sorted(CONJUGATION_PAIRS))
+def test_conjugation_matches_lifted_products(pair_name, field_name):
+    field = CONJUGATION_FIELDS[field_name]
+    pair = CONJUGATION_PAIRS[pair_name](field)
+    group = pair.group
+    rng = random.Random(29 + field.char)
+    R = grassmann(field, ["a1", "a2", "a3", "a4"])
+    over_r = (Element.is_zero, R.zero(), "escapes", partial(mat_mul_over, R))
+    for _ in range(4):
+        g, g_inv = random_point(rng, pair, R)
+        # the adjoint action over R goes through _conjugation in every mode
+        lie = [lift_matrix(R, X) for X in group.lie_basis]
+        assert hcp._conjugation(group.lie_basis, g, g_inv, group.lie_expander, Element.is_zero,
+                                R.zero(), "escapes", partial(sum_products, R)) == \
+            conjugation_referee(lie, g, g_inv, group.lie_expander, *over_r)
+        if pair.mode == "conjugation":
+            mods = [lift_matrix(R, M) for M in pair.module_matrices]
+            assert pair.rho_over(R, g, g_inv) == conjugation_referee(
+                mods, g, g_inv, pair.module_expander, *over_r)
+    for point in group.generic_points:
+        symbolic = (point.reducer.is_zero, Poly(field), "escapes")
+        assert pair.ad_symbolic(point) == conjugation_referee(
+            group.lie_basis, point.matrix, point.inverse, group.lie_expander, *symbolic)
+        if pair.mode == "conjugation":
+            assert pair.rho_symbolic(point) == conjugation_referee(
+                pair.module_matrices, point.matrix, point.inverse, pair.module_expander,
+                *symbolic)

@@ -273,3 +273,58 @@ def test_pair_reports_match_sympy(field):
 
 def _same_group_pair(pair, t):
     return HarishChandraPair(pair.group, ["w%d" % i for i in range(t)], {}, bracket_gv={})
+
+
+# -- eval_at against the term-by-term evaluation it replaced ------------------
+
+
+def eval_at_referee(poly, assignment, one):
+    """eval_at as it was: each term starts from one·c and takes its
+    factors one by one, and the sum starts from one·0."""
+    out = one * poly.field.zero
+    for mono, c in poly.terms.items():
+        term = one * c
+        for name, e in mono:
+            for _ in range(e):
+                term = term * assignment[name]
+        out = out + term
+    return out
+
+
+def _eval_rings(rng, field):
+    """(one, draw) for the three kinds of value eval_at takes: field
+    scalars, Polys and even Elements of Λ(4)."""
+    R = grassmann(field, ["a1", "a2", "a3", "a4"])
+    even = [i for i in range(R.dim) if R.space.parities[i] == 0]
+
+    def element():
+        coords = [field.zero] * R.dim
+        for i in even:
+            coords[i] = field.from_int(rng.randint(-2, 2))
+        return Element(R, coords)
+
+    return [
+        (field.one, lambda: field.from_int(rng.randint(-3, 3))),
+        (Poly.const(field, field.one), lambda: random_poly(rng, field, ["s", "u"])),
+        (R.unit, element),
+    ]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_eval_at_matches_term_by_term_referee(field):
+    rng = random.Random(23 + field.char)
+    conditions = [c for name in sorted(BUILTIN_PAIRS)
+                  for c in BUILTIN_PAIRS[name](field).group.closed_conditions]
+    randoms = [random_poly(rng, field, VARS, degree=4, nterms=5) for _ in range(12)]
+    randoms += [Poly(field), Poly.const(field, field.from_int(2)),
+                P(field, "3*x^3*y^2 - 2*z^2 + 1")]
+    assert any(() in p.terms for p in randoms)
+    assert any(e > 1 for p in randoms for m in p.terms for _, e in m)
+    for one, draw in _eval_rings(rng, field):
+        for _ in range(3):
+            at = {"m_%d_%d" % (i, j): draw() for i in range(3) for j in range(3)}
+            for c in conditions:
+                assert eval_at(c, at, one) == eval_at_referee(c, at, one), c
+            at = {v: draw() for v in VARS}
+            for p in randoms:
+                assert eval_at(p, at, one) == eval_at_referee(p, at, one), p
