@@ -4,11 +4,14 @@ Every computation in this package is exact.  A scalar of the rationals Q
 is a Python ``int`` when it is integral and a ``fractions.Fraction`` only
 otherwise (most scalars met in practice are integers, and int arithmetic
 is several times faster); a scalar of F_p (p an odd prime) is an
-:class:`FpElement`.  Characteristic 2 is rejected because sign rules and
-the 1/2 appearing in squaring identities need 2 invertible.
+:class:`FpElement`, which combines only with scalars of its own field:
+an int or a Fraction becomes one through from_int, from_fraction or
+parse, never by mixing it into an operation.  Characteristic 2 is
+rejected because sign rules and the 1/2 appearing in squaring identities
+need 2 invertible.
 
 Division goes through :meth:`Field.inv`: ``1 / x`` for two ints would be
-a float, so no scalar is divided with ``/`` outside this module.
+a float, so no scalar is divided with ``/``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,11 @@ class FieldError(ValueError):
 
 
 class FpElement:
-    """An element of Z/p represented by its least nonnegative residue."""
+    """An element of Z/p represented by its least nonnegative residue.
+
+    +, -, * and == take another FpElement of the same p (another p raises
+    FieldError); any other operand gives NotImplemented, so a Poly or
+    Element on the other side supplies the reflected operation."""
 
     __slots__ = ("p", "v")
 
@@ -29,69 +36,36 @@ class FpElement:
         self.p = p
         self.v = v % p
 
-    def _coerce(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise FieldError("mixed characteristics %d and %d" % (self.p, other.p))
-            return other
-        if isinstance(other, int):
-            return FpElement(self.p, other)
-        if isinstance(other, Fraction):
-            if other.denominator % self.p == 0:
-                raise FieldError("denominator divisible by %d" % self.p)
-            return FpElement(self.p, other.numerator * pow(other.denominator, -1, self.p))
-        return NotImplemented
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not isinstance(other, FpElement):
             return NotImplemented
-        return FpElement(self.p, self.v + o.v)
-
-    __radd__ = __add__
+        if other.p != self.p:
+            raise FieldError("mixed characteristics %d and %d" % (self.p, other.p))
+        return FpElement(self.p, self.v + other.v)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not isinstance(other, FpElement):
             return NotImplemented
-        return FpElement(self.p, self.v - o.v)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FpElement(self.p, o.v - self.v)
+        if other.p != self.p:
+            raise FieldError("mixed characteristics %d and %d" % (self.p, other.p))
+        return FpElement(self.p, self.v - other.v)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not isinstance(other, FpElement):
             return NotImplemented
-        return FpElement(self.p, self.v * o.v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.v == 0:
-            raise ZeroDivisionError("division by zero in F_%d" % self.p)
-        return FpElement(self.p, self.v * pow(o.v, -1, self.p))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
+        if other.p != self.p:
+            raise FieldError("mixed characteristics %d and %d" % (self.p, other.p))
+        return FpElement(self.p, self.v * other.v)
 
     def __neg__(self):
         return FpElement(self.p, -self.v)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not isinstance(other, FpElement):
             return NotImplemented
-        return self.v == o.v
+        if other.p != self.p:
+            raise FieldError("mixed characteristics %d and %d" % (self.p, other.p))
+        return self.v == other.v
 
     def __hash__(self):
         return hash((self.p, self.v))
@@ -210,7 +184,9 @@ class PrimeField(Field):
         return FpElement(self.p, fr.numerator * pow(fr.denominator, -1, self.p))
 
     def inv(self, x):
-        return self.one / x
+        if not x.v:
+            raise ZeroDivisionError("division by zero in F_%d" % self.p)
+        return FpElement(self.p, pow(x.v, -1, self.p))
 
     def render(self, x):
         return str(x.v)

@@ -17,7 +17,13 @@ Each chain class states its direction as `step` (1 for
 FilteredSuperAlgebra, -1 for hyp.HypFiltration), and GradedCompanion builds
 gr once for both: a product of classes is the class of the product of their
 representatives, which AdaptedBasis.class_coords rejects when it has a
-component on the far side of its degree.
+component on the far side of its degree.  Representatives of degree >= k
+span I_k, so this is where the law I_k I_l <= I_{k+l} is checked, once,
+and with k = 0 it says that each I_l is an ideal; FilteredSuperAlgebra
+checks only the shape of its chain (whole algebra first, zero last,
+descending, each level graded).  adic_filtration needs no earlier sweep:
+I^k I^l = I^{k+l}, and I^k is an ideal because I is one (SuperIdeal closes
+it); tensor_filtration inherits the law from its factors.
 
 The canonical map gr(A) ⊗ gr(B) -> gr(A ⊗ B) is applied as sparse
 columns, one per source basis pair, and its multiplicativity is checked by
@@ -43,21 +49,22 @@ class FiltrationError(ValueError):
 
 
 class FilteredSuperAlgebra:
+    """A = I_0 >= ... >= I_N = 0; the law is checked where gr is built."""
+
     step = 1  # a descending chain, for AdaptedBasis
 
-    def __init__(self, algebra, chain, *, check=True):
+    def __init__(self, algebra, chain):
         self.algebra = algebra
         self.chain = list(chain)
         if not self.chain or self.chain[0].dim != algebra.dim:
             raise FiltrationError("chain must start with the whole algebra")
         if self.chain[-1].dim != 0:
             raise FiltrationError("chain must end with the zero ideal")
-        for k in range(len(self.chain) - 1):
-            if not self.chain[k].contains_space(self.chain[k + 1]):
-                raise FiltrationError("chain is not descending at level %d" % k)
-        if check:
-            self._check_ideals()
-            self._check_multiplicative()
+        for k in range(1, len(self.chain)):
+            if not self.chain[k - 1].contains_space(self.chain[k]):
+                raise FiltrationError("chain is not descending at level %d" % (k - 1))
+            if any(Element(algebra, row).parity() is None for row in self.chain[k].rows):
+                raise FiltrationError("level %d is not graded" % k)
 
     @property
     def length(self):
@@ -75,26 +82,6 @@ class FilteredSuperAlgebra:
             k += 1
         return k
 
-    def _check_ideals(self):
-        A = self.algebra
-        basis = identity_matrix(A.dim, A.field)
-        for k in range(1, len(self.chain)):
-            piece = self.chain[k]
-            if any(Element(A, row).parity() is None for row in piece.rows):
-                raise FiltrationError("level %d is not graded" % k)
-            if not all(map(piece.contains, span_products(A, basis, piece.rows))):
-                raise FiltrationError("level %d is not an ideal" % k)
-
-    def _check_multiplicative(self):
-        A = self.algebra
-        for k in range(len(self.chain)):
-            for l in range(len(self.chain)):
-                target = self.piece(k + l)
-                products = span_products(A, self.chain[k].rows, self.chain[l].rows)
-                if not all(map(target.contains, products)):
-                    raise FiltrationError("I_%d * I_%d escapes I_%d" % (k, l, k + l))
-
-
 def adic_filtration(algebra, ideal):
     """Powers of a nilpotent ideal: A >= I >= I^2 >= ... >= 0."""
     field = algebra.field
@@ -110,7 +97,7 @@ def adic_filtration(algebra, ideal):
         if steps > algebra.dim + 1:
             raise FiltrationError("ideal is not nilpotent")
     chain.append(Subspace(field, algebra.dim))
-    return FilteredSuperAlgebra(algebra, chain, check=True)
+    return FilteredSuperAlgebra(algebra, chain)
 
 
 class AdaptedBasis:
@@ -243,7 +230,7 @@ def tensor_filtration(FA, FB):
     chain = [tensor_piece(FA.piece, FB.piece, k) for k in range(top + 1)]
     if chain[-1].dim != 0:
         chain.append(Subspace(T.field, T.dim))
-    return FilteredSuperAlgebra(T, chain, check=False)
+    return FilteredSuperAlgebra(T, chain)
 
 
 class GradedReport(AxiomReport):

@@ -215,15 +215,13 @@ def identity(pair, R):
     )
 
 
-def _conjugate_chain(pair, R, word, hmat):
-    """h^{-1} e(a, v_i) h = e(a, Ad(h^{-1}) v_i), expanded on the basis.
-    h^{-1} is computed only for a nonempty chain.
+def _conjugate_chain(pair, R, word, g, g_inv):
+    """g e(a, v_i) g^{-1} = e(a, Ad(g) v_i), expanded on the basis, for
+    g given together with its inverse.
 
     The expansion of one e into several basis e's is harmless: all share
     the odd factor a, so their mutual corrections vanish (a^2 = 0)."""
-    if not word:
-        return []
-    rho = pair.rho_over(R, rmat_inverse(R, hmat), hmat)
+    rho = pair.rho_over(R, g, g_inv)
     out = []
     for (a, idx) in word:
         for m in range(pair.t):
@@ -298,7 +296,8 @@ def normalize(pair, R, tokens, strategy="leftmost"):
             if hmat == ident:
                 word = _conjugate_chain_f(pair, R, word, None, ())
             else:
-                word = _conjugate_chain(pair, R, word, hmat)
+                if word:
+                    word = _conjugate_chain(pair, R, word, rmat_inverse(R, hmat), hmat)
                 g = hmat if g is ident else rmat_mul(R, g, hmat)
             trace.append(("g", tuple(tuple(r) for r in hmat)))
         else:
@@ -345,13 +344,15 @@ def multiply(u, w, strategy="leftmost"):
 
 
 def inverse(u):
-    toks = []
-    for i in range(u.pair.t - 1, -1, -1):
-        a = u.coords[i]
-        if not a.is_zero():
-            toks.append(("e", -a, i))
-    toks.append(("g", [list(r) for r in rmat_inverse(u.R, [list(r) for r in u.even])]))
-    return normalize(u.pair, u.R, toks)
+    """u = g·E, E the e-chain, has inverse E^{-1} g^{-1} = g^{-1} · g E^{-1} g^{-1}:
+    g^{-1} followed by the reversed, negated chain conjugated by g.  The
+    one inverse of g serves both, and the identity conjugates nothing."""
+    R, g = u.R, [list(r) for r in u.even]
+    g_inv = rmat_inverse(R, g)
+    chain = [(-u.coords[i], i) for i in range(u.pair.t - 1, -1, -1) if not u.coords[i].is_zero()]
+    if chain and g != rmat_identity(R, len(g)):
+        chain = _conjugate_chain(u.pair, R, chain, g, g_inv)
+    return normalize(u.pair, R, [("g", g_inv)] + [("e", a, i) for a, i in chain])
 
 
 # -- tangent bracket ----------------------------------------------------

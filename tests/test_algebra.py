@@ -398,7 +398,7 @@ def test_unit_law_matches_the_dense_referee():
 
 
 def dense_add(x, y, sign):
-    return tuple(a + sign * b for a, b in zip(x.coords, y.coords))
+    return tuple(a + b if sign > 0 else a - b for a, b in zip(x.coords, y.coords))
 
 
 def dense_scale(x, c):

@@ -48,7 +48,7 @@ def test_fp_arithmetic():
     assert (a + b).v == 1
     assert (a * b).v == 1
     assert (a - b).v == 5
-    assert (a / b).v == (3 * pow(5, -1, 7)) % 7
+    assert (a * F.inv(b)).v == (3 * pow(5, -1, 7)) % 7
     assert (-a).v == 4
     assert F.from_fraction(Fraction(1, 2)).v == pow(2, -1, 7)
 
@@ -61,10 +61,23 @@ def test_fp_parse_render():
 
 
 def test_fp_mixed_with_int():
+    """An F_p scalar combines only with scalars of its own field."""
     F = PrimeField(5)
     a = F.from_int(2)
-    assert a + 4 == F.from_int(1)
-    assert 3 * a == F.from_int(1)
+    ops = (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y)
+    for other in (4, Fraction(1, 2)):
+        for op in ops:
+            with pytest.raises(TypeError):
+                op(a, other)
+            with pytest.raises(TypeError):
+                op(other, a)
+        assert (a == other) is False
+    assert (F.from_int(2) == 2) is False
+    b = PrimeField(7).from_int(2)
+    with pytest.raises(FieldError):
+        a + b
+    with pytest.raises(FieldError):
+        a == b
 
 
 def _trial_division(n):
@@ -140,7 +153,7 @@ def test_inverse_of_zero_raises():
     F = PrimeField(5)
     with pytest.raises(ZeroDivisionError):
         F.inv(F.zero)
-    assert F.inv(F.from_int(2)) * 2 == F.one
+    assert F.inv(F.from_int(2)) * F.from_int(2) == F.one
 
 
 def test_render_same_for_ints_and_fractions():

@@ -9,6 +9,7 @@ from superkit.algebra import (
     ideal_generated_by,
     odd_ideal,
     polynomial_truncation,
+    span_products,
     tensor,
 )
 from superkit.fields import PrimeField, Rationals
@@ -53,8 +54,21 @@ def test_non_multiplicative_chain_rejected():
     i1 = ideal_generated_by(A, [A.element({"t": 1})]).sub
     i3 = ideal_generated_by(A, [A.element({"t^3": 1})]).sub
     zero = Subspace(Q, 4)
+    F = FilteredSuperAlgebra(A, [full, i1, i3, zero])
+    assert not reference_filtration_law(A, F.chain)
     with pytest.raises(FiltrationError):
-        FilteredSuperAlgebra(A, [full, i1, i3, zero], check=True)
+        graded_companion(F)
+
+
+def test_chain_shape_is_checked_at_construction():
+    A = grassmann(Q, ["a", "b"])
+    full = Subspace(Q, 4, identity_matrix(4, Q))
+    odd = odd_ideal(A).sub
+    mixed = Subspace(Q, 4, [[0, 1, 0, 1]])  # a + a*b has no parity
+    for chain in ([odd, Subspace(Q, 4)], [full, odd], [full, mixed, odd, Subspace(Q, 4)],
+                  [full, mixed, Subspace(Q, 4)]):
+        with pytest.raises(FiltrationError):
+            FilteredSuperAlgebra(A, chain)
 
 
 def test_graded_companion_dims_and_degrees():
@@ -290,8 +304,23 @@ def _reference_adic_chain(A, ideal):
     return chain + [Subspace(A.field, A.dim)]
 
 
+def reference_filtration_law(A, chain):
+    """The sweep FilteredSuperAlgebra once made when it was built: each level
+    is an ideal, and I_k I_l <= I_{k+l} (pieces past the end are zero)."""
+    basis = identity_matrix(A.dim, A.field)
+    for k in range(1, len(chain)):
+        if not all(map(chain[k].contains, span_products(A, basis, chain[k].rows))):
+            return False
+    for k in range(len(chain)):
+        for l in range(len(chain)):
+            target = chain[min(k + l, len(chain) - 1)]
+            if not all(map(target.contains, span_products(A, chain[k].rows, chain[l].rows))):
+                return False
+    return True
+
+
 def _reference_multiplicative(A, chain):
-    """I_k I_l <= I_{k+l} by the per-pair loop of _check_multiplicative."""
+    """I_k I_l <= I_{k+l} by a product loop over every pair of rows."""
     elems = [[Element(A, row) for row in piece.rows] for piece in chain]
     for k in range(len(chain)):
         for l in range(len(chain)):
@@ -340,14 +369,17 @@ def test_span_products_callers_match_product_loops(field):
             assert I1.sub.rows == _reference_close(A, gens).rows
             F = adic_filtration(A, I1)
             assert [p.rows for p in F.chain] == [p.rows for p in _reference_adic_chain(A, I1)]
+            assert reference_filtration_law(A, F.chain)
             # a seeded chain A >= I1 >= I2 >= 0, often not multiplicative
             gens2 = [_random_homogeneous(rng, A, I1.sub.rows) for _ in range(rng.randint(1, 2))]
             I2 = SuperIdeal(A, gens2)
             assert I2.sub.rows == _reference_close(A, gens2).rows
+            assert reference_filtration_law(A, adic_filtration(A, I2).chain)
             chain = [F.chain[0], I1.sub, I2.sub, Subspace(field, A.dim)]
-            want = _reference_multiplicative(A, chain)
+            want = reference_filtration_law(A, chain)
+            assert _reference_multiplicative(A, chain) == want
             try:
-                FilteredSuperAlgebra(A, chain, check=False)._check_multiplicative()
+                graded_companion(FilteredSuperAlgebra(A, chain))
                 got = True
             except FiltrationError:
                 got = False

@@ -327,7 +327,7 @@ class TestClosedFormConjugation:
             assert got == want
             word = [(random_odd(rng, R), rng.randrange(t)) for _ in range(3)]
             assert G._conjugate_chain_f(pair, R, word, b, lie) == G._conjugate_chain(
-                pair, R, word, G.f_matrix(pair, R, b, lie)
+                pair, R, word, G.f_matrix(pair, R, -b, lie), G.f_matrix(pair, R, b, lie)
             )
 
     @pytest.mark.parametrize("field_name", sorted(FIELDS))
@@ -586,13 +586,11 @@ class TestTimesUnitPlus:
 # -- call counts: the products and inverses that are no longer made ------------
 
 
-def conjugate_chain_referee(pair, R, word, hmat):
-    """_conjugate_chain with h^{-1} computed before the chain is looked at."""
-    hmat_inv = G.rmat_inverse(R, hmat)
-    if not word:
-        return []
+def conjugate_chain_referee(pair, R, word, g, g_inv):
+    """_conjugate_chain with a product for every entry of rho(g), zeros
+    included."""
     out = []
-    rho = pair.rho_over(R, hmat_inv, hmat)
+    rho = pair.rho_over(R, g, g_inv)
     for a, idx in word:
         for m in range(pair.t):
             coeff = R.multiply(rho[m][idx], a)
@@ -629,6 +627,38 @@ class TestCallCounts:
             assert inv.call_count == 1
             with full_matrix_path():
                 assert G.multiply(u, w) == got
+
+    @pytest.mark.parametrize("field_name", sorted(FIELDS))
+    @pytest.mark.parametrize("pair_name", sorted(PAIR_BUILDERS))
+    def test_inverse_inverts_once(self, pair_name, field_name, rng):
+        field = FIELDS[field_name]
+        pair = PAIR_BUILDERS[pair_name](field)
+        R = grassmann(field, ["a1", "a2", "a3", "a4"])
+        ident = G.rmat_identity(R, pair.group.size)
+        seen = set()
+        for k in range(6):
+            g, _ = random_point(rng, pair, R)
+            # a point and two e's, or one e alone: an identity even part
+            word = ([("g", g)] if k % 2 else []) + [
+                ("e", random_odd(rng, R), rng.randrange(pair.t)) for _ in range(1 + k % 2)]
+            u = G.normalize(pair, R, word)
+            is_ident = [list(r) for r in u.even] == ident
+            seen.add((is_ident, any(not a.is_zero() for a in u.coords)))
+            with mock.patch.object(G, "rmat_inverse", wraps=G.rmat_inverse) as inv, \
+                    mock.patch.object(pair, "rho_over", wraps=pair.rho_over) as rho:
+                got = G.inverse(u)
+            assert inv.call_count == 1
+            # only a point other than the identity conjugates the chain
+            assert rho.call_count == (0 if is_ident else 1)
+            # the token path of old: the reversed, negated chain, then g^{-1}
+            tokens = [("e", -u.coords[i], i) for i in range(pair.t - 1, -1, -1)
+                      if not u.coords[i].is_zero()]
+            tokens.append(("g", G.rmat_inverse(R, u.even)))
+            assert got == G.normalize(pair, R, tokens)
+            assert G.multiply(u, got) == G.identity(pair, R)
+            if pair.row_parities is not None:  # the supermatrix oracle, independent of normalize
+                assert G.rmat_mul(R, G.oracle_supermatrix(u), G.oracle_supermatrix(got)) == ident
+        assert {(False, True), (True, True)} <= seen
 
     @pytest.mark.parametrize("field_name", sorted(FIELDS))
     @pytest.mark.parametrize("pair_name", ["gl11", "gl21"])

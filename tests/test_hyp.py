@@ -419,7 +419,7 @@ def _seeded_chains(H, rng):
             yield adic_filtration(A, J)
         else:
             full = Subspace(field, A.dim, identity_matrix(A.dim, field))
-            yield FilteredSuperAlgebra(A, [full, m, J.sub, Subspace(field, A.dim)], check=False)
+            yield FilteredSuperAlgebra(A, [full, m, J.sub, Subspace(field, A.dim)])
 
 
 def _outcome(check, H, chain):
@@ -453,9 +453,9 @@ def _perturb_hyp_gr(monkeypatch, kind, seed):
     real = hyp.dual_hopf
     rng = random.Random(seed)
 
-    def bump(col, key, one):
+    def bump(col, key, field):
         # add one to a sparse entry, keeping no zero
-        v = col.pop(key, 0 * one) + one
+        v = col.pop(key, field.zero) + field.one
         if v:
             col[key] = v
 
@@ -471,14 +471,14 @@ def _perturb_hyp_gr(monkeypatch, kind, seed):
             k = rng.choice(sorted(terms))
             terms[k] = -terms[k]
         elif kind == "antipode":
-            bump(D._antipode_cols[rng.randrange(n)], rng.randrange(n), one)
+            bump(D._antipode_cols[rng.randrange(n)], rng.randrange(n), D.field)
         elif kind == "coproduct":
-            bump(D._delta_cols[rng.randrange(n)], rng.randrange(n * n), one)
+            bump(D._delta_cols[rng.randrange(n)], rng.randrange(n * n), D.field)
         elif kind == "counit":
             D.eps[rng.randrange(n)] += one
         elif kind == "unit":
             D.algebra._unit_terms = dict(D.algebra._unit_terms)
-            bump(D.algebra._unit_terms, rng.randrange(n), one)
+            bump(D.algebra._unit_terms, rng.randrange(n), D.field)
         return D
 
     monkeypatch.setattr(hyp, "dual_hopf", patched)
