@@ -650,7 +650,8 @@ class TestCallCounts:
             assert inv.call_count == 1
             # only a point other than the identity conjugates the chain
             assert rho.call_count == (0 if is_ident else 1)
-            # the token path of old: the reversed, negated chain, then g^{-1}
+            # referee: the word inverse normalized before, the reversed,
+            # negated chain followed by g^{-1}
             tokens = [("e", -u.coords[i], i) for i in range(pair.t - 1, -1, -1)
                       if not u.coords[i].is_zero()]
             tokens.append(("g", G.rmat_inverse(R, u.even)))

@@ -40,14 +40,15 @@ def reduce_mod_p(x, F, R=None, pair=None):
         return type(x)(reduce_mod_p(y, F, R, pair) for y in x)
     if isinstance(x, dict):
         out = {k: reduce_mod_p(v, F, R, pair) for k, v in x.items()}
-        return {k: v for k, v in out.items() if not (v.is_zero() if isinstance(v, Element) else not v)}
+        return {k: v for k, v in out.items() if (not v.is_zero() if isinstance(v, Element) else v)}
     return F.from_fraction(x)
 
 
 # integer points of determinant ±1, invertible over Q and every F_p
 UNIMODULAR = {
     1: [((1,),), ((-1,),)],
-    2: [((a, b), (c, d)) for a, b, c, d in product(range(-1, 3), repeat=4) if a * d - b * c in (1, -1)],
+    2: [((a, b), (c, d)) for a, b, c, d in product(range(-1, 3), repeat=4)
+        if a * d - b * c in (1, -1)],
 }
 
 
