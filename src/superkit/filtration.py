@@ -25,6 +25,13 @@ descending, each level graded).  adic_filtration needs no earlier sweep:
 I^k I^l = I^{k+l}, and I^k is an ideal because I is one (SuperIdeal closes
 it); tensor_filtration inherits the law from its factors.
 
+The law also makes gr well defined, so that is not checked apart: for x in
+I_{k+1} and a representative r_j of degree l, x r_j lies in I_{k+l+1}, so
+(r_i + x) r_j and r_i r_j have the same class in degree k+l.  A filtration
+builds its companion once, on first use of FilteredSuperAlgebra.companion;
+the companion holds no reference back to the chain, so caching it makes no
+reference cycle.
+
 The canonical map gr(A) ⊗ gr(B) -> gr(A ⊗ B) is applied as sparse
 columns, one per source basis pair, and its multiplicativity is checked by
 algebra.first_non_multiplicative, like every algebra-morphism check;
@@ -33,6 +40,8 @@ hyp.check_gr_hyp_duality too.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .algebra import (
     AxiomReport, Element, SuperAlgebra, first_non_multiplicative, span_products, tensor,
@@ -75,12 +84,12 @@ class FilteredSuperAlgebra:
             return self.chain[-1]
         return self.chain[k]
 
-    def level(self, elem):
-        """Largest k with elem in I_k; len(chain)-1 for zero."""
-        k, vec = 0, elem.coords
-        while k + 1 < len(self.chain) and self.piece(k + 1).contains(vec):
-            k += 1
-        return k
+    @cached_property
+    def companion(self):
+        """The GradedCompanion gr A of this filtration, built on first use;
+        FiltrationError if the chain breaks the law I_k I_l <= I_{k+l}."""
+        return GradedCompanion(self.algebra, self)
+
 
 def adic_filtration(algebra, ideal):
     """Powers of a nilpotent ideal: A >= I >= I^2 >= ... >= 0."""
@@ -155,7 +164,6 @@ class GradedCompanion:
 
     def __init__(self, algebra, chain):
         self.algebra = algebra
-        self.chain = chain
         self.basis = AdaptedBasis(algebra.field, algebra.dim, chain.piece, chain.length, chain.step)
         self.reps = [Element(algebra, v) for v in self.basis.vecs]
         self.degrees = self.basis.degrees
@@ -188,26 +196,6 @@ class GradedCompanion:
             A.field, labels, parities, unit, products, check=False,
             name="gr(%s)" % (A.name or "?"),
         )
-
-    def verify_well_defined(self):
-        """Products of classes do not depend on the chosen representatives."""
-        A = self.algebra
-        for i in range(len(self.reps)):
-            k = self.degrees[i]
-            for row in self.chain.piece(k + self.chain.step).rows:
-                shifted = self.reps[i] + Element(A, row)
-                for j in range(len(self.reps)):
-                    l = self.degrees[j]
-                    prod = A.multiply(shifted, self.reps[j])
-                    got = self.class_coords(prod, k + l)
-                    ref = self.class_coords(A.multiply(self.reps[i], self.reps[j]), k + l)
-                    if got != ref:
-                        return False
-        return True
-
-
-def graded_companion(filtration):
-    return GradedCompanion(filtration.algebra, filtration)
 
 
 def tensor_piece(left, right, k):
@@ -262,10 +250,9 @@ def check_gr_tensor_iso(FA, FB):
     bijection and multiplies correctly on every basis pair.
     """
     report = GradedReport()
-    grA = graded_companion(FA)
-    grB = graded_companion(FB)
+    grA, grB = FA.companion, FB.companion
     FT = tensor_filtration(FA, FB)
-    grT = graded_companion(FT)
+    grT = FT.companion
     source = tensor(grA.gr, grB.gr)
     T = FT.algebra
 

@@ -9,7 +9,11 @@ with coproduct dual to the multiplication and antipode dual to S.  When A
 is local with maximal ideal m = ker eps, the dual carries the increasing
 filtration  hyp_k = annihilator of m^{k+1}  (and the analogous one for the
 ideal generated by the odd part); those filtrations and the canonical
-decomposition over a tensor splitting A = B ⊗ Λ are checked here.
+decomposition over a tensor splitting A = B ⊗ Λ are checked here.  The laws
+of the filtration (hyp_k hyp_l ⊆ hyp_{k+l}, the coproduct of hyp_k in
+sum_{i+j=k} hyp_i ⊗ hyp_j, the antipode keeping each hyp_k) are checked in
+one place, where graded_hopf builds gr(hyp A); check_hyp_filtration adds
+only the shape of the chain.
 
 gr(hyp A) against hyp(gr A) compares two Hopf superalgebras built by the
 same code: graded_hopf gives gr for a chain in either direction, so
@@ -33,12 +37,9 @@ table, go through algebra._contract.  Annihilators are linalg.kernel.
 from __future__ import annotations
 
 from .algebra import (
-    AxiomReport, Element, SuperAlgebra, SuperIdeal, _contract, first_non_multiplicative,
-    span_products, tensor,
+    AxiomReport, Element, SuperAlgebra, SuperIdeal, _contract, first_non_multiplicative, tensor,
 )
-from .filtration import (
-    FiltrationError, GradedCompanion, GradedReport, adic_filtration, tensor_piece,
-)
+from .filtration import FiltrationError, GradedCompanion, GradedReport, adic_filtration
 from .hopf import HopfSuperAlgebra, check_hopf_axioms
 from .linalg import (
     Subspace, apply_columns, apply_tensor_columns, dense, invert_matrix, kernel, kron, nullspace,
@@ -72,8 +73,9 @@ def convolution_table(delta, par):
     return table
 
 
-def dual_hopf(H, *, check=True):
-    """The convolution Hopf superalgebra on the full dual of H."""
+def dual_hopf(H):
+    """The convolution Hopf superalgebra on the full dual of H, assembled
+    unchecked: the dual of a Hopf superalgebra is one."""
     A = H.algebra
     field = A.field
     n = A.dim
@@ -92,7 +94,7 @@ def dual_hopf(H, *, check=True):
     antipode = [
         tuple(H.antipode[j][k] for j in range(n)) for k in range(n)
     ]
-    return HopfSuperAlgebra(dual, delta, eps, antipode, check=check)
+    return HopfSuperAlgebra(dual, delta, eps, antipode, check=False)
 
 
 def counit_kernel_ideal(A, eps):
@@ -112,7 +114,6 @@ class HypFiltration:
     step = -1  # an increasing chain, for AdaptedBasis
 
     def __init__(self, H, chain):
-        self.chain = chain
         field = H.field
         n = H.algebra.dim
         # no reference to H is kept: a TruncatedLocal holds its own
@@ -147,14 +148,15 @@ def check_hyp_filtration(H, chain, *, local=True):
 
     - hyp_0 contains the counit (and equals its span when the chain starts
       at the augmentation ideal),
-    - hyp_k hyp_l ⊆ hyp_{k+l} under convolution,
-    - the dual coproduct sends hyp_k into sum_{i+j=k} hyp_i ⊗ hyp_j,
-    - the dual antipode preserves every hyp_k,
-    - the filtration is increasing and exhausts the full dual.
+    - the filtration is increasing and exhausts the full dual,
+    - its laws hold: hyp_k hyp_l ⊆ hyp_{k+l} under convolution, the dual
+      coproduct sends hyp_k into sum_{i+j=k} hyp_i ⊗ hyp_j, and the dual
+      antipode preserves every hyp_k.  These are checked by building
+      gr(hyp A) with graded_hopf, which stops at the first law that fails;
+      the report carries that one failure, prefixed "gr(hyp A): ".
     """
     report = AxiomReport()
     n = H.algebra.dim
-    D = dual_hopf(H, check=False)
     F = HypFiltration(H, chain)
 
     if not F.piece(0).contains(tuple(H.eps)):
@@ -166,28 +168,10 @@ def check_hyp_filtration(H, chain, *, local=True):
             report.fail("hyp_%d does not contain hyp_%d" % (k + 1, k))
     if F.piece(F.length - 1).dim != n:
         report.fail("the filtration does not exhaust the dual")
-
-    top = F.length - 1
-    for k in range(F.length):
-        for l in range(F.length):
-            target = F.piece(min(k + l, top))
-            if k + l > top and target.dim != n:
-                report.fail("hyp_%d+hyp_%d has no containing level" % (k, l))
-                continue
-            products = span_products(D.algebra, F.piece(k).rows, F.piece(l).rows)
-            if not all(map(target.contains, products)):
-                report.fail("hyp_%d · hyp_%d escapes hyp_%d" % (k, l, k + l))
-    for k in range(F.length):
-        tgt = tensor_piece(F.piece, F.piece, k)
-        for phi in F.piece(k).rows:
-            if not tgt.contains(D.coproduct(Element(D.algebra, phi)).coords):
-                report.fail("dual coproduct escapes at level %d" % k)
-                break
-        for phi in F.piece(k).rows:
-            img = D.apply_antipode(Element(D.algebra, phi)).coords
-            if not F.piece(k).contains(img):
-                report.fail("dual antipode escapes at level %d" % k)
-                break
+    try:
+        graded_hopf(dual_hopf(H), F)
+    except FiltrationError as exc:
+        report.fail("gr(hyp A): %s" % exc)
     return report
 
 
@@ -222,9 +206,6 @@ class TruncatedLocal:
     def field(self):
         return self.algebra.field
 
-    def hyp_level(self, phi):
-        return self.hyp.level(phi)
-
     def convolve(self, phi, psi):
         """(value row, exact flag) of the lenient convolution product."""
         par = self.algebra.space.parities
@@ -232,7 +213,7 @@ class TruncatedLocal:
             raise HypError("second factor must be parity homogeneous")
         out = _contract(self._conv, sparse(phi), sparse(psi))
         out = dense(out, self.algebra.dim, self.field.zero)
-        exact = self.hyp_level(phi) + self.hyp_level(psi) <= self.level
+        exact = self.hyp.level(phi) + self.hyp.level(psi) <= self.level
         return out, exact
 
     def as_hopf(self, *, check=True):
@@ -319,7 +300,7 @@ class CanonicalDecomposition:
         if 1 << t != nL:
             raise HypError("the odd factor is not a Grassmann algebra")
         self.H = H
-        self.dual = dual_hopf(H, check=False)
+        self.dual = dual_hopf(H)
         D = self.dual.algebra
         n = D.dim
 
@@ -420,8 +401,8 @@ def check_gr_hyp_duality(H, chain):
     grH, comp = graded_hopf(H, chain)
     for msg in check_hopf_axioms(grH).failures:
         report.fail("gr: " + msg)
-    hyp_gr = dual_hopf(grH, check=False)
-    gr_hyp, dcomp = graded_hopf(dual_hopf(H, check=False), HypFiltration(H, chain))
+    hyp_gr = dual_hopf(grH)
+    gr_hyp, dcomp = graded_hopf(dual_hopf(H), HypFiltration(H, chain))
     n = grH.algebra.dim
     theta = [
         sparse([

@@ -23,7 +23,7 @@ from superkit.algebra import (
     tensor_pure,
 )
 from superkit.fields import PrimeField, Rationals
-from superkit.filtration import adic_filtration, graded_companion
+from superkit.filtration import adic_filtration
 from superkit.gamma import tangent_algebra
 from superkit.hopf import grassmann_hopf
 from superkit.hyp import additive_truncation, dual_hopf
@@ -854,7 +854,7 @@ def tensor_factors(field):
         ground_algebra(field),
         tensor(ground_algebra(field), dual_numbers(field)),
         additive_truncation(field, 3).algebra,
-        graded_companion(adic_filtration(lam2, odd_ideal(lam2))).gr,
+        adic_filtration(lam2, odd_ideal(lam2)).companion.gr,
         dual_hopf(grassmann_hopf(field, ["t1", "t2"])).algebra,
         shifted_unit_algebra(field),
     ]

@@ -120,6 +120,24 @@ class TestGr:
         data = json.loads(out)
         assert data["degree_dims"] == {"0": 1, "1": 3, "2": 3, "3": 1}
 
+    def test_chain_breaking_the_law_fails_when_gr_is_built(self, capsys, monkeypatch):
+        from superkit import fixtures
+        from superkit.algebra import ideal_generated_by, polynomial_truncation
+        from superkit.filtration import FilteredSuperAlgebra
+        from superkit.linalg import Subspace, identity_matrix
+
+        def resolve(field, spec):
+            # K[t]/t^4 >= (t) >= (t^3) >= 0: (t)(t) is not in (t^3)
+            A = polynomial_truncation(field, "t", 4)
+            pieces = [ideal_generated_by(A, [A.element({g: 1})]).sub for g in ("t", "t^3")]
+            full = Subspace(field, 4, identity_matrix(4, field))
+            return FilteredSuperAlgebra(A, [full, *pieces, Subspace(field, 4)])
+
+        monkeypatch.setattr(fixtures, "resolve_filtered", resolve)
+        code, out, err = run(capsys, ["gr", "Lambda2"])
+        assert code == 1 and out == ""
+        assert err.startswith("check failed: ")
+
 
 class TestRadical:
     def test_pseudoabelian_full(self, capsys):

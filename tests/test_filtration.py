@@ -1,6 +1,11 @@
+import gc
 import random
+import weakref
+from unittest import mock
 
 import pytest
+
+from superkit import cli
 
 from superkit.algebra import (
     Element,
@@ -18,8 +23,8 @@ from superkit.filtration import (
     FiltrationError,
     FilteredSuperAlgebra,
     adic_filtration,
+    GradedCompanion,
     check_gr_tensor_iso,
-    graded_companion,
     tensor_filtration,
 )
 from superkit.hopf import grassmann_hopf
@@ -36,15 +41,6 @@ def test_adic_chain_dims_grassmann2():
     assert [F.piece(k).dim for k in range(F.length)] == [4, 3, 1, 0]
 
 
-def test_level_of_elements():
-    A = grassmann(Q, ["a", "b"])
-    F = adic_filtration(A, odd_ideal(A))
-    assert F.level(A.unit) == 0
-    assert F.level(A.element({"a": 1})) == 1
-    assert F.level(A.element({"a*b": 1})) == 2
-    assert F.level(A.zero()) == F.length - 1
-
-
 def test_non_multiplicative_chain_rejected():
     A = polynomial_truncation(Q, "t", 4)
     full = Subspace(Q, 4, [[Q.one if i == j else Q.zero for j in range(4)]
@@ -57,7 +53,7 @@ def test_non_multiplicative_chain_rejected():
     F = FilteredSuperAlgebra(A, [full, i1, i3, zero])
     assert not reference_filtration_law(A, F.chain)
     with pytest.raises(FiltrationError):
-        graded_companion(F)
+        F.companion
 
 
 def test_chain_shape_is_checked_at_construction():
@@ -73,18 +69,19 @@ def test_chain_shape_is_checked_at_construction():
 
 def test_graded_companion_dims_and_degrees():
     A = grassmann(Q, ["a", "b", "c"])
-    comp = graded_companion(adic_filtration(A, odd_ideal(A)))
+    F = adic_filtration(A, odd_ideal(A))
+    comp = F.companion
     dims = {}
     for d in comp.degrees:
         dims[d] = dims.get(d, 0) + 1
     assert dims == {0: 1, 1: 3, 2: 3, 3: 1}
-    assert comp.verify_well_defined()
+    assert reference_well_defined(comp, F)
 
 
 def test_gr_of_polynomial_truncation():
     A = polynomial_truncation(Q, "t", 4)
     F = adic_filtration(A, ideal_generated_by(A, [A.element({"t": 1})]))
-    comp = graded_companion(F)
+    comp = F.companion
     assert comp.degrees == [0, 1, 2, 3]
     g = comp.gr
     # gr is again the truncated polynomial algebra
@@ -95,7 +92,7 @@ def test_gr_of_polynomial_truncation():
 
 def test_class_coords_raises_below_level():
     A = grassmann(Q, ["a", "b"])
-    comp = graded_companion(adic_filtration(A, odd_ideal(A)))
+    comp = adic_filtration(A, odd_ideal(A)).companion
     with pytest.raises(FiltrationError):
         comp.class_coords(A.element({"a": 1}), 2)
 
@@ -319,6 +316,23 @@ def reference_filtration_law(A, chain):
     return True
 
 
+def reference_well_defined(comp, chain):
+    """The check GradedCompanion once made after building gr: products of
+    classes do not depend on the chosen representatives."""
+    A = comp.algebra
+    for i in range(len(comp.reps)):
+        k = comp.degrees[i]
+        for row in chain.piece(k + chain.step).rows:
+            shifted = comp.reps[i] + Element(A, row)
+            for j in range(len(comp.reps)):
+                l = comp.degrees[j]
+                got = comp.class_coords(A.multiply(shifted, comp.reps[j]), k + l)
+                ref = comp.class_coords(A.multiply(comp.reps[i], comp.reps[j]), k + l)
+                if got != ref:
+                    return False
+    return True
+
+
 def _reference_multiplicative(A, chain):
     """I_k I_l <= I_{k+l} by a product loop over every pair of rows."""
     elems = [[Element(A, row) for row in piece.rows] for piece in chain]
@@ -378,12 +392,55 @@ def test_span_products_callers_match_product_loops(field):
             chain = [F.chain[0], I1.sub, I2.sub, Subspace(field, A.dim)]
             want = reference_filtration_law(A, chain)
             assert _reference_multiplicative(A, chain) == want
+            filtered = FilteredSuperAlgebra(A, chain)
             try:
-                graded_companion(FilteredSuperAlgebra(A, chain))
-                got = True
+                comp = filtered.companion
             except FiltrationError:
-                got = False
-            assert got == want
+                comp = None
+            assert (comp is not None) == want
+            if comp is not None:
+                assert reference_well_defined(comp, filtered)
             outcomes.append(want)
     # both outcomes are exercised
     assert any(outcomes) and not all(outcomes)
+
+
+# -- gr is built once per filtration -------------------------------------------
+
+
+def _counting_companions():
+    """Patch GradedCompanion.__init__ to record the chain of every build."""
+    return mock.patch.object(GradedCompanion, "__init__", autospec=True,
+                             side_effect=GradedCompanion.__init__)
+
+
+def test_cli_gr_with_builds_each_companion_once(capsys):
+    with _counting_companions() as init:
+        assert cli.main(["gr", "Lambda3", "--with", "Lambda2"]) == 0
+    assert "gr tensor iso with Lambda2: PASS" in capsys.readouterr().out
+    # gr of Λ3, of Λ2 and of Λ3 ⊗ Λ2
+    assert sorted(call.args[1].dim for call in init.call_args_list) == [4, 8, 32]
+
+
+def test_gr_tensor_iso_reuses_the_factor_companions():
+    A, B = grassmann(F3, ["a", "b"]), polynomial_truncation(F3, "t", 3)
+    FA = adic_filtration(A, odd_ideal(A))
+    FB = adic_filtration(B, ideal_generated_by(B, [B.element({"t": 1})]))
+    with _counting_companions() as init:
+        for _ in range(2):
+            assert check_gr_tensor_iso(FA, FB).holds
+    chains = [call.args[2] for call in init.call_args_list]
+    assert len(chains) == 4
+    assert sum(c is FA for c in chains) == 1 and sum(c is FB for c in chains) == 1
+
+
+def test_filtration_with_companion_is_freed_without_the_cyclic_collector():
+    A = grassmann(Q, ["a", "b", "c"])
+    gc.disable()
+    try:
+        F = adic_filtration(A, odd_ideal(A))
+        refs = [weakref.ref(F), weakref.ref(F.companion)]
+        del F
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
