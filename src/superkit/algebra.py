@@ -135,9 +135,6 @@ class Element:
             and self.terms == other.terms
         )
 
-    def coeff(self, label):
-        return self.terms.get(self.algebra.space.index(label), self.algebra.field.zero)
-
     def homogeneous_part(self, parity):
         par = self.algebra.space.parities
         return Element._from_terms(
@@ -359,13 +356,11 @@ class SuperAlgebra:
         return Element._from_terms(self, {})
 
     def element(self, data):
-        """Build an element from {label: scalar-or-int-or-str}."""
+        """Build an element from {label: scalar-or-int}."""
         terms = {}
         for label, c in data.items():
             if isinstance(c, int):
                 c = self.field.from_int(c)
-            elif isinstance(c, str):
-                c = self.field.parse(c)
             if c:
                 terms[self.space.index(label)] = c
         return Element._from_terms(self, terms)
@@ -477,13 +472,6 @@ class SuperIdeal:
         for row in self.sub.rows:
             if Element(A, row).parity() is None:
                 raise AlgebraError("ideal basis is not homogeneous")
-
-    @property
-    def dim(self):
-        return self.sub.dim
-
-    def contains(self, elem):
-        return self.sub.contains(elem.coords)
 
 
 # -- constructors -------------------------------------------------------

@@ -215,9 +215,8 @@ def tensor_filtration(FA, FB):
     """T_k = sum_i I_i ⊗ J_{k-i} on the tensor product algebra."""
     T = tensor(FA.algebra, FB.algebra)
     top = (FA.length - 1) + (FB.length - 1)
+    # T_top is 0: each of its terms has a factor past the end of its chain
     chain = [tensor_piece(FA.piece, FB.piece, k) for k in range(top + 1)]
-    if chain[-1].dim != 0:
-        chain.append(Subspace(T.field, T.dim))
     return FilteredSuperAlgebra(T, chain)
 
 

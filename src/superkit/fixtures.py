@@ -2,7 +2,8 @@
 JSON fixtures; and the named fixtures of the command line.
 
 gl(1|1) and gl(2|1) come from one builder, _gl_pair, which derives [V,V]
-once from matrix units; hcp derives the Lie(G) and [g,V] tables once."""
+once from matrix units; hcp derives the Lie(G) and [g,V] tables once.  A
+pair file's optional "bracket_gv" is checked against the derived [g,V]."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from .algebra import (
 )
 from .hcp import (
     GenericPoint,
+    HCPError,
     HarishChandraPair,
     MatrixGroupModel,
     _flatten,
@@ -266,14 +268,22 @@ def pair_from_json(field, data):
             field_matrix(M, "module matrix")
             for M in _sized(data["module_matrices"], t, "module_matrices")
         ]
-    else:
-        kwargs["bracket_gv"] = {
-            _key(key, (l, t), "bracket_gv"): tuple(_scalars(field, coords, t, "bracket_gv entry"))
-            for key, coords in _entry(data, "bracket_gv", dict, optional=True).items()
-        }
-        if "action" in data:
-            kwargs["action_expr"] = _matrix(data["action"], t, t, "action")
-    return HarishChandraPair(group, labels, vv, **kwargs)
+    elif "action" in data:
+        kwargs["action_expr"] = _matrix(data["action"], t, t, "action")
+    given = {
+        _key(key, (l, t), "bracket_gv"): tuple(_scalars(field, coords, t, "bracket_gv entry"))
+        for key, coords in _entry(data, "bracket_gv", dict, optional=True).items()
+    }
+    pair = HarishChandraPair(group, labels, vv, **kwargs)
+    # the pair derives [g,V] from its action; a file's table is only checked
+    if "bracket_gv" in data:
+        zero = (field.zero,) * t
+        for k in range(l):
+            for i in range(t):
+                if given.get((k, i), zero) != pair.gv(k, i):
+                    raise HCPError("bracket_gv at (%d,%d) differs from the derived [g,V]"
+                                   % (k, i))
+    return pair
 
 
 def load_fixture(field, path):

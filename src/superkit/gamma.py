@@ -16,10 +16,12 @@ order.  Rewriting uses the defining relations:
 f-factors and group points are absorbed into the even part immediately as
 matrix factors; moving them left conjugates the e-chain via (5) (clean,
 because the conjugated coefficients all share the same odd factor whose
-square is zero).  A group point g conjugates the chain through rho_over.
-An f-factor I + bX has b^2 = 0, so it conjugates the chain in closed form,
-Ad((I + bX)^{-1}) = rho(I) - b·rho(X), from field matrices rho(X_k)
-computed once per pair (HarishChandraPair.linear_action).
+square is zero).  A group point g other than the identity conjugates the
+chain through rho_over; the identity leaves it as it is, since a pair
+checks rho(I) = I when it is built.  An f-factor I + bX has b^2 = 0, so
+it conjugates the chain in closed form, Ad((I + bX)^{-1}) = I - b·rho(X),
+from the field matrices rho(X_k) of the pair's [g,V] table
+(HarishChandraPair.linear_action).
 
 Products over R: no matrix of the form I + a·M is multiplied in full.
 An e- or f-token multiplies the accumulator A (g in normalize, the
@@ -238,8 +240,7 @@ def _conjugate_chain_f(pair, R, word, b, lie_coords):
     """_conjugate_chain for h = I + bX, X = sum c_k X_k, in closed form.
 
     b^2 = 0 gives rho(h^{-1}) = rho(I) - b·sum c_k rho(X_k) exactly, so
-    each chain entry costs one product b·a; with b = None, h = I and the
-    chain is conjugated by rho(I) alone.  The terms and their order are
+    each chain entry costs one product b·a.  The terms and their order are
     those of _conjugate_chain."""
     if not word:
         return []
@@ -252,12 +253,12 @@ def _conjugate_chain_f(pair, R, word, b, lie_coords):
                        for xrow, yrow in zip(X, rho_lie)]
     out = []
     for (a, idx) in word:
-        ba = None if b is None else R.multiply(b, a)
+        ba = R.multiply(b, a)
         for m in range(t):
             r, s = rho_one[m][idx], rho_lie[m][idx]
             if not (r or s):
                 continue
-            coeff = a.scale(r) if ba is None else a.scale(r) - ba.scale(s)
+            coeff = a.scale(r) - ba.scale(s)
             if not coeff.is_zero():
                 out.append((coeff, m))
     return out
@@ -293,9 +294,7 @@ def normalize(pair, R, tokens, strategy="leftmost"):
             word = absorb_f(b, tuple(lie_coords), word)
         elif kind == "g":
             hmat = _lift(R, tok[1])
-            if hmat == ident:
-                word = _conjugate_chain_f(pair, R, word, None, ())
-            else:
+            if hmat != ident:
                 if word:
                     word = _conjugate_chain(pair, R, word, rmat_inverse(R, hmat), hmat)
                 g = hmat if g is ident else rmat_mul(R, g, hmat)

@@ -14,13 +14,14 @@ Lie(G); and the induced Lie(G) action on V.  Conditions checked:
 Each structure table is derived once, when the group or pair is built:
 MatrixGroupModel.lie_table holds the Lie(G) structure constants (its
 closure check computes them); HarishChandraPair derives [g,V] from the
-module matrices, or takes the caller's table with a polynomial action;
-[V,V] is the caller's (fixtures._gl_pair derives it for gl(m|n));
-linear_action reads rho(X_k) off the [g,V] table, or differentiates a
-polynomial action; assembled_lie builds Lie(G) ⊕ V from the three tables.
-The pair keeps three derived invariants, each computed by its own method
-on first use: linear_action, assembled_lie and supermatrix_twist (the
-column sign twist of the supermatrix oracle, which
+action, as [X_k, M_i] for module matrices or as the derivative at I of a
+polynomial action (which must send I to the identity), so a pair has one
+[g,V] table and no caller supplies one; [V,V] is the caller's
+(fixtures._gl_pair derives it for gl(m|n)); linear_action is
+(I, rho(X_k)) read off the [g,V] table; assembled_lie builds
+Lie(G) ⊕ V from the three tables.  Two further invariants are computed
+by their own methods on first use: assembled_lie and supermatrix_twist
+(the column sign twist of the supermatrix oracle, which
 gamma.calibrate_supermatrix searches for).
 
 Also: the largest R-subordinated submodule W_R by fixpoint iteration,
@@ -178,19 +179,17 @@ def _conjugation(mats, g, g_inv, expander, is_zero, zero, error, sums):
 
 
 class HarishChandraPair:
-    """G, V, bracket_VV, bracket_gV.
+    """G, V, bracket_VV and the [g,V] table derived from the action.
 
-    action: "conjugation" (V realized by ambient matrices, module_matrices)
-    or an explicit polynomial matrix in the group entry symbols.
-    bracket_gv: "conjugation" (matrix commutator) or an explicit table
-    {(lie_index, v_index): V-coordinate tuple}.
+    action: module_matrices ("conjugation" mode: V realized by ambient
+    matrices, G acting by g M g^-1) or action_expr ("matrix" mode: a t x t
+    polynomial matrix in the group entry symbols, the identity by default).
     row_parities: parities of the rows of a matrix realization, needed by
     the supermatrix oracle (None when there is none).
     """
 
     def __init__(self, group, module_labels, bracket_vv, *, module_matrices=None,
-                 action_expr=None, bracket_gv="conjugation", row_parities=None,
-                 name=None):
+                 action_expr=None, row_parities=None, name=None):
         self.group = group
         self.field = group.field
         self.module_labels = tuple(module_labels)
@@ -200,32 +199,28 @@ class HarishChandraPair:
         )
         self._supermatrix_twist = None
         self._lie = None
-        self._linear_action = None
         t = len(self.module_labels)
         if module_matrices is not None:
-            if bracket_gv != "conjugation":
-                raise HCPError("module matrices derive bracket_gV; no table may be given")
             self.mode = "conjugation"
             self.module_matrices = [tuple(tuple(x) for x in m) for m in module_matrices]
             self.module_expander = BasisExpander(
                 self.field, [_flatten(m) for m in self.module_matrices]
             )
-            # [X_k, M_i] in module coordinates, the one derivation of [g,V]
-            bracket_gv = {
+            # [X_k, M_i] in module coordinates
+            gv = {
                 (k, i): self.module_expander.coords_field(
                     _flatten(mat_bracket(X, M, self.field.one)))
                 for k, X in enumerate(group.lie_basis)
                 for i, M in enumerate(self.module_matrices)
             }
         else:
-            if bracket_gv == "conjugation":
-                raise HCPError("derived bracket_gV needs a matrix module realization")
             self.mode = "matrix"
             if action_expr is None:
                 action_expr = [[int(i == j) for j in range(t)] for i in range(t)]
             self.action_expr = [
                 [Poly.read(self.field, e, group.entry_names) for e in row] for row in action_expr
             ]
+            gv = self._differentiate()
         self._vv = {}
         for (i, j), coords in bracket_vv.items():
             self._vv[(i, j)] = tuple(coords)
@@ -234,7 +229,37 @@ class HarishChandraPair:
             if (j, i) not in self._vv:
                 self._vv[(j, i)] = self._vv[(i, j)]
         self._zero_lie = tuple([self.field.zero] * group.lie_dim)
-        self._gv = {k: tuple(v) for k, v in bracket_gv.items()}
+        self._zero_v = tuple([self.field.zero] * t)
+        self._gv = {key: tuple(v) for key, v in gv.items() if any(v)}
+        self._linear_action = (
+            identity_matrix(t, self.field),
+            [transpose([self.gv(k, i) for i in range(t)]) for k in range(group.lie_dim)],
+        )
+
+    def _differentiate(self):
+        """{(k, i): [x_k, v_i]} for a polynomial action: column i of the
+        eps-coefficient of rho(I + eps X_k) over K[eps]/eps^2.  HCPError
+        when rho(I) is not the identity."""
+        field, t = self.field, len(self.module_labels)
+        E = polynomial_truncation(field, "eps", 2)
+        eps = E.basis_element(1)
+        ident = lift_matrix(E, identity_matrix(self.group.size, field))
+
+        def shifted(X, sign):
+            return [[x + eps.scale(sign * c) for x, c in zip(row, xrow)]
+                    for row, xrow in zip(ident, X)]
+
+        def part(mat, k):
+            return [[x.terms.get(k, field.zero) for x in row] for row in mat]
+
+        if part(self.rho_over(E, ident, ident), 0) != identity_matrix(t, field):
+            raise HCPError("the action at the identity is not the identity")
+        gv = {}
+        for k, X in enumerate(self.group.lie_basis):
+            rho_x = part(self.rho_over(E, shifted(X, field.one), shifted(X, -field.one)), 1)
+            for i in range(t):
+                gv[(k, i)] = tuple(rho_x[m][i] for m in range(t))
+        return gv
 
     @property
     def t(self):
@@ -248,7 +273,7 @@ class HarishChandraPair:
         return self._vv.get((i, j), self._zero_lie)
 
     def gv(self, k, i):
-        return self._gv.get((k, i), tuple([self.field.zero] * self.t))
+        return self._gv.get((k, i), self._zero_v)
 
     def _combine(self, coeffs, rows, width):
         """sum c·row over the nonzero coefficients c and their rows."""
@@ -296,38 +321,14 @@ class HarishChandraPair:
                             partial(sum_products, R))
 
     def linear_action(self):
-        """(rho(I), [rho(X_k)]): t x t field matrices, computed once per pair.
+        """(rho(I), [rho(X_k)]): t x t field matrices, computed when the
+        pair is built.
 
-        rho(X_k) is the derivative of the action at I along X_k, the
-        eps-coefficient of rho(I + eps X_k) over K[eps]/eps^2.  The action
-        is polynomial in the group entries, so for X = sum c_k X_k and
-        b^2 = 0, rho(I + bX) = rho(I) + b sum c_k rho(X_k) exactly.  By
-        conjugation the eps-coefficient of (I + eps X) M (I - eps X) is
-        [X, M], so rho(X_k) is read off the [g,V] table."""
-        if self._linear_action is None:
-            field = self.field
-            if self.mode == "conjugation":
-                rho_one = identity_matrix(self.t, field)
-                rho_x = [transpose([self.gv(k, i) for i in range(self.t)])
-                         for k in range(self.lie_dim)]
-            else:
-                E = polynomial_truncation(field, "eps", 2)
-                eps = E.basis_element(1)
-                ident = lift_matrix(E, identity_matrix(self.group.size, field))
-
-                def shifted(X, sign):
-                    return [[x + eps.scale(sign * c) for x, c in zip(row, xrow)]
-                            for row, xrow in zip(ident, X)]
-
-                def part(mat, k):
-                    return [[x.terms.get(k, field.zero) for x in row] for row in mat]
-
-                rho_one = part(self.rho_over(E, ident, ident), 0)
-                rho_x = [
-                    part(self.rho_over(E, shifted(X, field.one), shifted(X, -field.one)), 1)
-                    for X in self.group.lie_basis
-                ]
-            self._linear_action = (rho_one, rho_x)
+        rho(I) is the identity (checked when a polynomial action is
+        differentiated) and column i of rho(X_k) is [x_k, v_i], read off
+        the [g,V] table.  The action is polynomial in the group entries, so for
+        X = sum c_k X_k and b^2 = 0, rho(I + bX) = I + b sum c_k rho(X_k)
+        exactly."""
         return self._linear_action
 
     def supermatrix_twist(self):
@@ -450,10 +451,6 @@ class Submodule:
         self.pair = pair
         self.sub = sub
 
-    @property
-    def dim(self):
-        return self.sub.dim
-
     def check_stable(self):
         """rho(g)-stability for every generic point, symbolically."""
         pair = self.pair
@@ -570,14 +567,7 @@ def pseudoabelian_example(field, n):
     bracket_vv = {}
     for i in range(n):
         bracket_vv[(n + i, i)] = (one,)
-    gv = {}
-    return HarishChandraPair(
-        group,
-        labels,
-        bracket_vv,
-        bracket_gv=gv,
-        name="pseudoabelian(%d)" % n,
-    )
+    return HarishChandraPair(group, labels, bracket_vv, name="pseudoabelian(%d)" % n)
 
 
 def check_exact_sequence(inner, w_to_v, lie_embed, mid, outer, v_to_u,

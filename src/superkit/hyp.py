@@ -131,8 +131,6 @@ class HypFiltration:
     def piece(self, k):
         if k < 0:
             return self.zero_space
-        if k >= len(self.levels):
-            return self.levels[-1]
         return self.levels[k]
 
     def level(self, phi):

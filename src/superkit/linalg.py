@@ -104,10 +104,9 @@ class Subspace:
         return "Subspace(dim %d of %d)" % (self.dim, self.dim_ambient)
 
 
-def nullspace(rows, field, ncols=None):
-    """Basis of the right kernel of the matrix (list of rows)."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
+def nullspace(rows, field, ncols):
+    """Basis of the right kernel of the matrix (list of rows with ncols
+    columns)."""
     red, pivots = rref(rows, field)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []

@@ -97,6 +97,53 @@ class TestNormalForm:
         assert code == 2
 
 
+def _abelian_pseudoabelian(tmp_path, name, changes):
+    """fixtures/pseudoabelian.pair.json with [V,V] = 0 and the keys of
+    changes replaced (a value None drops the key), written under tmp_path."""
+    with open("fixtures/pseudoabelian.pair.json") as fh:
+        data = json.load(fh)
+    data["bracket_vv"] = {}
+    for key, value in changes.items():
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestDerivedGv:
+    """A pair has one [g,V] table, derived from its action; a file's
+    bracket_gv is only compared with it."""
+
+    NF = ["--coeffs", "Lambda(a1,a2,b1)", "--check-oracle"]
+
+    def test_table_other_than_the_derivative_fails_at_load(self, capsys, tmp_path):
+        # the identity action differentiates to [x1, w1] = 0, not phi1
+        path = _abelian_pseudoabelian(tmp_path, "A.pair.json", {"bracket_gv": {"0,0": ["0", "1"]}})
+        code, out, err = run(capsys, ["validate", path])
+        assert code == 1 and out == ""
+        assert err.startswith("check failed") and "(0,0)" in err
+        code, _, err = run(capsys, ["nf", path, "e(b1,w1) f(a1*a2,x1)"] + self.NF)
+        assert code == 1 and "(0,0)" in err
+
+    def test_table_equal_to_the_derivative_loads(self, capsys, tmp_path):
+        path = _abelian_pseudoabelian(tmp_path, "consistent.pair.json", {
+            "action": [["1", "m_0_1"], ["0", "1"]], "bracket_gv": {"0,1": ["1", "0"]}})
+        assert run(capsys, ["validate", path])[0] == 0
+
+    def test_polynomial_action_is_differentiated(self, capsys, tmp_path):
+        path = _abelian_pseudoabelian(tmp_path, "B.pair.json", {
+            "action": [["1", "m_0_1"], ["0", "1"]], "bracket_gv": None})
+        code, out, _ = run(capsys, ["validate", path])
+        assert code == 0 and "PASS" in out
+        code, out, err = run(capsys, ["nf", path, "e(b1,phi1) f(a1*a2,x1)"] + self.NF)
+        assert code == 0, err
+        assert "odd w1 = -a1*a2*b1" in out
+        assert "oracle: ok" in out
+
+
 class TestGr:
     def test_builtin_filtered(self, capsys):
         code, out, _ = run(capsys, ["gr", "Lambda2"])

@@ -285,10 +285,19 @@ def test_rmat_inverse_matches_elimination_referee(data):
     assert G.rmat_mul(R, A, got) == G.rmat_identity(R, len(A))
 
 
+def shear_pair(field):
+    """G_a acting on span{w1, phi1} by its own matrices, phi1 -> phi1 + s·w1,
+    with [V,V] = 0: a matrix-mode pair whose [g,V] (x1·phi1 = w1) is the
+    derivative of its action."""
+    return HarishChandraPair(pseudoabelian_example(field, 1).group, ["w1", "phi1"], {},
+                             action_expr=[[1, "m_0_1"], [0, 1]], name="shear")
+
+
 PAIR_BUILDERS = {
     "gl11": gl11_pair,
     "gl21": gl21_pair,
     "pseudoabelian1": lambda field: pseudoabelian_example(field, 1),
+    "shear": shear_pair,
 }
 FIELDS = {"Q": Q, "F3": PrimeField(3), "F5": PrimeField(5)}
 

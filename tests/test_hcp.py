@@ -50,11 +50,30 @@ class TestValidation:
         report = validate_pair(pseudoabelian_example(Q, 2))
         assert report.holds, report.failures
 
-    def test_module_matrices_with_explicit_gv_table_rejected(self):
-        pair = gl11_pair(Q)
-        with pytest.raises(HCPError, match="no table may be given"):
-            HarishChandraPair(pair.group, pair.module_labels, pair._vv,
-                              module_matrices=pair.module_matrices, bracket_gv={})
+    def test_action_moving_the_identity_rejected(self):
+        group = pseudoabelian_example(Q, 1).group
+        with pytest.raises(HCPError, match="identity"):
+            HarishChandraPair(group, ["w1", "phi1"], {}, action_expr=[[1, "m_0_1 + 1"], [0, 1]])
+
+    def test_lie_vector_off_the_tangent_space_rejected(self):
+        # I + eps·E00 breaks m_0_0 - 1 = 0
+        with pytest.raises(HCPError, match="tangent condition"):
+            _ga_group(Q, [[Q.one, Q.zero], [Q.zero, Q.zero]])
+
+    def test_generic_point_off_the_group_rejected(self):
+        with pytest.raises(HCPError, match="generic point fails a membership condition"):
+            _ga_group(Q, point=hcp.GenericPoint([[2, "s"], [0, 1]], [[1, "-s"], [0, 1]], []))
+
+    def test_generic_action_escaping_the_module_reported(self):
+        # Lie basis {I}: [g,V] = 0 derives, but diag(alpha, delta) moves
+        # E01 + E10 off its span
+        point = hcp.GenericPoint([["alpha", 0], [0, "delta"]], [["alpha_i", 0], [0, "delta_i"]],
+                                 ["alpha*alpha_i - 1", "delta*delta_i - 1"])
+        group = hcp.MatrixGroupModel(Q, 2, ["m_0_1", "m_1_0"], [identity_matrix(2, Q)], [point])
+        pair = HarishChandraPair(group, ["v"], {}, module_matrices=[[[0, 1], [1, 0]]])
+        report = validate_pair(pair)
+        assert report.failures == [
+            "(b) generic action escapes the module (generic point 0)"]
 
     def test_broken_symmetry_detected(self):
         pair = gl11_pair(Q)
@@ -231,6 +250,14 @@ class TestExactSequence:
         )
         assert report.holds, report.failures
 
+    def test_embedding_that_is_not_injective_reported(self):
+        mid = pseudoabelian_example(Q, 1)
+        report = check_exact_sequence(
+            _make_submodule_pair(Q), [[Q.zero], [Q.zero]], [[Q.one]], mid,
+            _make_quotient_pair(Q), [[Q.zero, Q.one]],
+        )
+        assert "(1) W -> V is not injective" in report.failures
+
     def test_fixture_flag_propagates(self):
         mid = pseudoabelian_example(Q, 1)
         inner_w = _make_submodule_pair(Q)
@@ -247,13 +274,17 @@ class TestExactSequence:
         assert not report.holds
 
 
-def _ga_group(field):
+def _ga_group(field, x=None, point=None):
+    """G_a as upper unitriangular 2x2 matrices, with Lie basis vector x
+    (default E01) and generic point point (default [[1, s], [0, 1]])."""
     from superkit.hcp import GenericPoint, MatrixGroupModel
 
     s = sympy.Symbol("s")
     m = [[sympy.Symbol("m_%d_%d" % (i, j)) for j in range(2)] for i in range(2)]
-    point = GenericPoint([[1, s], [0, 1]], [[1, -s], [0, 1]], [])
-    x = [[field.zero, field.one], [field.zero, field.zero]]
+    if point is None:
+        point = GenericPoint([[1, s], [0, 1]], [[1, -s], [0, 1]], [])
+    if x is None:
+        x = [[field.zero, field.one], [field.zero, field.zero]]
     return MatrixGroupModel(
         field, 2, [m[0][0] - 1, m[1][1] - 1, m[1][0]], [x], [point], name="Ga"
     )
@@ -263,7 +294,7 @@ def _make_submodule_pair(field):
     from superkit.hcp import HarishChandraPair
 
     return HarishChandraPair(
-        _ga_group(field), ["w1"], {}, bracket_gv={}, name="inner"
+        _ga_group(field), ["w1"], {}, name="inner"
     )
 
 
@@ -271,7 +302,7 @@ def _make_quotient_pair(field):
     from superkit.hcp import HarishChandraPair
 
     return HarishChandraPair(
-        _ga_group(field), ["phi1"], {}, bracket_gv={}, name="outer"
+        _ga_group(field), ["phi1"], {}, name="outer"
     )
 
 

@@ -272,7 +272,7 @@ def test_pair_reports_match_sympy(field):
 
 
 def _same_group_pair(pair, t):
-    return HarishChandraPair(pair.group, ["w%d" % i for i in range(t)], {}, bracket_gv={})
+    return HarishChandraPair(pair.group, ["w%d" % i for i in range(t)], {})
 
 
 # -- eval_at against the term-by-term evaluation it replaced ------------------
