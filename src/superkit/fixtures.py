@@ -2,8 +2,10 @@
 JSON fixtures; and the named fixtures of the command line.
 
 gl(1|1) and gl(2|1) come from one builder, _gl_pair, which derives [V,V]
-once from matrix units; hcp derives the Lie(G) and [g,V] tables once.  A
-pair file's optional "bracket_gv" is checked against the derived [g,V]."""
+once from matrix units with linalg.supercommutator; hcp derives the Lie(G)
+and [g,V] tables once.  A pair file gives module_matrices or an action,
+not both, and its optional "bracket_gv" is checked against the derived
+[g,V]."""
 
 from __future__ import annotations
 
@@ -19,10 +21,9 @@ from .hcp import (
     HCPError,
     HarishChandraPair,
     MatrixGroupModel,
-    _flatten,
     pseudoabelian_example,
 )
-from .linalg import mat_bracket
+from .linalg import dense, row_entries, supercommutator
 
 
 def _gl_pair(field, m, n, labels, point, group_name, name):
@@ -44,12 +45,13 @@ def _gl_pair(field, m, n, labels, point, group_name, name):
         name=group_name,
     )
     module = [M for _, M in odd]
+    rows = [row_entries(M) for M in module]
     vv = {}
-    for i, Mi in enumerate(module):
-        for j, Mj in enumerate(module):
-            coords = group.lie_expander.coords_field(_flatten(mat_bracket(Mi, Mj, -field.one)))
-            if any(coords):
-                vv[(i, j)] = coords
+    for i, x in enumerate(rows):
+        for j, y in enumerate(rows):
+            terms = group.lie_expander.terms_field(supercommutator(x, y, -field.one, field))
+            if terms:
+                vv[(i, j)] = tuple(dense(terms, group.lie_dim, field.zero))
     return HarishChandraPair(
         group, labels, vv, module_matrices=module, row_parities=parities, name=name
     )
@@ -263,6 +265,8 @@ def pair_from_json(field, data):
     if row_parities is not None:
         row_parities = _parities(row_parities, size, "row_parities")
     kwargs = {"name": data.get("name"), "row_parities": row_parities}
+    if "module_matrices" in data and "action" in data:
+        raise ValueError("a pair file gives module_matrices or an action, not both")
     if "module_matrices" in data:
         kwargs["module_matrices"] = [
             field_matrix(M, "module matrix")

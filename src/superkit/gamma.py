@@ -163,16 +163,13 @@ class GammaElement:
 
     __slots__ = ("pair", "R", "even", "coords", "trace")
 
-    def __init__(self, pair, R, even, coords, trace=None, *, check=True):
+    def __init__(self, pair, R, even, coords, trace=None):
         self.pair = pair
         self.R = R
         self.even = tuple(tuple(row) for row in even)
         self.coords = tuple(coords)
         self.trace = tuple(trace) if trace is not None else None
-        if check:
-            self._check()
-
-    def _check(self):
+        # every element is checked: parities, and the even part in G(R)
         for row in self.even:
             for x in row:
                 if x.parity() not in (0,):
@@ -211,10 +208,7 @@ class GammaElement:
 
 
 def identity(pair, R):
-    n = pair.group.size
-    return GammaElement(
-        pair, R, rmat_identity(R, n), [R.zero()] * pair.t, trace=(), check=False
-    )
+    return normalize(pair, R, [])
 
 
 def _conjugate_chain(pair, R, word, g, g_inv):
@@ -333,7 +327,7 @@ def normalize(pair, R, tokens, strategy="leftmost"):
     coords = [R.zero()] * pair.t
     for (a, i) in word:
         coords[i] = a
-    return GammaElement(pair, R, g, coords, trace=trace, check=True)
+    return GammaElement(pair, R, g, coords, trace=trace)
 
 
 def multiply(u, w, strategy="leftmost"):

@@ -6,23 +6,23 @@ formal entries; V a purely odd G-module; a symmetric bracket V x V ->
 Lie(G); and the induced Lie(G) action on V.  Conditions checked:
 
   (a) bracket_VV symmetric (odd-odd super skew-symmetry),
-  (b) G-equivariance, as polynomial identities in the formal entries of
+  (b) the action is a representation (rho(g) rho(g^-1) = I) and
+      G-equivariance, as polynomial identities in the formal entries of
       the generic elements, reduced modulo their relations,
   (c) [v,v]·v = 0 expanded over formal commuting coefficients (the cubic
       identity; valid uniformly, including characteristic 3).
 
-Each structure table is derived once, when the group or pair is built:
-MatrixGroupModel.lie_table holds the Lie(G) structure constants (its
-closure check computes them); HarishChandraPair derives [g,V] from the
-action, as [X_k, M_i] for module matrices or as the derivative at I of a
-polynomial action (which must send I to the identity), so a pair has one
-[g,V] table and no caller supplies one; [V,V] is the caller's
-(fixtures._gl_pair derives it for gl(m|n)); linear_action is
-(I, rho(X_k)) read off the [g,V] table; assembled_lie builds
-Lie(G) ⊕ V from the three tables.  Two further invariants are computed
-by their own methods on first use: assembled_lie and supermatrix_twist
-(the column sign twist of the supermatrix oracle, which
-gamma.calibrate_supermatrix searches for).
+Each structure table is derived once, when the group or pair is built,
+and one way.  MatrixGroupModel builds its tangent points once (over
+E = K[eps]/eps^2, I and each I + eps X with its inverse I - eps X) and its
+sparse lie_table {(a, b): terms of [X_a, X_b]} from linalg.supercommutator.
+HarishChandraPair derives [g,V] in both modes as the eps-coefficient of
+rho(I + eps X_k) at those points ([X_k, M_i] for module matrices); the
+action must send I to I, and no caller supplies the table.  [V,V] is the
+caller's (fixtures._gl_pair derives it for gl(m|n)); linear_action is
+(I, rho(X_k)) read off [g,V].  assembled_lie (Lie(G) ⊕ V from the three
+tables) and supermatrix_twist (the column sign twist of the supermatrix
+oracle, found by gamma.calibrate_supermatrix) are computed on first use.
 
 Also: the largest R-subordinated submodule W_R by fixpoint iteration,
 the radical data (W_R, Lie(H_R)), the pseudoabelian example, and the
@@ -38,8 +38,8 @@ from operator import add
 from . import linalg
 from .algebra import AxiomReport, Element, lift_matrix, polynomial_truncation, sum_products
 from .linalg import (
-    Subspace, apply_columns, dense, identity_matrix, kernel, mat_bracket, mat_mul, rank, sparse,
-    transpose,
+    Subspace, apply_columns, dense, identity_matrix, kernel, mat_mul, rank, row_entries, sparse,
+    supercommutator, transpose,
 )
 from .symbolic import Poly, Reducer, eval_at
 
@@ -75,6 +75,12 @@ class GenericPoint:
         return pt
 
 
+def _is_identity(mat, reducer, one):
+    """Whether a square matrix of Polys is I modulo the relations of reducer."""
+    return all(reducer.is_zero(x - one if i == j else x)
+               for i, row in enumerate(mat) for j, x in enumerate(row))
+
+
 class MatrixGroupModel:
     def __init__(self, field, size, closed_conditions, lie_basis, generic_points, *, name=None):
         self.field = field
@@ -100,34 +106,36 @@ class MatrixGroupModel:
 
     def _check_model(self):
         field = self.field
-        # over K[eps]/eps^2, I and (the tangent condition) I + eps X are points
+        # the tangent points, built once: over E = K[eps]/eps^2, the lifted
+        # I and, for each Lie basis vector X, the point I + eps X (the
+        # tangent condition) with its inverse I - eps X
         E = polynomial_truncation(field, "eps", 2)
         ident = lift_matrix(E, identity_matrix(self.size, field))
         if not self.membership_over(E, ident):
             raise HCPError("identity matrix fails a membership condition")
         eps = E.basis_element(1)
-        for X in self.lie_basis:
-            shifted = [[x + eps.scale(c) for x, c in zip(row, xrow)] for row, xrow in zip(ident, X)]
-            if not self.membership_over(E, shifted):
-                raise HCPError("Lie basis vector violates the tangent condition")
+        pairs = [tuple([[x + eps.scale(s * c) for x, c in zip(row, xrow)]
+                        for row, xrow in zip(ident, X)] for s in (field.one, -field.one))
+                 for X in self.lie_basis]
+        if not all(self.membership_over(E, plus) for plus, _ in pairs):
+            raise HCPError("Lie basis vector violates the tangent condition")
+        self.tangent = (E, ident, pairs)
         one = Poly.const(field, field.one)
         for pt in self.generic_points:
-            red = pt.reducer
             at = self.entries(pt.matrix)
-            if not all(red.is_zero(eval_at(c, at, one)) for c in self.closed_conditions):
+            if not all(pt.reducer.is_zero(eval_at(c, at, one)) for c in self.closed_conditions):
                 raise HCPError("generic point fails a membership condition")
-            prod = mat_mul(pt.matrix, pt.inverse)
-            for i, row in enumerate(prod):
-                for j, x in enumerate(row):
-                    if not red.is_zero(x - one if i == j else x):
-                        raise HCPError("generic point inverse is wrong")
-        # the structure constants: lie_table[a][b] holds the Lie coordinates
-        # of [X_a, X_b]; coords_field raises when the basis does not close
-        self.lie_table = [
-            [self.lie_expander.coords_field(_flatten(mat_bracket(X, Y, field.one)))
-             for Y in self.lie_basis]
-            for X in self.lie_basis
-        ]
+            if not _is_identity(mat_mul(pt.matrix, pt.inverse), pt.reducer, one):
+                raise HCPError("generic point inverse is wrong")
+        # the structure constants {(a, b): the nonzero Lie coordinates of
+        # [X_a, X_b]}; terms_field raises when the basis does not close
+        rows = [row_entries(X) for X in self.lie_basis]
+        self.lie_table = {}
+        for a, x in enumerate(rows):
+            for b, y in enumerate(rows):
+                terms = self.lie_expander.terms_field(supercommutator(x, y, field.one, field))
+                if terms:
+                    self.lie_table[(a, b)] = terms
 
     def membership_over(self, R, gmat):
         """All closed conditions vanish at a matrix with entries in R."""
@@ -184,6 +192,8 @@ class HarishChandraPair:
     action: module_matrices ("conjugation" mode: V realized by ambient
     matrices, G acting by g M g^-1) or action_expr ("matrix" mode: a t x t
     polynomial matrix in the group entry symbols, the identity by default).
+    Both modes derive [g,V] one way, by _differentiate at the group's
+    tangent points.
     row_parities: parities of the rows of a matrix realization, needed by
     the supermatrix oracle (None when there is none).
     """
@@ -206,13 +216,6 @@ class HarishChandraPair:
             self.module_expander = BasisExpander(
                 self.field, [_flatten(m) for m in self.module_matrices]
             )
-            # [X_k, M_i] in module coordinates
-            gv = {
-                (k, i): self.module_expander.coords_field(
-                    _flatten(mat_bracket(X, M, self.field.one)))
-                for k, X in enumerate(group.lie_basis)
-                for i, M in enumerate(self.module_matrices)
-            }
         else:
             self.mode = "matrix"
             if action_expr is None:
@@ -220,7 +223,6 @@ class HarishChandraPair:
             self.action_expr = [
                 [Poly.read(self.field, e, group.entry_names) for e in row] for row in action_expr
             ]
-            gv = self._differentiate()
         self._vv = {}
         for (i, j), coords in bracket_vv.items():
             self._vv[(i, j)] = tuple(coords)
@@ -230,35 +232,30 @@ class HarishChandraPair:
                 self._vv[(j, i)] = self._vv[(i, j)]
         self._zero_lie = tuple([self.field.zero] * group.lie_dim)
         self._zero_v = tuple([self.field.zero] * t)
-        self._gv = {key: tuple(v) for key, v in gv.items() if any(v)}
+        self._gv = {key: v for key, v in self._differentiate().items() if any(v)}
         self._linear_action = (
             identity_matrix(t, self.field),
             [transpose([self.gv(k, i) for i in range(t)]) for k in range(group.lie_dim)],
         )
 
     def _differentiate(self):
-        """{(k, i): [x_k, v_i]} for a polynomial action: column i of the
-        eps-coefficient of rho(I + eps X_k) over K[eps]/eps^2.  HCPError
-        when rho(I) is not the identity."""
-        field, t = self.field, len(self.module_labels)
-        E = polynomial_truncation(field, "eps", 2)
-        eps = E.basis_element(1)
-        ident = lift_matrix(E, identity_matrix(self.group.size, field))
-
-        def shifted(X, sign):
-            return [[x + eps.scale(sign * c) for x, c in zip(row, xrow)]
-                    for row, xrow in zip(ident, X)]
-
-        def part(mat, k):
-            return [[x.terms.get(k, field.zero) for x in row] for row in mat]
-
-        if part(self.rho_over(E, ident, ident), 0) != identity_matrix(t, field):
+        """{(k, i): [x_k, v_i]} in either mode: column i of the
+        eps-coefficient of rho(I + eps X_k), at the group's tangent points
+        over K[eps]/eps^2.  For module matrices that coefficient is [X_k, M],
+        as (I + eps X) M (I - eps X) = M + eps [X, M].  HCPError when rho(I)
+        is not the identity (always the identity for module matrices)."""
+        field, t = self.field, self.t
+        E, ident, pairs = self.group.tangent
+        one, zero = E.unit, E.zero()
+        rho = self.rho_over(E, ident, ident)
+        if any(x != (one if m == i else zero)
+               for m, row in enumerate(rho) for i, x in enumerate(row)):
             raise HCPError("the action at the identity is not the identity")
         gv = {}
-        for k, X in enumerate(self.group.lie_basis):
-            rho_x = part(self.rho_over(E, shifted(X, field.one), shifted(X, -field.one)), 1)
+        for k, (plus, minus) in enumerate(pairs):
+            rho = self.rho_over(E, plus, minus)
             for i in range(t):
-                gv[(k, i)] = tuple(rho_x[m][i] for m in range(t))
+                gv[(k, i)] = tuple(rho[m][i].terms.get(1, field.zero) for m in range(t))
         return gv
 
     @property
@@ -324,11 +321,10 @@ class HarishChandraPair:
         """(rho(I), [rho(X_k)]): t x t field matrices, computed when the
         pair is built.
 
-        rho(I) is the identity (checked when a polynomial action is
-        differentiated) and column i of rho(X_k) is [x_k, v_i], read off
-        the [g,V] table.  The action is polynomial in the group entries, so for
-        X = sum c_k X_k and b^2 = 0, rho(I + bX) = I + b sum c_k rho(X_k)
-        exactly."""
+        rho(I) is the identity (checked when the action is differentiated)
+        and column i of rho(X_k) is [x_k, v_i], read off the [g,V] table.
+        The action is polynomial in the group entries, so for X = sum c_k X_k
+        and b^2 = 0, rho(I + bX) = I + b sum c_k rho(X_k) exactly."""
         return self._linear_action
 
     def supermatrix_twist(self):
@@ -350,30 +346,17 @@ class HarishChandraPair:
         if self._lie is None:
             from .liesuper import LieSuperAlgebra
 
-            g = self.group
-            field = self.field
-            l, t = g.lie_dim, self.t
+            l = self.lie_dim
             labels = ["x%d" % (k + 1) for k in range(l)] + list(self.module_labels)
-            parities = [0] * l + [1] * t
-            brackets = {}
-
-            def put(i, j, coords):
-                terms = {k: c for k, c in enumerate(coords) if c != field.zero}
-                if terms:
-                    brackets[(i, j)] = terms
-
-            for a, row in enumerate(g.lie_table):
-                for b, coords in enumerate(row):
-                    put(a, b, list(coords) + [field.zero] * t)
-            for k in range(l):
-                for i in range(t):
-                    coords = self.gv(k, i)
-                    put(k, l + i, [field.zero] * l + list(coords))
-                    put(l + i, k, [field.zero] * l + [-c for c in coords])
-            for i in range(t):
-                for j in range(t):
-                    put(l + i, l + j, list(self.vv(i, j)) + [field.zero] * t)
-            self._lie = LieSuperAlgebra(field, labels, parities, brackets, check=False)
+            parities = [0] * l + [1] * self.t
+            # zero coordinates are dropped by LieSuperAlgebra
+            brackets = dict(self.group.lie_table)
+            for (k, i), coords in self._gv.items():
+                brackets[(k, l + i)] = {l + m: c for m, c in enumerate(coords)}
+                brackets[(l + i, k)] = {l + m: -c for m, c in enumerate(coords)}
+            for (i, j), coords in self._vv.items():
+                brackets[(l + i, l + j)] = dict(enumerate(coords))
+            self._lie = LieSuperAlgebra(self.field, labels, parities, brackets, check=False)
         return self._lie
 
 
@@ -391,14 +374,21 @@ def validate_pair(pair):
                     % (pair.module_labels[i], pair.module_labels[j])
                 )
 
-    zero = Poly(field)
+    zero, one = Poly(field), Poly.const(field, field.one)
     for idx, point in enumerate(pair.group.generic_points):
+        # the point g^-1: matrix and inverse swapped, the same relations
+        inverted = GenericPoint(point.inverse, point.matrix, point.relations)
+        inverted.reducer = point.reducer
         try:
             rho = pair.rho_symbolic(point)
+            rho_inv = pair.rho_symbolic(inverted)
             ad = pair.ad_symbolic(point)
         except HCPError as exc:
             report.fail("(b) %s (generic point %d)" % (exc, idx))
             continue
+        if not _is_identity(mat_mul(rho, rho_inv), point.reducer, one):
+            report.fail("(b) the action is not a representation: rho(g) rho(g^-1) is not I "
+                        "(generic point %d)" % idx)
         for i in range(t):
             for j in range(i, t):
                 for m in range(pair.lie_dim):

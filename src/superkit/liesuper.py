@@ -15,7 +15,9 @@ kernel of every product given by a table.  The sweeps form no dense
 bracket: a double bracket [[e_i,e_j],e_k] is a sum over the support of one
 table entry, accumulated by linalg.add_scaled, so (B4) and (B2) cost
 O(s^2) per sorted triple for at most s terms per entry.  gl(m|n) is built
-from the nonzero matrix entries and one pivot inverse.
+from the nonzero matrix entries and one pivot inverse, with
+linalg.supercommutator, the one matrix supercommutator of superkit (the
+Lie(G) table of a pair and the [V,V] of gl(m|n) pairs use it too).
 
 Elements are coordinate lists over the field.
 """
@@ -25,7 +27,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, permutations
 
 from .algebra import AxiomReport, SuperVectorSpace, _contract
-from .linalg import BasisExpander, add_scaled, dense, sparse
+from .linalg import BasisExpander, add_scaled, dense, row_entries, sparse, supercommutator
 
 
 class LieError(ValueError):
@@ -121,18 +123,6 @@ class _MatrixBasis(BasisExpander):
     error = LieError
 
 
-def _supercommutator(a, b, sign, field):
-    """The nonzero entries {r·size + c: x} of a·b - sign·b·a, for square
-    matrices given by their nonzero entries row by row."""
-    size = len(a)
-    out = {}
-    for x_rows, y_rows, s in ((a, b, field.one), (b, a, -sign)):
-        for r, row in enumerate(x_rows):
-            for k, x in row:
-                add_scaled(out, s * x, {r * size + c: y for c, y in y_rows[k]})
-    return {t: v for t, v in out.items() if v}
-
-
 class MatrixLieSuper(LieSuperAlgebra):
     """A Lie superalgebra realized by matrices; the bracket table is computed
     from the supercommutator and verified to close on the given basis.
@@ -141,10 +131,11 @@ class MatrixLieSuper(LieSuperAlgebra):
     of its declared parity for the row grading, and the supercommutator of
     homogeneous supermatrices satisfies (B2)-(B4), as in gl(m|n).
 
-    The build stays sparse: each supercommutator is formed from the nonzero
-    entries of the two matrices as its nonzero entries {r·size + c: x}, and
-    BasisExpander.terms_field expands it reading only that support, so a
-    pair of matrix units costs a few terms, not size² entries."""
+    The build stays sparse: linalg.supercommutator forms each
+    supercommutator from the row_entries of the two matrices as its nonzero
+    entries {r·size + c: x}, and BasisExpander.terms_field expands it
+    reading only that support, so a pair of matrix units costs a few terms,
+    not size² entries."""
 
     def __init__(self, field, labels, parities, matrices, row_parities):
         self.matrices = [tuple(tuple(r) for r in m) for m in matrices]
@@ -156,15 +147,13 @@ class MatrixLieSuper(LieSuperAlgebra):
                     if x and (rp[r] + rp[c] - p) % 2:
                         raise LieError("matrix is not homogeneous of its parity")
         expander = _MatrixBasis(field, [[x for row in m for x in row] for m in self.matrices])
-        # the nonzero entries of each matrix, row by row: [(column, entry)]
-        entries = [[[(c, x) for c, x in enumerate(row) if x] for row in m]
-                   for m in self.matrices]
+        entries = [row_entries(m) for m in self.matrices]
         brackets = {}
         n, one, minus_one = len(labels), field.one, -field.one
         for i in range(n):
             for j in range(n):
                 sign = minus_one if parities[i] and parities[j] else one
-                comm = _supercommutator(entries[i], entries[j], sign, field)
+                comm = supercommutator(entries[i], entries[j], sign, field)
                 try:
                     terms = expander.terms_field(comm)
                 except LieError:

@@ -1,7 +1,8 @@
 """Exact linear algebra over a Field.
 
 Vectors are tuples/lists of field scalars, matrices are lists of rows; a
-sparse vector is a dict {index: nonzero entry}.
+sparse vector is a dict {index: nonzero entry}, and a sparse matrix its
+row_entries.  supercommutator is the one matrix supercommutator of superkit.
 Everything is deterministic: pivots are chosen left to right, echelon
 bases are reduced row echelon forms, complements are taken on non-pivot
 coordinates in index order.
@@ -146,14 +147,6 @@ def mat_mul(a, b):
     return [[reduce(add, [x * y for x, y in zip(row, col)]) for col in cols] for row in a]
 
 
-def mat_bracket(a, b, sign):
-    """a·b - sign·b·a: the commutator for sign 1, the anticommutator for -1."""
-    return [
-        [x - sign * y for x, y in zip(r, s)]
-        for r, s in zip(mat_mul(a, b), mat_mul(b, a))
-    ]
-
-
 def kron(u, v, field):
     """Coordinates of u ⊗ v on the product basis: entry a·len(v) + b is u[a]·v[b]."""
     n = len(v)
@@ -174,6 +167,24 @@ def add_scaled(out, c, terms):
     for k, s in terms.items():
         v = get(k)
         out[k] = c * s if v is None else v + c * s
+
+
+def row_entries(mat):
+    """The nonzero entries of a matrix row by row: [[(column, entry)]]."""
+    return [[(c, x) for c, x in enumerate(row) if x] for row in mat]
+
+
+def supercommutator(a, b, sign, field):
+    """The nonzero entries {r·size + c: x} of a·b - sign·b·a (the
+    commutator for sign 1, the anticommutator for -1) for square matrices
+    given by their row_entries."""
+    size = len(a)
+    out = {}
+    for x_rows, y_rows, s in ((a, b, field.one), (b, a, -sign)):
+        for r, row in enumerate(x_rows):
+            for k, x in row:
+                add_scaled(out, s * x, {r * size + c: y for c, y in y_rows[k]})
+    return {t: v for t, v in out.items() if v}
 
 
 def apply_columns(cols, vec):

@@ -6,6 +6,7 @@ import pytest
 from superkit.algebra import Element
 from superkit.fields import PrimeField, Rationals
 from superkit.gamma import GammaError, rmat_inverse
+from superkit.linalg import mat_mul
 
 float_guard.install()
 
@@ -42,6 +43,16 @@ def random_element(rng, A, parity=None, bound=3):
             continue
         coords[i] = field.from_int(rng.randint(-bound, bound))
     return Element(A, coords)
+
+
+def mat_bracket(a, b, sign):
+    """a·b - sign·b·a from two dense matrix products: the commutator for
+    sign 1, the anticommutator for -1.  The referee of the sparse
+    linalg.supercommutator."""
+    return [
+        [x - sign * y for x, y in zip(r, s)]
+        for r, s in zip(mat_mul(a, b), mat_mul(b, a))
+    ]
 
 
 def random_point(rng, pair, R):

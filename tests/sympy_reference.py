@@ -1,9 +1,11 @@
 """The sympy implementation of the polynomial layer, kept as the referee of
 superkit.symbolic: its Groebner-basis `Reducer` and `eval_at`, and the
-symbolic parts of `validate_pair`, `Submodule.check_stable` and
+symbolic parts of `validate_pair` (with the check that the action is a
+representation, rho(g) rho(g^-1) = I), `Submodule.check_stable` and
 `check_exact_sequence` computed through them, as superkit had them before
 its polynomials became native.  Polys enter through `to_expr`."""
 
+from copy import copy
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from operator import add
@@ -151,12 +153,20 @@ def validate_pair(pair):
 
     for idx, gp in enumerate(pair.group.generic_points):
         point = Point(gp, field)
+        inverted = copy(point)
+        inverted.matrix, inverted.inverse = point.inverse, point.matrix
         try:
             rho = rho_symbolic(pair, point)
+            rho_inv = rho_symbolic(pair, inverted)
             ad = ad_symbolic(pair, point)
         except HCPError as exc:
             report.fail("(b) %s (generic point %d)" % (exc, idx))
             continue
+        prod = mat_mul(rho, rho_inv)
+        if not all(point.reducer.is_zero(x - int(i == j))
+                   for i, row in enumerate(prod) for j, x in enumerate(row)):
+            report.fail("(b) the action is not a representation: rho(g) rho(g^-1) is not I "
+                        "(generic point %d)" % idx)
         for i in range(t):
             for j in range(i, t):
                 for m in range(pair.lie_dim):

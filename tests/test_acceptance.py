@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from conftest import mat_bracket
 from superkit import gamma as G
 from superkit.algebra import (
     grassmann,
@@ -43,7 +44,7 @@ from superkit.hyp import (
     tensor_hopf,
 )
 from superkit.liesuper import gl_super
-from superkit.linalg import Subspace, identity_matrix, mat_bracket, nullspace
+from superkit.linalg import Subspace, identity_matrix, nullspace
 
 Q = Rationals()
 F3 = PrimeField(3)

@@ -144,6 +144,21 @@ class TestDerivedGv:
         assert "oracle: ok" in out
 
 
+class TestRepresentation:
+    """validate checks rho(g) rho(g^-1) = I at each generic point."""
+
+    def test_action_that_is_no_representation_fails(self, capsys, tmp_path):
+        # rho(g) = [[1, s^2], [0, 1]] sends I to I and differentiates to 0,
+        # yet rho(g) rho(g^-1) = [[1, 2 s^2], [0, 1]]
+        path = _abelian_pseudoabelian(tmp_path, "square.pair.json", {
+            "action": [["1", "m_0_1*m_0_1"], ["0", "1"]], "bracket_gv": None})
+        code, out, _ = run(capsys, ["validate", path])
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            "  (b) the action is not a representation: rho(g) rho(g^-1) is not I "
+            "(generic point 0)"]
+
+
 class TestGr:
     def test_builtin_filtered(self, capsys):
         code, out, _ = run(capsys, ["gr", "Lambda2"])
@@ -390,6 +405,9 @@ class TestMalformedFixture:
                                      _point("relations", "alpha*(alpha_i - 1"), ["validate"]),
         "pair-action-trailing-plus": ("gl11.pair.json", _action("m_0_0 +"), ["validate"]),
         "pair-action-unknown-name": ("gl11.pair.json", _action("alpha"), ["validate"]),
+        # module matrices and an action both given: the action would go unread
+        "pair-module-and-action": ("gl11.pair.json",
+                                   _set("action", [["m_0_0", "0"], ["0", "1"]]), ["validate"]),
         # JSON true and false are no integers, wherever an integer is allowed
         "alg-bool-parities": ("grassmann2.alg.json", _set("parities", [False, True, True, False]),
                               ["gr"]),

@@ -6,7 +6,7 @@ from operator import add
 import pytest
 import sympy
 
-from conftest import random_point
+from conftest import mat_bracket, random_point
 from superkit import hcp
 from superkit.algebra import Element, grassmann, lift_matrix, mat_mul_over, sum_products
 from superkit.fields import PrimeField, Rationals
@@ -15,6 +15,7 @@ from superkit.fixtures import (
 )
 from superkit.hcp import (
     HCPError,
+    _flatten,
     HarishChandraPair,
     Submodule,
     brute_force_largest_subordinated,
@@ -24,7 +25,7 @@ from superkit.hcp import (
     subordinated_closure,
     validate_pair,
 )
-from superkit.linalg import Subspace, identity_matrix, mat_mul, nullspace, transpose
+from superkit.linalg import Subspace, dense, identity_matrix, mat_mul, nullspace, transpose
 from superkit.symbolic import Poly
 
 Q = Rationals()
@@ -388,3 +389,38 @@ def test_conjugation_matches_lifted_products(pair_name, field_name):
             assert pair.rho_symbolic(point) == conjugation_referee(
                 pair.module_matrices, point.matrix, point.inverse, pair.module_expander,
                 *symbolic)
+
+
+# -- the Lie tables of a pair against the dense commutators they replaced ------
+
+
+@pytest.mark.parametrize("field_name", sorted(CONJUGATION_FIELDS))
+@pytest.mark.parametrize(
+    "spec", ["gl11", "gl21", "fixtures/gl11.pair.json", "fixtures/gl21.pair.json"])
+def test_derived_gv_matches_module_commutators(spec, field_name, monkeypatch):
+    """The [g,V] of a conjugation-mode pair, the derivative of its action,
+    against [X_k, M_i] from the dense commutator, as it was once computed."""
+    monkeypatch.chdir(os.path.dirname(FIXTURES))
+    field = CONJUGATION_FIELDS[field_name]
+    pair = resolve_pair(field, spec)
+    assert pair.mode == "conjugation"
+    for k, X in enumerate(pair.group.lie_basis):
+        for i, M in enumerate(pair.module_matrices):
+            comm = mat_bracket(X, M, field.one)
+            assert pair.gv(k, i) == pair.module_expander.coords_field(_flatten(comm)), (k, i)
+
+
+@pytest.mark.parametrize("field_name", sorted(CONJUGATION_FIELDS))
+@pytest.mark.parametrize("spec", SHIPPED_PAIRS)
+def test_lie_table_matches_dense_commutators(spec, field_name, monkeypatch):
+    """The sparse lie_table against the dense table of Lie coordinates of
+    [X_a, X_b] from the dense commutator; no zero coordinate is stored."""
+    monkeypatch.chdir(os.path.dirname(FIXTURES))
+    field = CONJUGATION_FIELDS[field_name]
+    group = resolve_pair(field, spec).group
+    for a, X in enumerate(group.lie_basis):
+        for b, Y in enumerate(group.lie_basis):
+            want = group.lie_expander.coords_field(_flatten(mat_bracket(X, Y, field.one)))
+            terms = group.lie_table.get((a, b), {})
+            assert tuple(dense(terms, group.lie_dim, field.zero)) == want, (a, b)
+            assert all(terms.values()) and ((a, b) in group.lie_table) == any(want)

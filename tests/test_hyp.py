@@ -493,7 +493,8 @@ def reference_hyp_filtration_law(H, chain):
     return report
 
 
-def test_hyp_filtration_law_matches_reference():
+def _law_cases():
+    """(H, chain) over the seeded chains of five Hopf superalgebras."""
     lam = grassmann_hopf
     cases = [
         lam(Q, ["t1", "t2"]),
@@ -503,18 +504,34 @@ def test_hyp_filtration_law_matches_reference():
         tensor_hopf(additive_truncation(F3, 3).as_hopf(), lam(F3, ["t1"])),
     ]
     rng = random.Random(20)
-    seen = set()
     for H in cases:
         for chain in _seeded_chains(H, rng, count=28):
-            want = reference_hyp_filtration_law(H, chain)
-            report = check_hyp_filtration(H, chain, local=False)
-            assert report.holds == want.holds, (want.failures, report.failures)
-            assert all(msg.startswith("gr(hyp A): ") for msg in report.failures)
-            # the laws that fail: "·" (product), "coproduct" or "antipode"
-            seen.add(frozenset(msg.split(" ")[1] for msg in want.failures))
+            yield H, chain
+
+
+def test_hyp_filtration_law_matches_reference():
+    seen = set()
+    for H, chain in _law_cases():
+        want = reference_hyp_filtration_law(H, chain)
+        report = check_hyp_filtration(H, chain, local=False)
+        assert report.holds == want.holds, (want.failures, report.failures)
+        assert all(msg.startswith("gr(hyp A): ") for msg in report.failures)
+        # the laws that fail: "·" (product), "coproduct" or "antipode"
+        seen.add(frozenset(msg.split(" ")[1] for msg in want.failures))
     # the laws hold on some chains, and the product law and the coproduct
     # law each fail alone on others
     assert {frozenset(), frozenset(["·"]), frozenset(["coproduct"])} <= seen, seen
+
+
+def test_hyp_filtration_increases_and_exhausts_the_dual():
+    """The two shape facts check_hyp_filtration no longer reports: on every
+    chain FilteredSuperAlgebra accepts, hyp_k lies in hyp_{k+1} and the top
+    level is the whole dual."""
+    for H, chain in _law_cases():
+        F = HypFiltration(H, chain)
+        for k in range(F.length - 1):
+            assert F.piece(k + 1).contains_space(F.piece(k)), k
+        assert F.piece(F.length - 1).dim == H.algebra.dim
 
 
 def _perturb_hyp_gr(monkeypatch, kind, seed):

@@ -3,8 +3,9 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+from conftest import mat_bracket
 from superkit.fields import PrimeField, Rationals
-from superkit.linalg import mat_bracket, solve, transpose
+from superkit.linalg import row_entries, solve, sparse, supercommutator, transpose
 from superkit.liesuper import (
     LieError,
     LieSuperAlgebra,
@@ -223,6 +224,20 @@ def dense_table(L):
             if terms:
                 table[(i, j)] = terms
     return table
+
+
+@pytest.mark.parametrize("field", [Q, F3, F5], ids=str)
+def test_supercommutator_matches_dense(field):
+    """linalg.supercommutator against the dense a·b - sign·b·a, with both
+    signs, on random sparse square matrices."""
+    rng = random.Random(31 + field.char)
+    for _ in range(60):
+        size = rng.randint(1, 4)
+        a, b = ([[field.from_int(rng.choice([0, 0, 0, 1, -1, 2])) for _ in range(size)]
+                 for _ in range(size)] for _ in range(2))
+        for sign in (field.one, -field.one):
+            want = sparse([x for row in mat_bracket(a, b, sign) for x in row])
+            assert supercommutator(row_entries(a), row_entries(b), sign, field) == want
 
 
 def table_items(table):

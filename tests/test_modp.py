@@ -32,8 +32,7 @@ def reduce_mod_p(x, F, R=None, pair=None):
     list, tuple or dict of these.  A dict drops the entries that reduce to
     zero, as the sparse tables over F_p do not hold them."""
     if isinstance(x, G.GammaElement):
-        return G.GammaElement(pair, R, reduce_mod_p(x.even, F, R), reduce_mod_p(x.coords, F, R),
-                              check=False)
+        return G.GammaElement(pair, R, reduce_mod_p(x.even, F, R), reduce_mod_p(x.coords, F, R))
     if isinstance(x, Element):
         return Element(R, [F.from_fraction(c) for c in x.coords])
     if isinstance(x, (list, tuple)):

@@ -241,6 +241,10 @@ def differential_pairs(field, count):
             pairs.append(_perturbed(rng.choice(pairs[:len(SHIPPED)]), rng))
         except (HCPError, LieError):
             continue  # the perturbation made the module basis dependent
+    # rho(I) = I and the derivative is 0, yet rho(g) rho(g^-1) = [[1, 2 s^2], [0, 1]]
+    group = BUILTIN_PAIRS["pseudoabelian"](field).group
+    pairs.append(HarishChandraPair(group, ["w1", "phi1"], {}, name="no representation",
+                                   action_expr=[[1, "m_0_1*m_0_1"], [0, 1]]))
     return pairs
 
 
