@@ -15,9 +15,9 @@ from superkit.fixtures import (
 )
 from superkit.hcp import (
     HCPError,
-    _flatten,
     HarishChandraPair,
     Submodule,
+    _flatten,
     brute_force_largest_subordinated,
     check_exact_sequence,
     pseudoabelian_example,
