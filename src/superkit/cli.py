@@ -209,7 +209,7 @@ def cmd_nf(args, field):
         has_g = any(t[0] == "g" for t in toks)
         if ok and not has_g:
             ok = gamma.oracle_enveloping(pair, toks, R=R) == gamma.oracle_enveloping(u)
-        if ok and pair.mode == "conjugation" and pair.row_parities is not None:
+        if ok and pair.row_parities is not None:
             ok = gamma.oracle_supermatrix(pair, toks, R=R) == gamma.oracle_supermatrix(u)
         data["oracle"] = "ok" if ok else "mismatch"
         lines.append("oracle: %s" % data["oracle"])

@@ -4,8 +4,8 @@ JSON fixtures; and the named fixtures of the command line.
 gl(1|1) and gl(2|1) come from one builder, _gl_pair, which derives [V,V]
 once from matrix units with linalg.supercommutator; hcp derives the Lie(G)
 and [g,V] tables once.  A pair file gives module_matrices or an action,
-not both, and its optional "bracket_gv" is checked against the derived
-[g,V]."""
+not both, row_parities only with module_matrices, and its optional
+"bracket_gv" is checked against the derived [g,V]."""
 
 from __future__ import annotations
 
@@ -267,6 +267,8 @@ def pair_from_json(field, data):
     kwargs = {"name": data.get("name"), "row_parities": row_parities}
     if "module_matrices" in data and "action" in data:
         raise ValueError("a pair file gives module_matrices or an action, not both")
+    if row_parities is not None and "module_matrices" not in data:
+        raise ValueError("a pair file gives row_parities only with module_matrices")
     if "module_matrices" in data:
         kwargs["module_matrices"] = [
             field_matrix(M, "module matrix")

@@ -148,12 +148,6 @@ def _f_entries(pair, lie_coords):
     ]
 
 
-def f_matrix(pair, R, b, lie_coords):
-    """I + b·X for X = sum lie_coords_k X_k (field coordinates)."""
-    return _times_unit_plus(R, rmat_identity(R, pair.group.size), b,
-                            _f_entries(pair, lie_coords))
-
-
 class GammaElement:
     """Normal form: even part matrix over R plus odd e-chain coefficients.
 
@@ -534,74 +528,33 @@ def oracle_enveloping(arg, tokens=None, R=None):
 # -- supermatrix oracle -------------------------------------------------
 
 
-def _candidate_twists(pair):
+def _e_entries(pair, idx):
+    """The nonzero entries of M·T for the module matrix M of v_idx and the
+    twist T = diag((-1)^p(j)) of the row parities: column j of M negated
+    when row j is odd.  T·N·T = -N for every odd N, which relation (1)
+    needs, and the pair checked at build that its module matrices are odd."""
     rp = pair.row_parities
-    if rp is None or pair.mode != "conjugation":
-        raise GammaError("supermatrix oracle needs a matrix fixture with row parities")
-    field = pair.field
-    col_twist = [(-field.one if p == 1 else field.one) for p in rp]
-    flat = [field.one] * len(rp)
-    return [col_twist, flat]
-
-
-def _e_entries(pair, idx, twist):
-    """The nonzero entries of the module matrix M of v_idx, column j of M
-    scaled by twist[j]."""
-    return [(i, j, x * twist[j])
+    return [(i, j, -x if rp[j] else x)
             for i, row in enumerate(pair.module_matrices[idx]) for j, x in enumerate(row) if x]
 
 
-def _e_matrix(pair, R, a, idx, twist):
-    """I + a·M over R for the module matrix M of v_idx, column j of M
-    scaled by twist[j]."""
-    return _times_unit_plus(R, rmat_identity(R, pair.group.size), a,
-                            _e_entries(pair, idx, twist))
-
-
-def calibrate_supermatrix(pair):
-    """Search for the column sign twist making relation (1) hold
-    matricially; HarishChandraPair.supermatrix_twist keeps the result."""
-    from .algebra import grassmann
-
-    R = grassmann(pair.field, ["cal_a", "cal_b"])
-    a = R.element({"cal_a": 1})
-    b = R.element({"cal_b": 1})
-    for twist in _candidate_twists(pair):
-        ok = True
-        for i in range(pair.t):
-            for j in range(pair.t):
-                lhs = rmat_mul(R, _e_matrix(pair, R, a, i, twist),
-                               _e_matrix(pair, R, b, j, twist))
-                corr = f_matrix(pair, R, -R.multiply(a, b), pair.vv(i, j))
-                rhs = rmat_mul(
-                    R,
-                    rmat_mul(R, corr, _e_matrix(pair, R, b, j, twist)),
-                    _e_matrix(pair, R, a, i, twist),
-                )
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return twist
-    raise GammaError("no candidate twist satisfies relation (1)")
-
-
 def oracle_supermatrix(arg, tokens=None, R=None):
-    """Evaluate a GammaElement or token word as a supermatrix product over R."""
+    """Evaluate a GammaElement or token word as a supermatrix product over
+    R: e(a, v) is I + a·M·T (see _e_entries), f(b, x) is I + b·X and a
+    group point is its matrix."""
     if isinstance(arg, GammaElement):
         pair, R = arg.pair, arg.R
         tokens = arg.tokens()
     else:
         pair = arg
-    twist = pair.supermatrix_twist()
+    if pair.row_parities is None:
+        raise GammaError("supermatrix oracle needs a matrix fixture with row parities")
     acc = ident = rmat_identity(R, pair.group.size)
     for tok in tokens:
         kind = tok[0]
         if kind == "e":
             _, a, idx = tok
-            acc = _times_unit_plus(R, acc, a, _e_entries(pair, idx, twist))
+            acc = _times_unit_plus(R, acc, a, _e_entries(pair, idx))
         elif kind == "f":
             _, b, lie_coords = tok
             acc = _times_unit_plus(R, acc, b, _f_entries(pair, lie_coords))

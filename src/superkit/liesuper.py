@@ -18,6 +18,8 @@ O(s^2) per sorted triple for at most s terms per entry.  gl(m|n) is built
 from the nonzero matrix entries and one pivot inverse, with
 linalg.supercommutator, the one matrix supercommutator of superkit (the
 Lie(G) table of a pair and the [V,V] of gl(m|n) pairs use it too).
+is_homogeneous is the one parity test of a matrix for a row grading:
+MatrixLieSuper and the row parities of a pair use it.
 
 Elements are coordinate lists over the field.
 """
@@ -119,6 +121,14 @@ class LieSuperAlgebra:
         return report
 
 
+def is_homogeneous(mat, parity, row_parities):
+    """Whether the matrix mat is homogeneous of the given parity for the
+    row grading: row_parities[r] + row_parities[c] = parity mod 2 at each
+    nonzero entry (r, c)."""
+    return not any(x and (row_parities[r] + row_parities[c] - parity) % 2
+                   for r, row in enumerate(mat) for c, x in enumerate(row))
+
+
 class _MatrixBasis(BasisExpander):
     error = LieError
 
@@ -128,8 +138,9 @@ class MatrixLieSuper(LieSuperAlgebra):
     from the supercommutator and verified to close on the given basis.
 
     No axiom sweep is needed: each basis matrix is checked to be homogeneous
-    of its declared parity for the row grading, and the supercommutator of
-    homogeneous supermatrices satisfies (B2)-(B4), as in gl(m|n).
+    of its declared parity for the row grading (is_homogeneous), and the
+    supercommutator of homogeneous supermatrices satisfies (B2)-(B4), as in
+    gl(m|n).
 
     The build stays sparse: linalg.supercommutator forms each
     supercommutator from the row_entries of the two matrices as its nonzero
@@ -140,12 +151,9 @@ class MatrixLieSuper(LieSuperAlgebra):
     def __init__(self, field, labels, parities, matrices, row_parities):
         self.matrices = [tuple(tuple(r) for r in m) for m in matrices]
         self.row_parities = tuple(row_parities)
-        rp = self.row_parities
-        for m, p in zip(self.matrices, parities):
-            for r, row in enumerate(m):
-                for c, x in enumerate(row):
-                    if x and (rp[r] + rp[c] - p) % 2:
-                        raise LieError("matrix is not homogeneous of its parity")
+        if not all(is_homogeneous(m, p, self.row_parities)
+                   for m, p in zip(self.matrices, parities)):
+            raise LieError("matrix is not homogeneous of its parity")
         expander = _MatrixBasis(field, [[x for row in m for x in row] for m in self.matrices])
         entries = [row_entries(m) for m in self.matrices]
         brackets = {}

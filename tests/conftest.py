@@ -1,14 +1,32 @@
 import random
+from pathlib import Path
 
 import float_guard
 import pytest
 
 from superkit.algebra import Element
 from superkit.fields import PrimeField, Rationals
+from superkit.fixtures import BUILTIN_PAIRS, load_fixture
 from superkit.gamma import GammaError, rmat_inverse
 from superkit.linalg import mat_mul
 
 float_guard.install()
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# the pairs realised by supermatrices (with row parities): the gl(m|n)
+# builtins and every shipped pair file, osp(1|2) among them
+REALISED = ["gl11", "gl21", "fixtures/gl11.pair.json", "fixtures/gl21.pair.json",
+            "fixtures/osp12.pair.json"]
+
+
+def shipped_pair(spec, field):
+    """A builtin pair by name, or a pair file by its path from the root."""
+    return BUILTIN_PAIRS[spec](field) if spec in BUILTIN_PAIRS else load_fixture(field, ROOT / spec)
+
+
+def osp12_pair(field):
+    return shipped_pair("fixtures/osp12.pair.json", field)
 
 
 @pytest.fixture(autouse=True)

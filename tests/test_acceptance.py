@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from conftest import mat_bracket
+from conftest import mat_bracket, osp12_pair
 from superkit import gamma as G
 from superkit.algebra import (
     grassmann,
@@ -75,7 +75,14 @@ def rand_sqzero(rng, R):
 
 def group_pool(pair):
     field = pair.field
-    if pair.group.size == 2:
+    if pair.name == "osp12":
+        # 1 on the even row and an SL(2) block on the odd rows
+        cands = [
+            [[1, 0, 0], [0, 1, 1], [0, 0, 1]],
+            [[1, 0, 0], [0, 0, 1], [0, -1, 0]],
+            [[1, 0, 0], [0, 2, 1], [0, 1, 1]],
+        ]
+    elif pair.group.size == 2:
         cands = [
             [[2, 0], [0, 3]],
             [[1, 0], [0, 2]],
@@ -139,7 +146,7 @@ def _relation_words(pair, R, rng, which, g_and_inv):
         rhs = [("f", b2, xq), ("f", b1, xp), ("f", R.multiply(b1, b2), br)]
     elif which == 4:
         i = rng.randrange(t)
-        half = field.one / field.from_int(2)
+        half = field.inv(field.from_int(2))
         lhs = [("e", a, i), ("e", c, i)]
         rhs = [
             ("f", -R.multiply(a, c), tuple(half * s for s in pair.vv(i, i))),
@@ -170,7 +177,7 @@ def _check_relation(pair, R, lhs, rhs):
 def test_01_generator_relations_match_oracles():
     start = time.monotonic()
     rng = random.Random(101)
-    pairs = [gl11_pair(Q), gl21_pair(Q)]
+    pairs = [gl11_pair(Q), gl21_pair(Q), osp12_pair(Q)]
     checked = 0
     # exhaustive basis sweep with fixed generator coefficients
     for pair in pairs:
@@ -182,7 +189,7 @@ def test_01_generator_relations_match_oracles():
         b1 = R.multiply(R.element({"a1": 1}), R.element({"a2": 1}))
         b2 = R.multiply(R.element({"a3": 1}), R.element({"a4": 1}))
         t, l = pair.t, pair.lie_dim
-        half = Q.one / Q.from_int(2)
+        half = Q.inv(Q.from_int(2))
         for i in range(t):
             for j in range(t):
                 if i == j:
@@ -240,10 +247,11 @@ def test_01_generator_relations_match_oracles():
                     [("e", R.multiply(a, rho[m][j]), m) for m in range(t)],
                 )
                 checked += 1
-    # random coefficient draws over Lambda(k), k <= 4
+    # random coefficient draws over Lambda(k), k <= 4: 200 on gl(1|1) and
+    # gl(2|1), then 50 on osp(1|2)
     draws = 0
-    while draws < 200:
-        pair = pairs[0] if draws % 4 else pairs[1]
+    while draws < 250:
+        pair = pairs[2] if draws >= 200 else pairs[0] if draws % 4 else pairs[1]
         k = rng.randint(2, 4) if pair is pairs[0] else rng.randint(2, 3)
         R = grassmann(Q, ["a%d" % (s + 1) for s in range(k)])
         which = rng.randint(1, 5)
@@ -286,7 +294,8 @@ def _random_word(pair, R, rng, gens):
 def test_02_normal_form_uniqueness():
     start = time.monotonic()
     rng = random.Random(202)
-    plans = [(gl11_pair(Q), 300), (gl11_pair(F5), 50), (gl21_pair(Q), 150)]
+    plans = [(gl11_pair(Q), 300), (gl11_pair(F5), 50), (gl21_pair(Q), 150),
+             (osp12_pair(Q), 100)]
     total = 0
     for pair, count in plans:
         R = grassmann(pair.field, ["a1", "a2", "a3", "a4"])
@@ -342,7 +351,7 @@ def test_03_group_axioms():
 
 
 def test_04_tangent_bracket_full_sweep():
-    for mk in (gl11_pair, gl21_pair):
+    for mk in (gl11_pair, gl21_pair, osp12_pair):
         pair = mk(Q)
         lie = pair.assembled_lie()
         n = lie.dim
@@ -362,7 +371,7 @@ def test_04_tangent_bracket_full_sweep():
                 )
     _report(
         "04 tangent bracket",
-        "all basis pairs of gl(1|1) (16) and gl(2|1) (81) structure constants",
+        "all basis pairs of gl(1|1) (16), gl(2|1) (81) and osp(1|2) (25) structure constants",
     )
 
 

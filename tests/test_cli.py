@@ -35,6 +35,16 @@ class TestValidate:
         assert code == 0
         assert "PASS" in out
 
+    def test_row_parities_making_a_module_matrix_even_fail(self, capsys, tmp_path):
+        with open("fixtures/gl11.pair.json") as fh:
+            data = json.load(fh)
+        data["row_parities"] = [0, 0]
+        path = tmp_path / "even.pair.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("check failed: the row parities do not make")
+
     def test_unknown_fixture_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["validate", "nope"])
         assert code == 2
@@ -145,18 +155,40 @@ class TestDerivedGv:
 
 
 class TestRepresentation:
-    """validate checks rho(g) rho(g^-1) = I at each generic point."""
+    """validate checks rho(g) rho(h) = rho(gh) at each generic point g, h a
+    copy of g with its parameters renamed."""
+
+    FAILS = ["  (b) the action is not a representation: rho(g) rho(h) is not rho(gh) "
+             "(generic point 0)"]
 
     def test_action_that_is_no_representation_fails(self, capsys, tmp_path):
         # rho(g) = [[1, s^2], [0, 1]] sends I to I and differentiates to 0,
-        # yet rho(g) rho(g^-1) = [[1, 2 s^2], [0, 1]]
+        # yet rho(g) rho(h) = [[1, s^2 + t^2], [0, 1]]
         path = _abelian_pseudoabelian(tmp_path, "square.pair.json", {
             "action": [["1", "m_0_1*m_0_1"], ["0", "1"]], "bracket_gv": None})
         code, out, _ = run(capsys, ["validate", path])
         assert code == 1
-        assert out.splitlines()[1:] == [
-            "  (b) the action is not a representation: rho(g) rho(g^-1) is not I "
-            "(generic point 0)"]
+        assert out.splitlines()[1:] == self.FAILS
+
+    @pytest.mark.parametrize("field", ["q", "p=3", "p=5"])
+    def test_cube_fails_unless_the_characteristic_is_3(self, capsys, tmp_path, field):
+        # rho(g) rho(g^-1) = I for the cube (s^3 + (-s)^3 = 0), but
+        # (s + t)^3 = s^3 + t^3 only in characteristic 3
+        path = _abelian_pseudoabelian(tmp_path, "cube.pair.json", {
+            "action": [["1", "m_0_1^3"], ["0", "1"]], "bracket_gv": None})
+        code, out, _ = run(capsys, ["--field", field, "validate", path])
+        if field == "p=3":
+            assert code == 0 and out.endswith("PASS\n")
+            return
+        assert code == 1
+        assert out.splitlines()[1:] == self.FAILS
+        # the group law fails: g g and the product g^2 give different words
+        nf = ["--field", field, "nf", path, "--coeffs", "Lambda(b1)"]
+        outs = [run(capsys, nf + ["e(b1,phi1) " + g])[1]
+                for g in ("g[[1,1],[0,1]] g[[1,1],[0,1]]", "g[[1,2],[0,1]]")]
+        assert outs[0] != outs[1]
+        if field == "q":
+            assert "odd w1 = -2*b1" in outs[0] and "odd w1 = -8*b1" in outs[1]
 
 
 class TestGr:
@@ -356,9 +388,10 @@ def _point(key, text):
 
 
 def _action(text):
-    """gl11 with the action given as a polynomial matrix, one entry text."""
+    """gl11 with the action given as a polynomial matrix, one entry text
+    (row parities go with module matrices only)."""
     def mutate(data):
-        del data["module_matrices"]
+        del data["module_matrices"], data["row_parities"]
         data["action"] = [[text, "0"], ["0", "1"]]
     return mutate
 
@@ -408,6 +441,11 @@ class TestMalformedFixture:
         # module matrices and an action both given: the action would go unread
         "pair-module-and-action": ("gl11.pair.json",
                                    _set("action", [["m_0_0", "0"], ["0", "1"]]), ["validate"]),
+        # row parities and an action: the parities would realise no matrix
+        "pair-row-parities-and-action": ("gl11.pair.json",
+                                         lambda data: (_action("1")(data),
+                                                       data.update(row_parities=[0, 1])),
+                                         ["validate"]),
         # JSON true and false are no integers, wherever an integer is allowed
         "alg-bool-parities": ("grassmann2.alg.json", _set("parities", [False, True, True, False]),
                               ["gr"]),

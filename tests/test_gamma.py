@@ -4,12 +4,12 @@ from unittest import mock
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from conftest import random_point
+from conftest import REALISED, random_point, shipped_pair
 from superkit import gamma as G
 from superkit.algebra import AlgebraError, Element, grassmann, polynomial_truncation
 from superkit.fields import PrimeField, Rationals
 from superkit.fixtures import gl11_pair, gl21_pair
-from superkit.hcp import HarishChandraPair, pseudoabelian_example
+from superkit.hcp import HarishChandraPair, HCPError, pseudoabelian_example
 
 Q = Rationals()
 
@@ -127,57 +127,70 @@ class TestOracles:
             u = G.normalize(pair, R, toks)
             assert G.oracle_enveloping(pair, toks, R=R) == G.oracle_enveloping(u)
 
-    def test_supermatrix_calibration_rejects_flat_twist(self, pair):
-        twist = G.calibrate_supermatrix(pair)
-        assert twist == [Q.one, -Q.one]
-        # the untwisted candidate violates relation (1)
-        Rc = grassmann(Q, ["a", "b"])
-        a, b = Rc.element({"a": 1}), Rc.element({"b": 1})
-        flat = [Q.one, Q.one]
-        lhs = G.rmat_mul(
-            Rc,
-            G._e_matrix(pair, Rc, a, 0, flat),
-            G._e_matrix(pair, Rc, b, 1, flat),
-        )
-        corr = G.f_matrix(pair, Rc, -Rc.multiply(a, b), pair.vv(0, 1))
-        rhs = G.rmat_mul(
-            Rc,
-            G.rmat_mul(Rc, corr, G._e_matrix(pair, Rc, b, 1, flat)),
-            G._e_matrix(pair, Rc, a, 0, flat),
-        )
-        assert lhs != rhs
-
-    def test_supermatrix_oracle_no_pair_for_matrix_mode(self):
+    def test_supermatrix_oracle_no_pair_for_matrix_mode(self, R):
         pair = pseudoabelian_example(Q, 1)
-        with pytest.raises(G.GammaError):
-            G.calibrate_supermatrix(pair)
+        with pytest.raises(G.GammaError, match="row parities"):
+            G.oracle_supermatrix(pair, [("e", odd(R, "a1"), 0)], R=R)
 
-    def test_supermatrix_twist_is_calibrated_once_per_pair(self, R):
-        pair = gl11_pair(Q)
-        word = [("e", odd(R, "a1"), 1), ("e", odd(R, "a2"), 0)]
-        with mock.patch.object(G, "calibrate_supermatrix",
-                               wraps=G.calibrate_supermatrix) as search:
-            first = G.oracle_supermatrix(pair, word, R=R)
-            assert G.oracle_supermatrix(pair, word, R=R) == first
-        assert search.call_count == 1
-        assert pair.supermatrix_twist() == [Q.one, -Q.one]
-
-    def test_failed_twist_search_is_not_cached(self, pair, R):
-        # gl(1|1) with both rows even: both candidates are the flat twist,
-        # which violates relation (1)
+    def test_row_parities_making_a_module_matrix_even_rejected(self, pair):
+        # gl(1|1) with both rows even: v+ = E12 would be even
         t = pair.t
-        flat = HarishChandraPair(
-            pair.group, pair.module_labels,
-            {(i, j): pair.vv(i, j) for i in range(t) for j in range(t)},
-            module_matrices=pair.module_matrices, row_parities=(0, 0),
-        )
-        word = [("e", odd(R, "a1"), 0)]
-        with mock.patch.object(G, "calibrate_supermatrix",
-                               wraps=G.calibrate_supermatrix) as search:
-            for _ in range(2):
-                with pytest.raises(G.GammaError, match="no candidate twist"):
-                    G.oracle_supermatrix(flat, word, R=R)
-        assert search.call_count == 2
+        with pytest.raises(HCPError, match="row parities"):
+            HarishChandraPair(
+                pair.group, pair.module_labels,
+                {(i, j): pair.vv(i, j) for i in range(t) for j in range(t)},
+                module_matrices=pair.module_matrices, row_parities=(0, 0),
+            )
+
+
+def column_twist(pair):
+    """diag((-1)^p(j)) of the row parities, as a list."""
+    return [-pair.field.one if p else pair.field.one for p in pair.row_parities]
+
+
+def relation_one_holds(pair, twist):
+    """Whether e(a, v) -> I + a·M·diag(twist) satisfies relation (1),
+    e(a,v_i) e(b,v_j) = f(-ab, [v_i,v_j]) e(b,v_j) e(a,v_i), for every i
+    and j, as products of matrices over Λ(a, b): the search that once chose
+    the supermatrix oracle's twist among the column-parity and flat ones."""
+    R = grassmann(pair.field, ["a", "b"])
+    a, b = R.element({"a": 1}), R.element({"b": 1})
+
+    def e(c, idx):
+        return e_matrix_referee(pair, R, c, idx, twist)
+
+    for i in range(pair.t):
+        for j in range(pair.t):
+            corr = f_matrix_referee(pair, R, -R.multiply(a, b), pair.vv(i, j))
+            if G.rmat_mul(R, e(a, i), e(b, j)) != G.rmat_mul(
+                    R, G.rmat_mul(R, corr, e(b, j)), e(a, i)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("field_name", ["Q", "F3", "F5"])
+@pytest.mark.parametrize("spec", REALISED)
+def test_relation_one_holds_for_the_column_parity_twist_only(spec, field_name):
+    pair = shipped_pair(spec, FIELDS[field_name])
+    assert relation_one_holds(pair, column_twist(pair))
+    assert not relation_one_holds(pair, [pair.field.one] * pair.group.size)
+
+
+@pytest.mark.parametrize("field_name", ["Q", "F3", "F5"])
+@pytest.mark.parametrize("spec", REALISED)
+def test_relation_four_on_equal_vectors_matches_the_oracles(spec, field_name):
+    """e(a,v) e(c,v) = f(-ac, (1/2)[v,v]) e(a+c, v) for each basis vector v,
+    in normalize and in both oracles; osp(1|2) has [v,v] != 0."""
+    pair = shipped_pair(spec, FIELDS[field_name])
+    R = grassmann(pair.field, ["a1", "a2"])
+    a, c = odd(R, "a1"), odd(R, "a2")
+    half = pair.field.inv(pair.field.from_int(2))
+    for i in range(pair.t):
+        lhs = [("e", a, i), ("e", c, i)]
+        rhs = [("f", -R.multiply(a, c), tuple(half * s for s in pair.vv(i, i))), ("e", a + c, i)]
+        assert G.normalize(pair, R, lhs) == G.normalize(pair, R, rhs)
+        assert G.oracle_supermatrix(pair, lhs, R=R) == G.oracle_supermatrix(pair, rhs, R=R)
+        assert G.oracle_enveloping(pair, lhs, R=R) == G.oracle_enveloping(pair, rhs, R=R)
 
 
 class TestTangentBracket:
@@ -324,7 +337,8 @@ class TestClosedFormConjugation:
         for _ in range(6):
             b = R.multiply(random_odd(rng, R), random_odd(rng, R))
             lie = tuple(field.from_int(rng.randint(-2, 2)) for _ in range(pair.lie_dim))
-            want = pair.rho_over(R, G.f_matrix(pair, R, -b, lie), G.f_matrix(pair, R, b, lie))
+            want = pair.rho_over(R, f_matrix_referee(pair, R, -b, lie),
+                                 f_matrix_referee(pair, R, b, lie))
             got = [
                 [
                     R.unit.scale(rho_one[m][i])
@@ -336,7 +350,7 @@ class TestClosedFormConjugation:
             assert got == want
             word = [(random_odd(rng, R), rng.randrange(t)) for _ in range(3)]
             assert G._conjugate_chain_f(pair, R, word, b, lie) == G._conjugate_chain(
-                pair, R, word, G.f_matrix(pair, R, -b, lie), G.f_matrix(pair, R, b, lie)
+                pair, R, word, f_matrix_referee(pair, R, -b, lie), f_matrix_referee(pair, R, b, lie)
             )
 
     @pytest.mark.parametrize("field_name", sorted(FIELDS))
@@ -398,8 +412,8 @@ def e_matrix_referee(pair, R, a, idx, twist):
 
 
 class TestUnitPlus:
-    """f_matrix and _e_matrix go through one I + a·M helper; the entry-by-entry
-    builders above are their referees."""
+    """f- and e-tokens multiply by I + a·M through one helper,
+    _times_unit_plus; the entry-by-entry builders above are its referees."""
 
     @pytest.mark.parametrize("field_name", sorted(FIELDS))
     @pytest.mark.parametrize("pair_name", sorted(PAIR_BUILDERS))
@@ -410,7 +424,9 @@ class TestUnitPlus:
         for _ in range(10):
             b = R.multiply(random_odd(rng, R), random_odd(rng, R))
             lie = tuple(field.from_int(rng.randint(-2, 2)) for _ in range(pair.lie_dim))
-            assert G.f_matrix(pair, R, b, lie) == f_matrix_referee(pair, R, b, lie)
+            ident = G.rmat_identity(R, pair.group.size)
+            assert G._times_unit_plus(R, ident, b, G._f_entries(pair, lie)) == \
+                f_matrix_referee(pair, R, b, lie)
 
     @pytest.mark.parametrize("field_name", sorted(FIELDS))
     @pytest.mark.parametrize("pair_name", ["gl11", "gl21"])
@@ -418,12 +434,12 @@ class TestUnitPlus:
         field = FIELDS[field_name]
         pair = PAIR_BUILDERS[pair_name](field)
         R = grassmann(field, ["a1", "a2", "a3", "a4"])
-        for twist in G._candidate_twists(pair):
-            for _ in range(5):
-                a = random_odd(rng, R)
-                idx = rng.randrange(pair.t)
-                assert G._e_matrix(pair, R, a, idx, twist) == e_matrix_referee(
-                    pair, R, a, idx, twist)
+        ident = G.rmat_identity(R, pair.group.size)
+        for _ in range(5):
+            a = random_odd(rng, R)
+            idx = rng.randrange(pair.t)
+            assert G._times_unit_plus(R, ident, a, G._e_entries(pair, idx)) == \
+                e_matrix_referee(pair, R, a, idx, column_twist(pair))
 
 
 class TestIdentityToken:
@@ -581,10 +597,8 @@ class TestTimesUnitPlus:
             b = R.multiply(random_odd(rng, R), random_odd(rng, R))
             cases = [(b, G._f_entries(pair, lie)),
                      (random_mixed(rng, R), random_entries(rng, field, n))]
-            if pair.mode == "conjugation":
-                for twist in G._candidate_twists(pair):
-                    cases.append((random_odd(rng, R),
-                                  G._e_entries(pair, rng.randrange(pair.t), twist)))
+            if pair.row_parities is not None:
+                cases.append((random_odd(rng, R), G._e_entries(pair, rng.randrange(pair.t))))
             for a, entries in cases:
                 before = [list(row) for row in A]
                 assert G._times_unit_plus(R, A, a, entries) == times_unit_plus_referee(
@@ -676,7 +690,6 @@ class TestCallCounts:
         field = FIELDS[field_name]
         pair = PAIR_BUILDERS[pair_name](field)
         R = grassmann(field, ["a1", "a2", "a3", "a4"])
-        pair.supermatrix_twist()  # the calibration multiplies matrices
         for k in range(1, 6):
             word = [("e", random_odd(rng, R), rng.randrange(pair.t)) for _ in range(k)]
             with mock.patch.object(G, "rmat_mul", wraps=G.rmat_mul) as mul:

@@ -6,7 +6,7 @@ from operator import add
 import pytest
 import sympy
 
-from conftest import mat_bracket, random_point
+from conftest import REALISED, mat_bracket, random_point
 from superkit import hcp
 from superkit.algebra import Element, grassmann, lift_matrix, mat_mul_over, sum_products
 from superkit.fields import PrimeField, Rationals
@@ -26,7 +26,7 @@ from superkit.hcp import (
     validate_pair,
 )
 from superkit.linalg import Subspace, dense, identity_matrix, mat_mul, nullspace, transpose
-from superkit.symbolic import Poly
+from superkit.symbolic import Poly, Reducer, eval_at
 
 Q = Rationals()
 F5 = PrimeField(5)
@@ -76,6 +76,11 @@ class TestValidation:
         assert report.failures == [
             "(b) generic action escapes the module (generic point 0)"]
 
+    def test_row_parities_need_module_matrices(self):
+        group = pseudoabelian_example(Q, 1).group
+        with pytest.raises(HCPError, match="module matrices"):
+            HarishChandraPair(group, ["w1", "phi1"], {}, row_parities=(0, 1))
+
     def test_broken_symmetry_detected(self):
         pair = gl11_pair(Q)
         pair._vv[(0, 1)] = (Q.one, Q.zero)  # no longer matches (1, 0)
@@ -91,6 +96,10 @@ class TestAssembledLie:
         # [v+, v-] = x1 + x2 (= E11 + E22 in the ambient matrices)
         br = L.bracket_basis(2, 3)
         assert br == {0: Q.one, 1: Q.one}
+
+    def test_built_once_with_the_pair(self):
+        pair = gl11_pair(Q)
+        assert pair.assembled_lie() is pair.assembled_lie()
 
     def test_action_bracket_sign(self):
         pair = gl11_pair(Q)
@@ -395,8 +404,7 @@ def test_conjugation_matches_lifted_products(pair_name, field_name):
 
 
 @pytest.mark.parametrize("field_name", sorted(CONJUGATION_FIELDS))
-@pytest.mark.parametrize(
-    "spec", ["gl11", "gl21", "fixtures/gl11.pair.json", "fixtures/gl21.pair.json"])
+@pytest.mark.parametrize("spec", REALISED)
 def test_derived_gv_matches_module_commutators(spec, field_name, monkeypatch):
     """The [g,V] of a conjugation-mode pair, the derivative of its action,
     against [X_k, M_i] from the dense commutator, as it was once computed."""
@@ -424,3 +432,53 @@ def test_lie_table_matches_dense_commutators(spec, field_name, monkeypatch):
             terms = group.lie_table.get((a, b), {})
             assert tuple(dense(terms, group.lie_dim, field.zero)) == want, (a, b)
             assert all(terms.values()) and ((a, b) in group.lie_table) == any(want)
+
+
+# -- rho(g) rho(h) = rho(gh) in both modes ------------------------------------
+
+
+def represents_referee(pair, point):
+    """rho(g) rho(h) = rho(gh) through rho_symbolic in either mode, for h
+    the generic point g with each parameter x renamed x_h, modulo the
+    relations of both.  validate_pair checks it for action matrices only:
+    conjugation g M g^-1 is a representation once g g^-1 = I."""
+    field = pair.field
+    one = Poly.const(field, field.one)
+    names = {v for e in _flatten(point.matrix) + point.relations for m in e.terms for v, _ in m}
+    fresh = {v: Poly(field, {((v + "_h", 1),): field.one}) for v in names}
+
+    def rename(M):
+        return [[eval_at(e, fresh, one) for e in row] for row in M]
+
+    h = hcp.GenericPoint(rename(point.matrix), rename(point.inverse),
+                         [eval_at(r, fresh, one) for r in point.relations])
+    gh = hcp.GenericPoint(mat_mul(point.matrix, h.matrix), mat_mul(h.inverse, point.inverse),
+                          point.relations + h.relations)
+    h.reducer = gh.reducer = Reducer(gh.relations)
+    lhs = mat_mul(pair.rho_symbolic(point), pair.rho_symbolic(h))
+    return all(gh.reducer.is_zero(x - y)
+               for x, y in zip(_flatten(lhs), _flatten(pair.rho_symbolic(gh))))
+
+
+@pytest.mark.parametrize("field_name", sorted(CONJUGATION_FIELDS))
+@pytest.mark.parametrize("spec", SHIPPED_PAIRS)
+def test_shipped_actions_are_representations(spec, field_name, monkeypatch):
+    monkeypatch.chdir(os.path.dirname(FIXTURES))
+    pair = resolve_pair(CONJUGATION_FIELDS[field_name], spec)
+    for point in pair.group.generic_points:
+        assert represents_referee(pair, point)
+        if pair.mode == "matrix":
+            assert hcp._represents(pair, point)
+
+
+@pytest.mark.parametrize("field_name", sorted(CONJUGATION_FIELDS))
+@pytest.mark.parametrize("entry", ["m_0_1", "m_0_1^2", "m_0_1^3"])
+def test_representation_check_matches_referee(entry, field_name):
+    """The square is no representation; the cube is one only in
+    characteristic 3, where (s + t)^3 = s^3 + t^3."""
+    field = CONJUGATION_FIELDS[field_name]
+    pair = HarishChandraPair(pseudoabelian_example(field, 1).group, ["w1", "phi1"], {},
+                             action_expr=[[1, entry], [0, 1]])
+    point = pair.group.generic_points[0]
+    want = entry == "m_0_1" or (entry == "m_0_1^3" and field_name == "F3")
+    assert hcp._represents(pair, point) == represents_referee(pair, point) == want

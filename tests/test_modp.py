@@ -13,6 +13,7 @@ from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import osp12_pair
 from superkit import gamma as G
 from superkit.algebra import Element, grassmann, polynomial_truncation, tensor
 from superkit.fields import PrimeField, Rationals
@@ -22,7 +23,8 @@ from superkit.hyp import dual_hopf, tensor_hopf
 
 Q = Rationals()
 PRIMES = (3, 5)
-PAIRS = ("gl11", "gl21", "pseudoabelian")
+BUILDERS = {**BUILTIN_PAIRS, "osp12": osp12_pair}
+PAIRS = ("gl11", "gl21", "pseudoabelian", "osp12")
 GENS = ["a1", "a2", "a3", "a4"]
 
 
@@ -54,10 +56,15 @@ UNIMODULAR = {
 @st.composite
 def int_point(draw, pair):
     """An integer matrix in the pair's group: block diagonal by row parity
-    for gl(m|n), upper unitriangular for the pseudoabelian pair."""
+    for gl(m|n), upper unitriangular for the pseudoabelian pair, 1 and an
+    SL(2) block for osp(1|2)."""
     n = pair.group.size
     if pair.row_parities is None:
         return [[1, draw(st.integers(-2, 2))], [0, 1]]
+    if pair.name == "osp12":
+        (a, b), (c, d) = draw(st.sampled_from([m for m in UNIMODULAR[2]
+                                               if m[0][0] * m[1][1] - m[0][1] * m[1][0] == 1]))
+        return [[1, 0, 0], [0, a, b], [0, c, d]]
     g = [[0] * n for _ in range(n)]
     for parity in (0, 1):
         rows = [i for i in range(n) if pair.row_parities[i] == parity]
@@ -79,7 +86,7 @@ def int_words(draw):
     e(a, v_i) with a odd in Λ(4), f(x·y, X) with x, y odd, and integer
     group points."""
     name = draw(st.sampled_from(PAIRS))
-    pair = BUILTIN_PAIRS[name](Q)
+    pair = BUILDERS[name](Q)
     R = grassmann(Q, GENS)
     odd = [i for i in range(R.dim) if R.space.parities[i] == 1]
     word = []
@@ -97,7 +104,7 @@ def int_words(draw):
 
 def build(field, name, word):
     """The pair, Λ(4) and the token word over field from the integer data."""
-    pair = BUILTIN_PAIRS[name](field)
+    pair = BUILDERS[name](field)
     R = grassmann(field, GENS)
 
     def elem(coeffs):
@@ -149,8 +156,8 @@ def _table_builders(field):
     yield _hopf_tables(dual_hopf(grassmann_hopf(field, ["t1", "t2"])))
     yield _hopf_tables(dual_hopf(tensor_hopf(grassmann_hopf(field, ["t1"]),
                                              grassmann_hopf(field, ["t2", "t3"]))))
-    for name in sorted(BUILTIN_PAIRS):
-        yield _pair_tables(BUILTIN_PAIRS[name](field))
+    for name in sorted(BUILDERS):
+        yield _pair_tables(BUILDERS[name](field))
 
 
 def test_tables_reduce_mod_p():

@@ -178,7 +178,7 @@ def test_is_zero_matches_sympy_on_random_ideals(field):
 
 
 SHIPPED = ["gl11", "gl21", "pseudoabelian", "pseudoabelian2",
-           "fixtures/gl11.pair.json", "fixtures/gl21.pair.json"]
+           "fixtures/gl11.pair.json", "fixtures/gl21.pair.json", "fixtures/osp12.pair.json"]
 
 
 def shipped_pair(name, field):
@@ -241,10 +241,12 @@ def differential_pairs(field, count):
             pairs.append(_perturbed(rng.choice(pairs[:len(SHIPPED)]), rng))
         except (HCPError, LieError):
             continue  # the perturbation made the module basis dependent
-    # rho(I) = I and the derivative is 0, yet rho(g) rho(g^-1) = [[1, 2 s^2], [0, 1]]
+    # rho(I) = I and the derivative is 0, yet rho(g) rho(h) = [[1, s^2 + t^2], [0, 1]];
+    # the cube has rho(g) rho(g^-1) = I and is a representation only over F3
     group = BUILTIN_PAIRS["pseudoabelian"](field).group
-    pairs.append(HarishChandraPair(group, ["w1", "phi1"], {}, name="no representation",
-                                   action_expr=[[1, "m_0_1*m_0_1"], [0, 1]]))
+    for entry in ("m_0_1*m_0_1", "m_0_1^3"):
+        pairs.append(HarishChandraPair(group, ["w1", "phi1"], {}, name="action " + entry,
+                                       action_expr=[[1, entry], [0, 1]]))
     return pairs
 
 
