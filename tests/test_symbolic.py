@@ -8,10 +8,11 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import sympy_reference as ref
+from conftest import shipped_pair
 from superkit.algebra import Element, grassmann
 from superkit.cli import parse_element
 from superkit.fields import PrimeField, Rationals
-from superkit.fixtures import BUILTIN_PAIRS, load_fixture, pair_from_json, pair_to_json
+from superkit.fixtures import BUILTIN_PAIRS, pair_from_json, pair_to_json
 from superkit.hcp import (
     HarishChandraPair, HCPError, Submodule, check_exact_sequence, validate_pair,
 )
@@ -179,10 +180,6 @@ def test_is_zero_matches_sympy_on_random_ideals(field):
 
 SHIPPED = ["gl11", "gl21", "pseudoabelian", "pseudoabelian2",
            "fixtures/gl11.pair.json", "fixtures/gl21.pair.json", "fixtures/osp12.pair.json"]
-
-
-def shipped_pair(name, field):
-    return BUILTIN_PAIRS[name](field) if name in BUILTIN_PAIRS else load_fixture(field, name)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
