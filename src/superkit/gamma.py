@@ -16,10 +16,16 @@ order.  Rewriting uses the defining relations:
 f-factors and group points are absorbed into the even part immediately as
 matrix factors; moving them left conjugates the e-chain via (5) (clean,
 because the conjugated coefficients all share the same odd factor whose
-square is zero).  A group point g other than the identity conjugates the
-chain through rho_over; the identity leaves it as it is, since a pair
-checks rho(I) = I when it is built.  An f-factor I + bX has b^2 = 0, so
-it conjugates the chain in closed form, Ad((I + bX)^{-1}) = I - b·rho(X),
+square is zero).  The identity leaves the chain as it is, since a pair
+checks rho(I) = I when it is built.  A group point with field entries
+conjugates it by the field matrix rho at (g^-1, g), which the pair keeps
+once computed (_field_rho: membership and inverse checked over the
+pair's ground algebra K, then one rho_over over K), so every chain entry
+costs one scale and every coefficient algebra R shares the matrix.  A
+point with entries in R (the even part of a normal form, in multiply
+and inverse) may have nilpotent entries; it conjugates the chain
+through rho_over over R.  An f-factor I + bX has b^2 = 0, so it
+conjugates the chain in closed form, Ad((I + bX)^{-1}) = I - b·rho(X),
 from the field matrices rho(X_k) of the pair's [g,V] table
 (HarishChandraPair.linear_action).
 
@@ -130,12 +136,16 @@ def _times_unit_plus(R, A, a, entries):
     return out
 
 
+def _has_field_entries(hmat):
+    """Whether the matrix of a g token has field entries, not entries in R."""
+    return bool(hmat) and not isinstance(hmat[0][0], Element)
+
+
 def _lift(R, hmat):
     """The matrix of a g token as rows over R; field entries are lifted."""
-    hmat = [list(r) for r in hmat]
-    if hmat and not isinstance(hmat[0][0], Element):
-        hmat = _lift_field_matrix(R, hmat)
-    return hmat
+    if _has_field_entries(hmat):
+        return _lift_field_matrix(R, hmat)
+    return [list(r) for r in hmat]
 
 
 def _f_entries(pair, lie_coords):
@@ -224,6 +234,29 @@ def _conjugate_chain(pair, R, word, g, g_inv):
     return out
 
 
+def _field_rho(pair, point):
+    """rho at (g^-1, g) for a point g of G with field entries, as the
+    nonzero entries (m, c) of each column: the field matrix by which
+    _conjugate_chain would conjugate an e-chain past g.
+
+    The pair keeps it, keyed by the entries of g.  On the first call g is
+    checked over the pair's ground algebra K: GammaError unless it is in
+    G and invertible, whatever the word holds before it."""
+    key = tuple(tuple(row) for row in point)
+    cols = pair.field_rho.get(key)
+    if cols is None:
+        K = pair.ground
+        g = _lift_field_matrix(K, key)
+        if not pair.group.membership_over(K, g):
+            raise GammaError("even part fails the membership predicate")
+        g_inv = rmat_inverse(K, g)
+        rho = pair.rho_over(K, g_inv, g)
+        cols = pair.field_rho[key] = tuple(
+            tuple((m, c) for m, row in enumerate(rho) if (c := row[idx].terms.get(0)))
+            for idx in range(pair.t))
+    return cols
+
+
 def _conjugate_chain_f(pair, R, word, b, lie_coords):
     """_conjugate_chain for h = I + bX, X = sum c_k X_k, in closed form.
 
@@ -283,7 +316,10 @@ def normalize(pair, R, tokens, strategy="leftmost"):
         elif kind == "g":
             hmat = _lift(R, tok[1])
             if hmat != ident:
-                if word:
+                if _has_field_entries(tok[1]):
+                    cols = _field_rho(pair, tok[1])
+                    word = [(a.scale(c), m) for a, idx in word for m, c in cols[idx]]
+                elif word:
                     word = _conjugate_chain(pair, R, word, rmat_inverse(R, hmat), hmat)
                 g = hmat if g is ident else rmat_mul(R, g, hmat)
             trace.append(("g", tuple(tuple(r) for r in hmat)))
@@ -424,12 +460,47 @@ def tangent_bracket(pair, px, x_coords, py, y_coords):
 # -- enveloping oracle --------------------------------------------------
 
 
+def _straighten(lie, seq):
+    """Expand a generator sequence of the Lie superalgebra lie in the PBW
+    basis: {monomial: field coefficient}, nonzero coefficients only."""
+    field, parities = lie.field, lie.space.parities
+    result = {}
+    stack = [(seq, field.one)]
+    while stack:
+        seq, coeff = stack.pop()
+        pos = None
+        for k in range(len(seq) - 1):
+            a, b = seq[k], seq[k + 1]
+            if a > b or (a == b and parities[a] == 1):
+                pos = k
+                break
+        if pos is None:
+            result[seq] = result.get(seq, field.zero) + coeff
+            continue
+        a, b = seq[pos], seq[pos + 1]
+        head, tail = seq[:pos], seq[pos + 2:]
+        if a == b:
+            # odd square: z^2 = (1/2)[z,z]
+            half = field.inv(field.from_int(2))
+            for idx, c in lie.bracket_basis(a, a).items():
+                stack.append((head + (idx,) + tail, coeff * half * c))
+        else:
+            sign = field.one if parities[a] * parities[b] == 0 else -field.one
+            stack.append((head + (b, a) + tail, coeff * sign))
+            for idx, c in lie.bracket_basis(a, b).items():
+                stack.append((head + (idx,) + tail, coeff * c))
+    return {m: c for m, c in result.items() if c != field.zero}
+
+
 class EnvelopingOracle:
     """Truncated PBW arithmetic in U(g) ⊗ R.
 
     Monomials are tuples of basis indices of g = Lie(G) ⊕ V, nondecreasing,
     with odd indices strictly increasing.  Coefficients live in R; terms
-    whose coefficient vanishes (nilpotency of R) are dropped.
+    whose coefficient vanishes (nilpotency of R) are dropped.  A product of
+    monomials is straightened with field coefficients, which depend on the
+    pair alone: the pair keeps each straightened sequence as a tuple, so
+    every oracle and every R straightens a sequence once.
     """
 
     def __init__(self, pair, R):
@@ -462,34 +533,14 @@ class EnvelopingOracle:
         return sum(self.parities[i] for i in mono) % 2
 
     def straighten(self, seq):
-        """Expand a generator sequence in the PBW basis (field coefficients)."""
-        field = self.pair.field
-        result = {}
-        stack = [(tuple(seq), field.one)]
-        while stack:
-            seq, coeff = stack.pop()
-            pos = None
-            for k in range(len(seq) - 1):
-                a, b = seq[k], seq[k + 1]
-                if a > b or (a == b and self.parities[a] == 1):
-                    pos = k
-                    break
-            if pos is None:
-                result[seq] = result.get(seq, field.zero) + coeff
-                continue
-            a, b = seq[pos], seq[pos + 1]
-            head, tail = seq[:pos], seq[pos + 2:]
-            if a == b:
-                # odd square: z^2 = (1/2)[z,z]
-                half = field.inv(field.from_int(2))
-                for idx, c in self.lie.bracket_basis(a, a).items():
-                    stack.append((head + (idx,) + tail, coeff * half * c))
-            else:
-                sign = field.one if self.parities[a] * self.parities[b] == 0 else -field.one
-                stack.append((head + (b, a) + tail, coeff * sign))
-                for idx, c in self.lie.bracket_basis(a, b).items():
-                    stack.append((head + (idx,) + tail, coeff * c))
-        return {m: c for m, c in result.items() if c != field.zero}
+        """Expand a generator sequence in the PBW basis: the pairs
+        (monomial, field coefficient) of _straighten, as a tuple that the
+        pair keeps."""
+        seq = tuple(seq)
+        memo = self.pair.straightened
+        if seq not in memo:
+            memo[seq] = tuple(_straighten(self.lie, seq).items())
+        return memo[seq]
 
     def product(self, X, Y):
         """X·Y: the sum of m1 m2 ⊗ r1' r2 over the terms m1 ⊗ r1 of X and
@@ -504,7 +555,7 @@ class EnvelopingOracle:
             moved = (r1, r1.involution())
             for m2, r2, p2 in right:
                 r = moved[p2]
-                for mono, c in self.straighten(m1 + m2).items():
+                for mono, c in self.straighten(m1 + m2):
                     pieces.append((mono, r if c == one else r.scale(c), r2))
         return sum_products(self.R, pieces)
 

@@ -24,7 +24,10 @@ caller's (fixtures._gl_pair derives it for gl(m|n)); linear_action is
 (I, rho(X_k)) read off [g,V], and assembled_lie is Lie(G) ⊕ V from the
 three tables, both built with the pair.  row_parities, given only with
 module matrices, must make the Lie basis even and the module matrices odd:
-the supermatrix oracle's twist diag((-1)^p(j)) relies on it.
+the supermatrix oracle's twist diag((-1)^p(j)) relies on it.  The pair
+also keeps two values that depend on it alone, for every coefficient
+algebra, once gamma has computed them: straightened PBW sequences and
+rho at points with field entries (over the pair's ground algebra K).
 
 Also: the largest R-subordinated submodule W_R by fixpoint iteration,
 the radical data (W_R, Lie(H_R)), the pseudoabelian example, and the
@@ -38,7 +41,9 @@ from itertools import combinations_with_replacement, permutations
 from operator import add
 
 from . import linalg
-from .algebra import AxiomReport, Element, lift_matrix, polynomial_truncation, sum_products
+from .algebra import (
+    AxiomReport, Element, ground_algebra, lift_matrix, polynomial_truncation, sum_products,
+)
 from .liesuper import LieSuperAlgebra, is_homogeneous
 from .linalg import (
     Subspace, apply_columns, dense, identity_matrix, kernel, mat_mul, rank, row_entries, sparse,
@@ -202,6 +207,10 @@ class HarishChandraPair:
     matrices take them, and HCPError is raised unless each Lie basis
     matrix is even and each module matrix odd for them.  Every table and
     the assembled Lie superalgebra are built here, once.
+    straightened and field_rho start empty and are filled by gamma on
+    first use, keyed by pair data alone (a PBW sequence; the entries of a
+    field point), so every coefficient algebra shares them; ground is the
+    algebra K over which field_rho is computed.
     """
 
     def __init__(self, group, module_labels, bracket_vv, *, module_matrices=None,
@@ -259,6 +268,9 @@ class HarishChandraPair:
         self._lie = LieSuperAlgebra(self.field, ["x%d" % (k + 1) for k in range(l)]
                                     + list(self.module_labels), [0] * l + [1] * t, brackets,
                                     check=False)
+        self.ground = ground_algebra(self.field)
+        self.straightened = {}
+        self.field_rho = {}
 
     def _differentiate(self):
         """{(k, i): [x_k, v_i]} in either mode: column i of the

@@ -18,6 +18,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # builtins and every shipped pair file, osp(1|2) among them
 REALISED = ["gl11", "gl21", "fixtures/gl11.pair.json", "fixtures/gl21.pair.json",
             "fixtures/osp12.pair.json"]
+# every shipped pair: the builtins and the pair files
+SHIPPED_PAIRS = sorted(BUILTIN_PAIRS) + sorted(
+    "fixtures/" + path.name for path in (ROOT / "fixtures").glob("*.pair.json"))
 
 
 def shipped_pair(spec, field):

@@ -1,15 +1,17 @@
 from functools import lru_cache
+from itertools import product
 from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from conftest import REALISED, random_point, shipped_pair
+from conftest import REALISED, SHIPPED_PAIRS, random_point, shipped_pair
 from superkit import gamma as G
-from superkit.algebra import AlgebraError, Element, grassmann, polynomial_truncation
+from superkit.algebra import AlgebraError, Element, grassmann, lift_matrix, polynomial_truncation
 from superkit.fields import PrimeField, Rationals
 from superkit.fixtures import gl11_pair, gl21_pair
 from superkit.hcp import HarishChandraPair, HCPError, pseudoabelian_example
+from superkit.linalg import identity_matrix, mat_mul
 
 Q = Rationals()
 
@@ -484,7 +486,7 @@ def reference_product(oracle, X, Y):
                     coeff = -coeff
                 if coeff.is_zero():
                     continue
-                for mono, c in oracle.straighten(m1 + m2).items():
+                for mono, c in oracle.straighten(m1 + m2):
                     cur = out.get(mono, R.zero())
                     cur = cur + coeff.scale(c)
                     out[mono] = cur
@@ -698,3 +700,229 @@ class TestCallCounts:
             with full_matrix_path():
                 assert G.oracle_supermatrix(pair, word, R=R) == got
             assert G.oracle_supermatrix(G.normalize(pair, R, word)) == got
+
+
+# -- what a pair keeps: PBW straightenings and rho at field points -----------
+
+
+def straighten_referee(oracle, seq):
+    """EnvelopingOracle.straighten as it was before the pair kept its
+    expansions: the rewrites run again on every call."""
+    field = oracle.pair.field
+    result = {}
+    stack = [(tuple(seq), field.one)]
+    while stack:
+        seq, coeff = stack.pop()
+        pos = None
+        for k in range(len(seq) - 1):
+            a, b = seq[k], seq[k + 1]
+            if a > b or (a == b and oracle.parities[a] == 1):
+                pos = k
+                break
+        if pos is None:
+            result[seq] = result.get(seq, field.zero) + coeff
+            continue
+        a, b = seq[pos], seq[pos + 1]
+        head, tail = seq[:pos], seq[pos + 2:]
+        if a == b:
+            # odd square: z^2 = (1/2)[z,z]
+            half = field.inv(field.from_int(2))
+            for idx, c in oracle.lie.bracket_basis(a, a).items():
+                stack.append((head + (idx,) + tail, coeff * half * c))
+        else:
+            sign = field.one if oracle.parities[a] * oracle.parities[b] == 0 else -field.one
+            stack.append((head + (b, a) + tail, coeff * sign))
+            for idx, c in oracle.lie.bracket_basis(a, b).items():
+                stack.append((head + (idx,) + tail, coeff * c))
+    return {m: c for m, c in result.items() if c != field.zero}
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+@pytest.mark.parametrize("spec", REALISED)
+def test_straighten_matches_referee_and_runs_once(spec, field_name):
+    """Every index sequence of length <= 4 (osp(1|2) takes the odd-square
+    branch); a second oracle over another R straightens none of them again."""
+    pair = shipped_pair(spec, FIELDS[field_name])
+    oracle = G.EnvelopingOracle(pair, _lambda(field_name, 2))
+    seqs = [s for k in range(5) for s in product(range(oracle.lie.dim), repeat=k)]
+    with mock.patch.object(G, "_straighten", wraps=G._straighten) as run:
+        kept = [oracle.straighten(seq) for seq in seqs]
+    assert run.call_count == len(seqs)
+    assert [dict(got) for got in kept] == [straighten_referee(oracle, seq) for seq in seqs]
+    other = G.EnvelopingOracle(pair, _lambda(field_name, 3))
+    with mock.patch.object(G, "_straighten", wraps=G._straighten) as run:
+        assert all(other.straighten(seq) is got for seq, got in zip(seqs, kept))
+    assert run.call_count == 0
+    assert all(isinstance(got, tuple) for got in kept)  # callers cannot change what is kept
+
+
+def field_points(pair):
+    """The distinct points of the pair's group with entries 0, ±1 and 2,
+    invertible over Q, F3 and F5: the diagonal ones, I + E_ij and a
+    quarter turn of the first two coordinates, those in G and other than I."""
+    field, n = pair.field, pair.group.size
+
+    def point(entry):
+        return [[field.from_int(entry(i, j)) for j in range(n)] for i in range(n)]
+
+    cands = [point(lambda i, j, d=d: d[i] if i == j else 0) for d in product((1, 2, -1), repeat=n)]
+    cands += [point(lambda i, j, e=e: int(i == j or (i, j) == e))
+              for e in product(range(n), repeat=2) if e[0] != e[1]]
+    # the quarter turn: [[0, 1], [-1, 0]] on the first two coordinates, I on the rest
+    cands.append(point(lambda i, j: {(0, 1): 1, (1, 0): -1}.get((i, j), int(i == j >= 2))))
+    K, ident = pair.ground, identity_matrix(n, field)
+    distinct = {tuple(map(tuple, g)): g for g in cands if g != ident}  # -1 = 2 in F3
+    return [g for g in distinct.values() if pair.group.membership_over(K, lift_matrix(K, g))]
+
+
+def ad_inverse(pair, g):
+    """Ad(g^-1) on g = Lie(G) ⊕ V as a field matrix: g^-1 X_k g expanded on
+    the Lie basis, and rho_over at (g^-1, g) on V."""
+    K, field, l, t = pair.ground, pair.field, pair.lie_dim, pair.t
+    g_inv = [[x.terms.get(0, field.zero) for x in row]
+             for row in G.rmat_inverse(K, lift_matrix(K, g))]
+    lie_cols = [pair.group.lie_expander.coords_field(
+        [x for row in mat_mul(mat_mul(g_inv, X), g) for x in row]) for X in pair.group.lie_basis]
+    rho = pair.rho_over(K, lift_matrix(K, g_inv), lift_matrix(K, g))
+    out = [[field.zero] * (l + t) for _ in range(l + t)]
+    for k, col in enumerate(lie_cols):
+        for m, c in enumerate(col):
+            out[m][k] = c
+    for i in range(t):
+        for m in range(t):
+            out[l + m][l + i] = rho[m][i].terms.get(0, field.zero)
+    return out
+
+
+def automorphism_image(oracle, X, A):
+    """The image of X = {monomial: r} under the automorphism of U(g) ⊗ R
+    that is the field matrix A on g: each monomial mapped generator by
+    generator, with its coefficient r kept on the right."""
+    R, dim = oracle.R, len(A)
+    out = {}
+    for mono, r in X.items():
+        img = oracle.one()
+        for i in mono:
+            img = oracle.product(img, {(j,): R.unit.scale(A[j][i]) for j in range(dim) if A[j][i]})
+        for m, c in oracle.product(img, {(): r}).items():
+            out[m] = out[m] + c if m in out else c
+    return {m: c for m, c in out.items() if not c.is_zero()}
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+@pytest.mark.parametrize("spec", SHIPPED_PAIRS)
+def test_field_point_conjugates_as_rho_over_R(spec, field_name, rng):
+    """[e-chain, g] for a field point g, conjugated by the pair's field
+    matrix, equals the same word with g lifted to R (rho_over over R).
+    The supermatrix oracle agrees on the word and its normal form.  The
+    enveloping oracle cannot take a group point; it checks that the chain
+    conjugated by Ad(g^-1), built here from the Lie basis and rho_over, is
+    the image of the chain under that automorphism of U(g), and g followed
+    by that chain has the same normal form.  The pair keeps the matrix for
+    every R."""
+    pair = shipped_pair(spec, FIELDS[field_name])
+    field = pair.field
+    R, R2 = _lambda(field_name, 4), _lambda(field_name, 2)
+    points = field_points(pair)
+    if spec.endswith("gl21") or spec.endswith("gl21.pair.json"):
+        assert any(x for g in points for i, row in enumerate(g) for j, x in enumerate(row)
+                   if i != j)
+    assert points
+    oracle = G.EnvelopingOracle(pair, R)
+    for g in points:
+        chain = [("e", random_odd(rng, R), rng.randrange(pair.t)) for _ in range(3)]
+        with mock.patch.object(pair, "rho_over", wraps=pair.rho_over) as rho:
+            want = G.normalize(pair, R, chain + [("g", lift_matrix(R, g))])
+        assert rho.call_count == 1
+        word = chain + [("g", g)]
+        u = G.normalize(pair, R, word)
+        assert u == want
+        with mock.patch.object(pair, "rho_over", wraps=pair.rho_over) as rho:
+            assert G.normalize(pair, R, word, "rightmost") == u
+            short = [("e", odd(R2, "a1"), 0), ("g", g)]
+            assert G.normalize(pair, R2, short) == G.normalize(
+                pair, R2, short[:1] + [("g", lift_matrix(R2, g))])
+        assert rho.call_count == 1  # the lifted point alone
+        if pair.row_parities is not None:
+            assert G.oracle_supermatrix(pair, word, R=R) == G.oracle_supermatrix(u)
+        # E g = g·Ad(g^-1)E: the chain conjugated by the test's own Ad(g^-1)
+        A, l = ad_inverse(pair, g), pair.lie_dim
+        conj = [("e", a.scale(A[l + m][l + i]), m)
+                for _, a, i in chain for m in range(pair.t) if A[l + m][l + i]]
+        assert G.oracle_enveloping(pair, conj, R=R) == automorphism_image(
+            oracle, G.oracle_enveloping(pair, chain, R=R), A)
+        assert G.normalize(pair, R, [("g", g)] + conj) == u
+    assert len(pair.field_rho) == len(points)
+
+
+class TestFieldPointChecks:
+    """A field point outside G or singular raises the same GammaError
+    whatever the word holds before it."""
+
+    OUTSIDE = [[Q.one, Q.one], [Q.zero, Q.one]]
+    SINGULAR = [[Q.zero, Q.zero], [Q.zero, Q.one]]
+
+    def test_point_outside_G(self, R):
+        pair = gl11_pair(Q)
+        for word in ([("g", self.OUTSIDE)], [("e", odd(R, "a1"), 1), ("g", self.OUTSIDE)]):
+            with pytest.raises(G.GammaError, match="even part fails the membership predicate"):
+                G.normalize(pair, R, word)
+        assert not pair.field_rho
+
+    def test_singular_point(self, R):
+        pair = gl11_pair(Q)
+        for word in ([("g", self.SINGULAR)], [("e", odd(R, "a1"), 1), ("g", self.SINGULAR)]):
+            with pytest.raises(G.GammaError, match="even part is not invertible over R"):
+                G.normalize(pair, R, word)
+
+    def test_point_over_R_outside_G(self, pair, R):
+        """A point over R takes no memo; the element's own check rejects it."""
+        with pytest.raises(G.GammaError, match="even part fails the membership predicate"):
+            G.normalize(pair, R, [("g", lift_matrix(R, self.OUTSIDE))])
+
+
+class TestRaises:
+    """The checks of gamma that no other test sees fail."""
+
+    def test_odd_entry_in_even_part(self, pair, R):
+        one, zero, a1 = R.unit, R.zero(), odd(R, "a1")
+        with pytest.raises(G.GammaError, match="even part has an odd entry"):
+            G.GammaElement(pair, R, [[one, a1], [zero, one]], [zero, zero])
+
+    def test_even_odd_coordinate(self, pair, R):
+        ident, zero = G.rmat_identity(R, 2), R.zero()
+        with pytest.raises(G.GammaError, match="odd coordinate is not odd"):
+            G.GammaElement(pair, R, ident, [R.unit, zero])
+
+    def test_no_trace(self, pair, R):
+        u = G.GammaElement(pair, R, G.rmat_identity(R, 2), [odd(R, "a1"), R.zero()])
+        with pytest.raises(G.GammaError, match="carries no generator trace"):
+            G.oracle_enveloping(u)
+
+    def test_unknown_token(self, pair, R):
+        word = [("e", odd(R, "a1"), 0), ("h", R.unit)]
+        with pytest.raises(G.GammaError, match="unknown token 'h'"):
+            G.normalize(pair, R, word)
+        with pytest.raises(G.GammaError, match="unknown token 'h'"):
+            G.oracle_supermatrix(pair, word, R=R)
+
+    def test_mismatched_pair_or_algebra(self, pair, R):
+        u = G.normalize(pair, R, [("e", odd(R, "a1"), 0)])
+        R2 = grassmann(Q, ["a1", "a2", "a3", "a4"])
+        for w in (G.normalize(gl11_pair(Q), R, [("e", odd(R, "a1"), 0)]),
+                  G.normalize(pair, R2, [("e", odd(R2, "a1"), 0)])):
+            with pytest.raises(G.GammaError, match="mismatched pair or coefficient algebra"):
+                G.multiply(u, w)
+
+    def test_group_point_in_the_enveloping_oracle(self, pair, R):
+        g = [[Q.from_int(2), Q.zero], [Q.zero, Q.one]]
+        with pytest.raises(G.GammaError, match="cannot absorb a raw group point"):
+            G.oracle_enveloping(pair, [("g", g)], R=R)
+
+    def test_rewriting_bound(self, pair, R):
+        """One step with nothing to swap ends the loop; a swap needs two."""
+        a1, a2 = odd(R, "a1"), odd(R, "a2")
+        with mock.patch.object(G, "_MAX_REWRITE_STEPS", 1):
+            G.normalize(pair, R, [("e", a1, 0), ("e", a2, 1)])
+            with pytest.raises(G.GammaError, match="rewriting did not terminate"):
+                G.normalize(pair, R, [("e", a1, 1), ("e", a2, 0)])

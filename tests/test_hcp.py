@@ -6,7 +6,7 @@ from operator import add
 import pytest
 import sympy
 
-from conftest import REALISED, mat_bracket, random_point
+from conftest import REALISED, SHIPPED_PAIRS, mat_bracket, random_point
 from superkit import hcp
 from superkit.algebra import Element, grassmann, lift_matrix, mat_mul_over, sum_products
 from superkit.fields import PrimeField, Rationals
@@ -203,11 +203,6 @@ def radical_referee(pair, lie_r):
             v = [a + c * b for a, b in zip(v, row)]
         vecs.append(v)
     return W, Subspace(field, pair.lie_dim, vecs)
-
-
-SHIPPED_PAIRS = sorted(BUILTIN_PAIRS) + sorted(
-    "fixtures/" + name for name in os.listdir(FIXTURES) if name.endswith(".pair.json")
-)
 
 
 @pytest.mark.parametrize("field", [Q, PrimeField(3), F5], ids=str)
