@@ -120,10 +120,7 @@ class Element:
         if isinstance(other, Element):
             self._check_same(other)
             return self.algebra.multiply(self, other)
-        return self.scale(self.algebra.field.from_int(other) if isinstance(other, int) else other)
-
-    def __rmul__(self, other):
-        return self.scale(self.algebra.field.from_int(other) if isinstance(other, int) else other)
+        return self.scale(other)
 
     def is_zero(self):
         return not self.terms

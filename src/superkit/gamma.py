@@ -13,21 +13,27 @@ order.  Rewriting uses the defining relations:
   (4) e(a,v) e(a',v)  = f(-aa', (1/2)[v,v]) e(a+a', v)
   (5) g e(a,v) g^{-1} = e(a, Ad(g)v)
 
+Every token is checked here, in normalize, and nowhere else: a TokenError
+(a GammaError) names the token's position and kind when an e-coefficient
+is not odd, an f-coefficient is not even of square zero, a token is of no
+known kind, or a group point with field entries lies outside G or is
+singular.
+
 f-factors and group points are absorbed into the even part immediately as
 matrix factors; moving them left conjugates the e-chain via (5) (clean,
 because the conjugated coefficients all share the same odd factor whose
 square is zero).  The identity leaves the chain as it is, since a pair
 checks rho(I) = I when it is built.  A group point with field entries
 conjugates it by the field matrix rho at (g^-1, g), which the pair keeps
-once computed (_field_rho: membership and inverse checked over the
-pair's ground algebra K, then one rho_over over K), so every chain entry
-costs one scale and every coefficient algebra R shares the matrix.  A
-point with entries in R (the even part of a normal form, in multiply
-and inverse) may have nilpotent entries; it conjugates the chain
-through rho_over over R.  An f-factor I + bX has b^2 = 0, so it
-conjugates the chain in closed form, Ad((I + bX)^{-1}) = I - b·rho(X),
-from the field matrices rho(X_k) of the pair's [g,V] table
-(HarishChandraPair.linear_action).
+once computed (_field_rho: g checked against G over the pair's ground
+algebra K and inverted once over the field, then one rho_over over K),
+so every chain entry costs one scale and every coefficient algebra R
+shares the matrix.  A point with entries in R (the even part of a normal
+form, in multiply and inverse) may have nilpotent entries; it conjugates
+the chain through rho_over over R.  An f-factor I + bX has b^2 = 0, so it
+conjugates the chain in closed form, Ad((I + bX)^{-1}) = I - b·rho(X):
+column i of rho(X) is [X, v_i], which the pair's [g,V] table gives
+(HarishChandraPair.apply_gv).
 
 Products over R: no matrix of the form I + a·M is multiplied in full.
 An e- or f-token multiplies the accumulator A (g in normalize, the
@@ -51,10 +57,15 @@ from __future__ import annotations
 
 from .algebra import AlgebraError, Element, mat_mul_over, sum_products
 from .algebra import lift_matrix as _lift_field_matrix
+from .linalg import invert_matrix
 
 
 class GammaError(ValueError):
     pass
+
+
+class TokenError(GammaError):
+    """A token of a word that is not in Gamma(R)."""
 
 
 _MAX_REWRITE_STEPS = 100000
@@ -240,17 +251,20 @@ def _field_rho(pair, point):
     _conjugate_chain would conjugate an e-chain past g.
 
     The pair keeps it, keyed by the entries of g.  On the first call g is
-    checked over the pair's ground algebra K: GammaError unless it is in
-    G and invertible, whatever the word holds before it."""
+    checked against G over the pair's ground algebra K and inverted once
+    over the field: TokenError unless it is in G and invertible, whatever
+    the word holds before it."""
     key = tuple(tuple(row) for row in point)
     cols = pair.field_rho.get(key)
     if cols is None:
         K = pair.ground
         g = _lift_field_matrix(K, key)
         if not pair.group.membership_over(K, g):
-            raise GammaError("even part fails the membership predicate")
-        g_inv = rmat_inverse(K, g)
-        rho = pair.rho_over(K, g_inv, g)
+            raise TokenError("even part fails the membership predicate")
+        g_inv = invert_matrix(key, pair.field)
+        if g_inv is None:
+            raise TokenError("even part is not invertible over R")
+        rho = pair.rho_over(K, _lift_field_matrix(K, g_inv), g)
         cols = pair.field_rho[key] = tuple(
             tuple((m, c) for m, row in enumerate(rho) if (c := row[idx].terms.get(0)))
             for idx in range(pair.t))
@@ -260,26 +274,24 @@ def _field_rho(pair, point):
 def _conjugate_chain_f(pair, R, word, b, lie_coords):
     """_conjugate_chain for h = I + bX, X = sum c_k X_k, in closed form.
 
-    b^2 = 0 gives rho(h^{-1}) = rho(I) - b·sum c_k rho(X_k) exactly, so
-    each chain entry costs one product b·a.  The terms and their order are
-    those of _conjugate_chain."""
-    if not word:
-        return []
-    rho_one, rho_x = pair.linear_action()
-    t = pair.t
-    rho_lie = [[pair.field.zero] * t for _ in range(t)]
-    for c, X in zip(lie_coords, rho_x):
-        if c:
-            rho_lie = [[y + c * x if x else y for x, y in zip(xrow, yrow)]
-                       for xrow, yrow in zip(X, rho_lie)]
+    b^2 = 0 gives rho(h^{-1}) = I - b·rho(X) exactly, and column idx of
+    rho(X) is [X, v_idx] = pair.apply_gv(lie_coords, idx), read once per
+    call and idx.  So each chain entry costs one product b·a and one scale
+    per nonzero entry of the column.  The terms and their order are those
+    of _conjugate_chain."""
+    cols = {}
     out = []
     for (a, idx) in word:
+        if idx not in cols:
+            cols[idx] = pair.apply_gv(lie_coords, idx)
         ba = R.multiply(b, a)
-        for m in range(t):
-            r, s = rho_one[m][idx], rho_lie[m][idx]
-            if not (r or s):
+        for m, s in enumerate(cols[idx]):
+            if m == idx:
+                coeff = a - ba.scale(s) if s else a
+            elif s:
+                coeff = ba.scale(-s)
+            else:
                 continue
-            coeff = a.scale(r) - ba.scale(s)
             if not coeff.is_zero():
                 out.append((coeff, m))
     return out
@@ -298,33 +310,36 @@ def normalize(pair, R, tokens, strategy="leftmost"):
         trace.append(("f", b, lie_coords))
         return _conjugate_chain_f(pair, R, left, b, lie_coords)
 
-    for tok in tokens:
+    for pos, tok in enumerate(tokens, 1):
         kind = tok[0]
-        if kind == "e":
-            _, a, idx = tok
-            if not a.is_zero() and a.parity() != 1:
-                raise GammaError("e-coefficient must be odd")
-            if not a.is_zero():
-                word.append((a, idx))
-        elif kind == "f":
-            _, b, lie_coords = tok
-            if b.is_zero():
-                continue
-            if b.parity() != 0 or not R.multiply(b, b).is_zero():
-                raise GammaError("bad f-coefficient")
-            word = absorb_f(b, tuple(lie_coords), word)
-        elif kind == "g":
-            hmat = _lift(R, tok[1])
-            if hmat != ident:
-                if _has_field_entries(tok[1]):
-                    cols = _field_rho(pair, tok[1])
-                    word = [(a.scale(c), m) for a, idx in word for m, c in cols[idx]]
-                elif word:
-                    word = _conjugate_chain(pair, R, word, rmat_inverse(R, hmat), hmat)
-                g = hmat if g is ident else rmat_mul(R, g, hmat)
-            trace.append(("g", tuple(tuple(r) for r in hmat)))
-        else:
-            raise GammaError("unknown token %r" % (kind,))
+        try:
+            if kind == "e":
+                _, a, idx = tok
+                if not a.is_zero() and a.parity() != 1:
+                    raise TokenError("e-coefficient must be odd")
+                if not a.is_zero():
+                    word.append((a, idx))
+            elif kind == "f":
+                _, b, lie_coords = tok
+                if b.is_zero():
+                    continue
+                if b.parity() != 0 or not R.multiply(b, b).is_zero():
+                    raise TokenError("bad f-coefficient")
+                word = absorb_f(b, tuple(lie_coords), word)
+            elif kind == "g":
+                hmat = _lift(R, tok[1])
+                if hmat != ident:
+                    if _has_field_entries(tok[1]):
+                        cols = _field_rho(pair, tok[1])
+                        word = [(a.scale(c), m) for a, idx in word for m, c in cols[idx]]
+                    elif word:
+                        word = _conjugate_chain(pair, R, word, rmat_inverse(R, hmat), hmat)
+                    g = hmat if g is ident else rmat_mul(R, g, hmat)
+                trace.append(("g", tuple(tuple(r) for r in hmat)))
+            else:
+                raise TokenError("unknown token %r" % (kind,))
+        except TokenError as exc:
+            raise TokenError("token %d (%s): %s" % (pos, kind, exc)) from None
 
     half = pair.field.inv(pair.field.from_int(2))
     steps = 0
@@ -360,10 +375,10 @@ def normalize(pair, R, tokens, strategy="leftmost"):
     return GammaElement(pair, R, g, coords, trace=trace)
 
 
-def multiply(u, w, strategy="leftmost"):
+def multiply(u, w):
     if u.pair is not w.pair or u.R is not w.R:
         raise GammaError("mismatched pair or coefficient algebra")
-    return normalize(u.pair, u.R, u.tokens() + w.tokens(), strategy)
+    return normalize(u.pair, u.R, u.tokens() + w.tokens())
 
 
 def inverse(u):

@@ -20,14 +20,15 @@ sparse lie_table {(a, b): terms of [X_a, X_b]} from linalg.supercommutator.
 HarishChandraPair derives [g,V] in both modes as the eps-coefficient of
 rho(I + eps X_k) at those points ([X_k, M_i] for module matrices); the
 action must send I to I, and no caller supplies the table.  [V,V] is the
-caller's (fixtures._gl_pair derives it for gl(m|n)); linear_action is
-(I, rho(X_k)) read off [g,V], and assembled_lie is Lie(G) ⊕ V from the
-three tables, both built with the pair.  row_parities, given only with
-module matrices, must make the Lie basis even and the module matrices odd:
-the supermatrix oracle's twist diag((-1)^p(j)) relies on it.  The pair
-also keeps two values that depend on it alone, for every coefficient
-algebra, once gamma has computed them: straightened PBW sequences and
-rho at points with field entries (over the pair's ground algebra K).
+caller's (fixtures._gl_pair derives it for gl(m|n)); assembled_lie is
+Lie(G) ⊕ V from the three tables, built with the pair, and column i of
+the action rho(X) of a Lie element X is apply_gv(X, i).  row_parities,
+given only with module matrices, must make the Lie basis even and the
+module matrices odd: the supermatrix oracle's twist diag((-1)^p(j))
+relies on it.  The pair also keeps two values that depend on it alone,
+for every coefficient algebra, once gamma has computed them: straightened
+PBW sequences and rho at points with field entries (over the pair's
+ground algebra K).
 
 Also: the largest R-subordinated submodule W_R by fixpoint iteration,
 the radical data (W_R, Lie(H_R)), the pseudoabelian example, and the
@@ -201,7 +202,8 @@ class HarishChandraPair:
     matrices, G acting by g M g^-1) or action_expr ("matrix" mode: a t x t
     polynomial matrix in the group entry symbols, the identity by default).
     Both modes derive [g,V] one way, by _differentiate at the group's
-    tangent points.
+    tangent points; gv and apply_gv read it, and gamma reads the action
+    rho(X) of a Lie element off it.
     row_parities: parities of the rows of a matrix realization, needed by
     the supermatrix oracle (None when there is none).  Only module
     matrices take them, and HCPError is raised unless each Lie basis
@@ -254,10 +256,6 @@ class HarishChandraPair:
         self._zero_lie = tuple([self.field.zero] * group.lie_dim)
         self._zero_v = tuple([self.field.zero] * t)
         self._gv = {key: v for key, v in self._differentiate().items() if any(v)}
-        self._linear_action = (
-            identity_matrix(t, self.field),
-            [transpose([self.gv(k, i) for i in range(t)]) for k in range(group.lie_dim)],
-        )
         l = group.lie_dim
         brackets = dict(group.lie_table)  # LieSuperAlgebra drops zero coordinates
         for (k, i), coords in self._gv.items():
@@ -353,16 +351,6 @@ class HarishChandraPair:
         return _conjugation(self.module_matrices, gmat, gmat_inv, self.module_expander,
                             Element.is_zero, R.zero(), "action escapes the module over R",
                             partial(sum_products, R))
-
-    def linear_action(self):
-        """(rho(I), [rho(X_k)]): t x t field matrices, computed when the
-        pair is built.
-
-        rho(I) is the identity (checked when the action is differentiated)
-        and column i of rho(X_k) is [x_k, v_i], read off the [g,V] table.
-        The action is polynomial in the group entries, so for X = sum c_k X_k
-        and b^2 = 0, rho(I + bX) = I + b sum c_k rho(X_k) exactly."""
-        return self._linear_action
 
     # -- assembled Lie superalgebra -------------------------------------
 

@@ -186,7 +186,7 @@ class TruncatedLocal:
     value agrees with the one computed in the untruncated object.
     """
 
-    def __init__(self, algebra, delta, eps, level, *, antipode=None, name=None):
+    def __init__(self, algebra, delta, eps, level, antipode, name):
         self.algebra = algebra
         field = algebra.field
         self.delta = [
@@ -215,14 +215,12 @@ class TruncatedLocal:
         return out, exact
 
     def as_hopf(self, *, check=True):
-        if self.antipode is None:
-            raise HypError("no antipode attached to this truncation")
         return HopfSuperAlgebra(
             self.algebra, self.delta, self.eps, self.antipode, check=check
         )
 
 
-def additive_truncation(field, m, var="T"):
+def additive_truncation(field, m):
     """K[T]/(T^m) with the binomial coproduct, truncated at level m-1.
 
     A genuine Hopf superalgebra exactly when every middle binomial
@@ -233,7 +231,7 @@ def additive_truncation(field, m, var="T"):
 
     from .algebra import polynomial_truncation
 
-    A = polynomial_truncation(field, var, m)
+    A = polynomial_truncation(field, "T", m)
     delta = []
     for a in range(m):
         table = {}
@@ -246,9 +244,7 @@ def additive_truncation(field, m, var="T"):
         col = [field.zero] * m
         col[a] = field.one if a % 2 == 0 else -field.one
         antipode.append(col)
-    return TruncatedLocal(
-        A, delta, eps, m - 1, antipode=antipode, name="K[%s]/(%s^%d)" % (var, var, m)
-    )
+    return TruncatedLocal(A, delta, eps, m - 1, antipode, "K[T]/(T^%d)" % m)
 
 
 def tensor_hopf(HA, HB):

@@ -8,7 +8,8 @@ from superkit.algebra import Element
 from superkit.fields import PrimeField, Rationals
 from superkit.fixtures import BUILTIN_PAIRS, load_fixture
 from superkit.gamma import GammaError, rmat_inverse
-from superkit.linalg import mat_mul
+from superkit.hcp import HarishChandraPair, pseudoabelian_example
+from superkit.linalg import identity_matrix, mat_mul, transpose
 
 float_guard.install()
 
@@ -30,6 +31,26 @@ def shipped_pair(spec, field):
 
 def osp12_pair(field):
     return shipped_pair("fixtures/osp12.pair.json", field)
+
+
+def shear_pair(field):
+    """G_a acting on span{w1, phi1} by its own matrices, phi1 -> phi1 + s·w1,
+    with [V,V] = 0: a matrix-mode pair whose [g,V] (x1·phi1 = w1) is the
+    derivative of its action."""
+    return HarishChandraPair(pseudoabelian_example(field, 1).group, ["w1", "phi1"], {},
+                             action_expr=[[1, "m_0_1"], [0, 1]], name="shear")
+
+
+def linear_action(pair):
+    """(rho(I), [rho(X_k)]): t x t field matrices of the action at the
+    identity and at each Lie basis vector, column i of rho(X_k) being
+    [x_k, v_i] read off the pair's [g,V] table.  The action is polynomial
+    in the group entries, so for X = sum c_k X_k and b^2 = 0,
+    rho(I + bX) = I + b sum c_k rho(X_k) exactly.  The instrument of the
+    pair golden test and of the closed-form conjugation referee."""
+    t = pair.t
+    return identity_matrix(t, pair.field), [
+        transpose([pair.gv(k, i) for i in range(t)]) for k in range(pair.lie_dim)]
 
 
 @pytest.fixture(autouse=True)

@@ -338,11 +338,21 @@ class TestMalformedInput:
             ["nf", "gl11", "--coeffs", "Lambda(a1,a2)", "e(a1--a2,v+)"],
             ["nf", "gl11", "--coeffs", "Lambda(1,c)", "e(c,v+)"],
             ["nf", "gl11", "--coeffs", "Lambda(a-b,c)", "e(c,v+)"],
+            ["nf", "gl11", "--coeffs", "Lambda(a1,a2)", "e(a1*a2,v+)"],
+            ["nf", "gl11", "--coeffs", "Lambda(a1)", "e(a1)"],
+            ["nf", "gl11", "--coeffs", "Lambda(a1,a2)", "f(a1*a2)"],
+            ["nf", "gl11", "--coeffs", "Lambda(a1)", "g[[1,0,0],[0,1,0],[0,0,1]]"],
+            ["nf", "gl11", "--coeffs", "Lambda(a1)", "g[[1,0]]"],
+            ["radical", "pseudoabelian", "--lie-r", "[[1]"],
+            ["radical", "pseudoabelian", "--lie-r", "foo"],
         ],
         ids=["trailing-star", "trailing-plus", "scalar-not-a-number",
              "scalar-denominator-p", "repeated-generator", "singular-group-point",
              "juxtaposed-factors", "odd-f-coefficient", "group-point-off-the-group",
-             "repeated-sign", "numeral-generator", "generator-not-a-name"],
+             "repeated-sign", "numeral-generator", "generator-not-a-name",
+             "even-e-coefficient", "e-without-comma", "f-without-comma",
+             "group-matrix-wrong-size", "group-matrix-not-square", "lie-r-unclosed",
+             "lie-r-not-a-matrix"],
     )
     def test_exit_2_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, argv)

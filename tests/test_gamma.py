@@ -1,3 +1,4 @@
+import random
 from functools import lru_cache
 from itertools import product
 from unittest import mock
@@ -5,13 +6,15 @@ from unittest import mock
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from conftest import REALISED, SHIPPED_PAIRS, random_point, shipped_pair
+from conftest import (
+    REALISED, SHIPPED_PAIRS, linear_action, random_element, random_point, shear_pair, shipped_pair,
+)
 from superkit import gamma as G
 from superkit.algebra import AlgebraError, Element, grassmann, lift_matrix, polynomial_truncation
 from superkit.fields import PrimeField, Rationals
 from superkit.fixtures import gl11_pair, gl21_pair
 from superkit.hcp import HarishChandraPair, HCPError, pseudoabelian_example
-from superkit.linalg import identity_matrix, mat_mul
+from superkit.linalg import identity_matrix, invert_matrix, mat_mul
 
 Q = Rationals()
 
@@ -300,14 +303,6 @@ def test_rmat_inverse_matches_elimination_referee(data):
     assert G.rmat_mul(R, A, got) == G.rmat_identity(R, len(A))
 
 
-def shear_pair(field):
-    """G_a acting on span{w1, phi1} by its own matrices, phi1 -> phi1 + s·w1,
-    with [V,V] = 0: a matrix-mode pair whose [g,V] (x1·phi1 = w1) is the
-    derivative of its action."""
-    return HarishChandraPair(pseudoabelian_example(field, 1).group, ["w1", "phi1"], {},
-                             action_expr=[[1, "m_0_1"], [0, 1]], name="shear")
-
-
 PAIR_BUILDERS = {
     "gl11": gl11_pair,
     "gl21": gl21_pair,
@@ -334,7 +329,7 @@ class TestClosedFormConjugation:
         field = FIELDS[field_name]
         pair = PAIR_BUILDERS[pair_name](field)
         R = grassmann(field, ["a1", "a2", "a3", "a4"])
-        rho_one, rho_x = pair.linear_action()
+        rho_one, rho_x = linear_action(pair)
         t = pair.t
         for _ in range(6):
             b = R.multiply(random_odd(rng, R), random_odd(rng, R))
@@ -359,7 +354,7 @@ class TestClosedFormConjugation:
     @pytest.mark.parametrize("pair_name", ["gl11", "gl21"])
     def test_lie_action_table_is_bracket_gv(self, pair_name, field_name):
         pair = PAIR_BUILDERS[pair_name](FIELDS[field_name])
-        _, rho_x = pair.linear_action()
+        _, rho_x = linear_action(pair)
         for k, X in enumerate(rho_x):
             for i in range(pair.t):
                 assert tuple(X[m][i] for m in range(pair.t)) == pair.gv(k, i)
@@ -367,13 +362,14 @@ class TestClosedFormConjugation:
     @pytest.mark.parametrize("field_name", sorted(FIELDS))
     @pytest.mark.parametrize("pair_name", ["gl11", "gl21"])
     def test_lie_action_table_is_eps_derivative(self, pair_name, field_name):
-        """The [g,V] table read by linear_action is the eps-coefficient of
-        rho_over(I + eps X_k) over K[eps]/eps^2, the matrix-mode route."""
+        """The [g,V] table read by conftest.linear_action is the
+        eps-coefficient of rho_over(I + eps X_k) over K[eps]/eps^2, the
+        matrix-mode route."""
         field = FIELDS[field_name]
         pair = PAIR_BUILDERS[pair_name](field)
         E = polynomial_truncation(field, "eps", 2)
         eps = E.basis_element(1)
-        rho_one, rho_x = pair.linear_action()
+        rho_one, rho_x = linear_action(pair)
         ident = G.rmat_identity(E, pair.group.size)
         got = pair.rho_over(E, ident, ident)
         assert [[x.terms.get(0, field.zero) for x in row] for row in got] == rho_one
@@ -451,7 +447,6 @@ class TestIdentityToken:
     def test_multiply_by_identity_skips_rho_over(self, pair_name, rng):
         pair = PAIR_BUILDERS[pair_name](Q)
         R = grassmann(Q, ["a1", "a2", "a3", "a4", "a5"])
-        pair.linear_action()
         one = G.identity(pair, R)
         for _ in range(3):
             toks = [("e", random_odd(rng, R), rng.randrange(pair.t)) for _ in range(4)]
@@ -853,6 +848,57 @@ def test_field_point_conjugates_as_rho_over_R(spec, field_name, rng):
             oracle, G.oracle_enveloping(pair, chain, R=R), A)
         assert G.normalize(pair, R, [("g", g)] + conj) == u
     assert len(pair.field_rho) == len(points)
+
+
+def token_referee(pair, R, tok):
+    """Whether a token lies in Gamma(R), by the criteria cli.parse_word
+    checked before normalize took them over: an odd e-coefficient, an even
+    f-coefficient of square zero, and a group point that is invertible
+    over the field and passes the membership conditions once lifted to R."""
+    kind, x = tok[0], tok[1]
+    if kind == "e":
+        return x.is_zero() or x.parity() == 1
+    if kind == "f":
+        return x.parity() == 0 and R.multiply(x, x).is_zero()
+    return (invert_matrix(x, pair.field) is not None
+            and pair.group.membership_over(R, lift_matrix(R, x)))
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+@pytest.mark.parametrize("spec", SHIPPED_PAIRS)
+def test_token_error_exactly_when_the_referee_rejects(spec, field_name):
+    """normalize raises TokenError for a token exactly when token_referee
+    rejects it, whatever the e-token before it: field points near the
+    identity (in G, outside G, singular), e-coefficients of any parity and
+    f-coefficients odd, of nonzero square or of square zero."""
+    field = FIELDS[field_name]
+    pair = shipped_pair(spec, field)
+    R = grassmann(field, ["a1", "a2", "a3"])
+    rng = random.Random(61)
+    n, a1 = pair.group.size, odd(R, "a1")
+    lie = (field.one,) + (field.zero,) * (pair.lie_dim - 1)
+    seen = set()
+    toks = []
+    for _ in range(40):
+        mat = identity_matrix(n, field)
+        for _ in range(rng.randint(1, 3)):
+            mat[rng.randrange(n)][rng.randrange(n)] = field.from_int(rng.choice((-1, 0, 1, 2)))
+        toks.append(("g", mat))
+        toks.append(("e", random_element(rng, R, bound=1), 0))
+    even = R.multiply(a1, odd(R, "a2"))
+    toks += [("f", b, lie) for b in (a1, R.unit + even, even, a1 + even)]
+    for tok in toks:
+        want = token_referee(pair, R, tok)
+        if tok[0] == "g":
+            seen.add("in G" if want else "singular" if invert_matrix(tok[1], field) is None
+                     else "outside G")
+        for word in ([tok], [("e", a1, pair.t - 1), tok]):
+            if want:
+                G.normalize(pair, R, word)
+            else:
+                with pytest.raises(G.TokenError, match="token %d \\(%s\\): " % (len(word), tok[0])):
+                    G.normalize(pair, R, word)
+    assert seen == {"in G", "outside G", "singular"}
 
 
 class TestFieldPointChecks:

@@ -6,7 +6,7 @@ from operator import add
 import pytest
 import sympy
 
-from conftest import REALISED, SHIPPED_PAIRS, mat_bracket, random_point
+from conftest import REALISED, SHIPPED_PAIRS, mat_bracket, random_point, shear_pair
 from superkit import hcp
 from superkit.algebra import Element, grassmann, lift_matrix, mat_mul_over, sum_products
 from superkit.fields import PrimeField, Rationals
@@ -331,6 +331,18 @@ class TestSerialization:
         want = validate_pair(pair)
         got = validate_pair(back)
         assert (got.holds, got.failures) == (want.holds, want.failures)
+
+    @pytest.mark.parametrize("field", [Q, PrimeField(3), F5], ids=str)
+    def test_matrix_mode_roundtrip(self, field):
+        """A matrix-mode pair with nonzero [g,V] writes the table it derived
+        as bracket_gv: x1·phi1 = w1 for the shear pair.  Reading the file
+        derives the table again and checks it against the written one."""
+        pair = shear_pair(field)
+        data = pair_to_json(pair)
+        assert data["bracket_gv"] == {"0,1": ["1", "0"]}
+        back = pair_from_json(field, data)
+        assert pair_to_json(back) == data
+        assert validate_pair(back).holds
 
     def test_pseudoabelian_roundtrip(self):
         pair = pseudoabelian_example(Q, 1)

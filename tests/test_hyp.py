@@ -152,7 +152,8 @@ def _truncations():
         T = additive_truncation(field, m)
         yield T
         H = tensor_hopf(T.as_hopf(check=False), grassmann_hopf(field, ["t1", "t2"]))
-        yield TruncatedLocal(H.algebra, H.delta, H.eps, m - 1)
+        yield TruncatedLocal(H.algebra, H.delta, H.eps, m - 1, H.antipode,
+                             "K[T]/(T^%d) ⊗ Λ(t1,t2)" % m)
 
 
 def test_convolve_matches_the_referee():

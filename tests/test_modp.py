@@ -13,7 +13,7 @@ from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import osp12_pair
+from conftest import linear_action, osp12_pair
 from superkit import gamma as G
 from superkit.algebra import Element, grassmann, polynomial_truncation, tensor
 from superkit.fields import PrimeField, Rationals
@@ -142,7 +142,7 @@ def test_normal_form_and_oracles_reduce_mod_p(data, p):
 
 
 def _pair_tables(pair):
-    rho_one, rho_x = pair.linear_action()
+    rho_one, rho_x = linear_action(pair)
     return [pair.assembled_lie().table, rho_one, rho_x]
 
 

@@ -2,7 +2,7 @@
 
 For each pair in `fixtures.BUILTIN_PAIRS` over Q, F3 and F5 the case
 compares three renderings with `tests/golden/pairs.json`: `pair_to_json`,
-the field matrices of `linear_action()` and the sparse bracket table of
+the field matrices of `conftest.linear_action` and the sparse bracket table of
 `assembled_lie()`.  `fixtures/osp12.pair.json` has the same three
 renderings in `tests/golden/osp12.json`.
 
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import osp12_pair
+from conftest import linear_action, osp12_pair
 from superkit.fields import PrimeField, Rationals
 from superkit.fixtures import BUILTIN_PAIRS, pair_to_json
 
@@ -31,7 +31,7 @@ def _matrix(field, M):
 
 def tables(pair):
     field = pair.field
-    rho_one, rho_x = pair.linear_action()
+    rho_one, rho_x = linear_action(pair)
     return {
         "pair": pair_to_json(pair),
         "linear_action": {
