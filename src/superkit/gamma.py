@@ -13,11 +13,15 @@ order.  Rewriting uses the defining relations:
   (4) e(a,v) e(a',v)  = f(-aa', (1/2)[v,v]) e(a+a', v)
   (5) g e(a,v) g^{-1} = e(a, Ad(g)v)
 
-Every token is checked here, in normalize, and nowhere else: a TokenError
-(a GammaError) names the token's position and kind when an e-coefficient
-is not odd, an f-coefficient is not even of square zero, a token is of no
-known kind, or a group point with field entries lies outside G or is
-singular.
+Who checks what.  normalize alone checks tokens: a TokenError (a GammaError)
+names the token's position and kind when an e-coefficient is not odd, an
+f-coefficient not even of square zero, a token of no known kind, or a group
+point has an odd entry, lies outside G or is singular (_group_point: once
+per pair for a field point, on every token for a point over R).  A normal
+form is a token of its own, as multiply and inverse pass them: normalize
+checks that its pair and R are the word's and trusts the rest, a product of
+checked factors.  GammaElement() checks nothing; hcp.MatrixGroupModel checks
+that G is closed under products.
 
 f-factors and group points are absorbed into the even part immediately as
 matrix factors; moving them left conjugates the e-chain via (5) (clean,
@@ -25,25 +29,24 @@ because the conjugated coefficients all share the same odd factor whose
 square is zero).  The identity leaves the chain as it is, since a pair
 checks rho(I) = I when it is built.  A group point with field entries
 conjugates it by the field matrix rho at (g^-1, g), which the pair keeps
-once computed (_field_rho: g checked against G over the pair's ground
-algebra K and inverted once over the field, then one rho_over over K),
-so every chain entry costs one scale and every coefficient algebra R
-shares the matrix.  A point with entries in R (the even part of a normal
-form, in multiply and inverse) may have nilpotent entries; it conjugates
-the chain through rho_over over R.  An f-factor I + bX has b^2 = 0, so it
-conjugates the chain in closed form, Ad((I + bX)^{-1}) = I - b·rho(X):
-column i of rho(X) is [X, v_i], which the pair's [g,V] table gives
-(HarishChandraPair.apply_gv).
+once computed (_field_rho: g checked and inverted over K by _group_point,
+then one rho_over over K), so every chain entry costs one scale and every
+coefficient algebra R shares the matrix.  A point with entries in R, a
+caller's or a normal form's even part, may have nilpotent entries; it
+conjugates the chain through rho_over over R.  An f-factor I + bX has
+b^2 = 0, so it conjugates the chain in closed form,
+Ad((I + bX)^{-1}) = I - b·rho(X): column i of rho(X) is [X, v_i], which
+the pair's [g,V] table gives (HarishChandraPair.apply_gv).
 
 Products over R: no matrix of the form I + a·M is multiplied in full.
 An e- or f-token multiplies the accumulator A (g in normalize, the
 product in the supermatrix oracle) by _times_unit_plus: column j of A
 gains column i of A times a·c for each nonzero entry (i, j, c) of the
 field matrix M.  A g-token while g is still the identity replaces it, and
-its inverse is computed only when there is an e-chain to conjugate.  The
-remaining products of two matrices over R (rmat_mul) are
-algebra.mat_mul_over; rho_over's g M g^-1 and the enveloping oracle's
-product hand their coefficient products to algebra.sum_products.  All of
+the inverse of a normal form's even part is computed only when there is
+an e-chain to conjugate.  The remaining products of two matrices over R
+(rmat_mul) are algebra.mat_mul_over; rho_over's g M g^-1 and the
+enveloping oracle's product hand their coefficient products to algebra.sum_products.  All of
 them contract every product of coefficients into one terms dict per
 output entry or PBW monomial and make an Element only for the finished
 sum.
@@ -57,7 +60,6 @@ from __future__ import annotations
 
 from .algebra import AlgebraError, Element, mat_mul_over, sum_products
 from .algebra import lift_matrix as _lift_field_matrix
-from .linalg import invert_matrix
 
 
 class GammaError(ValueError):
@@ -184,16 +186,6 @@ class GammaElement:
         self.even = tuple(tuple(row) for row in even)
         self.coords = tuple(coords)
         self.trace = tuple(trace) if trace is not None else None
-        # every element is checked: parities, and the even part in G(R)
-        for row in self.even:
-            for x in row:
-                if x.parity() not in (0,):
-                    raise GammaError("even part has an odd entry")
-        for a in self.coords:
-            if a.parity() not in (0, 1) or (not a.is_zero() and a.parity() != 1):
-                raise GammaError("odd coordinate is not odd")
-        if not self.pair.group.membership_over(self.R, self.even):
-            raise GammaError("even part fails the membership predicate")
 
     def __eq__(self, other):
         return (
@@ -245,26 +237,32 @@ def _conjugate_chain(pair, R, word, g, g_inv):
     return out
 
 
+def _group_point(pair, R, g):
+    """g^-1, or TokenError unless g has even entries and is an invertible point of G."""
+    if any(x.parity() != 0 for row in g for x in row):
+        raise TokenError("even part has an odd entry")
+    if not pair.group.membership_over(R, g):
+        raise TokenError("even part fails the membership predicate")
+    try:
+        return rmat_inverse(R, g)
+    except GammaError:
+        raise TokenError("group point is not invertible") from None
+
+
 def _field_rho(pair, point):
     """rho at (g^-1, g) for a point g of G with field entries, as the
     nonzero entries (m, c) of each column: the field matrix by which
     _conjugate_chain would conjugate an e-chain past g.
 
     The pair keeps it, keyed by the entries of g.  On the first call g is
-    checked against G over the pair's ground algebra K and inverted once
-    over the field: TokenError unless it is in G and invertible, whatever
-    the word holds before it."""
+    checked over the pair's ground algebra K by _group_point, whatever the
+    word holds before it."""
     key = tuple(tuple(row) for row in point)
     cols = pair.field_rho.get(key)
     if cols is None:
         K = pair.ground
         g = _lift_field_matrix(K, key)
-        if not pair.group.membership_over(K, g):
-            raise TokenError("even part fails the membership predicate")
-        g_inv = invert_matrix(key, pair.field)
-        if g_inv is None:
-            raise TokenError("even part is not invertible over R")
-        rho = pair.rho_over(K, _lift_field_matrix(K, g_inv), g)
+        rho = pair.rho_over(K, _group_point(pair, K, g), g)
         cols = pair.field_rho[key] = tuple(
             tuple((m, c) for m, row in enumerate(rho) if (c := row[idx].terms.get(0)))
             for idx in range(pair.t))
@@ -311,7 +309,7 @@ def normalize(pair, R, tokens, strategy="leftmost"):
         return _conjugate_chain_f(pair, R, left, b, lie_coords)
 
     for pos, tok in enumerate(tokens, 1):
-        kind = tok[0]
+        kind = "normal form" if isinstance(tok, GammaElement) else tok[0]
         try:
             if kind == "e":
                 _, a, idx = tok
@@ -326,16 +324,23 @@ def normalize(pair, R, tokens, strategy="leftmost"):
                 if b.parity() != 0 or not R.multiply(b, b).is_zero():
                     raise TokenError("bad f-coefficient")
                 word = absorb_f(b, tuple(lie_coords), word)
-            elif kind == "g":
-                hmat = _lift(R, tok[1])
+            elif kind in ("g", "normal form"):
+                if kind == "normal form" and (tok.pair is not pair or tok.R is not R):
+                    raise TokenError("mismatched pair or coefficient algebra")
+                hmat = _lift(R, tok[1] if kind == "g" else tok.even)
                 if hmat != ident:
-                    if _has_field_entries(tok[1]):
+                    if kind == "g" and _has_field_entries(tok[1]):
                         cols = _field_rho(pair, tok[1])
                         word = [(a.scale(c), m) for a, idx in word for m, c in cols[idx]]
-                    elif word:
-                        word = _conjugate_chain(pair, R, word, rmat_inverse(R, hmat), hmat)
+                    else:  # a caller's point is checked, a product of checked factors is not
+                        h_inv = _group_point(pair, R, hmat) if kind == "g" else None
+                        if word:
+                            h_inv = h_inv or rmat_inverse(R, hmat)
+                            word = _conjugate_chain(pair, R, word, h_inv, hmat)
                     g = hmat if g is ident else rmat_mul(R, g, hmat)
                 trace.append(("g", tuple(tuple(r) for r in hmat)))
+                if kind == "normal form":
+                    word.extend((a, i) for i, a in enumerate(tok.coords) if not a.is_zero())
             else:
                 raise TokenError("unknown token %r" % (kind,))
         except TokenError as exc:
@@ -376,21 +381,20 @@ def normalize(pair, R, tokens, strategy="leftmost"):
 
 
 def multiply(u, w):
-    if u.pair is not w.pair or u.R is not w.R:
-        raise GammaError("mismatched pair or coefficient algebra")
-    return normalize(u.pair, u.R, u.tokens() + w.tokens())
+    return normalize(u.pair, u.R, [u, w])
 
 
 def inverse(u):
     """u = g·E, E the e-chain, has inverse E^{-1} g^{-1} = g^{-1} · g E^{-1} g^{-1}:
-    g^{-1} followed by the reversed, negated chain conjugated by g.  The
-    one inverse of g serves both, and the identity conjugates nothing."""
+    g^{-1}, a chain-free normal form, then the reversed, negated chain
+    conjugated by g.  One inverse of g serves both; I conjugates nothing."""
     R, g = u.R, [list(r) for r in u.even]
     g_inv = rmat_inverse(R, g)
     chain = [(-u.coords[i], i) for i in range(u.pair.t - 1, -1, -1) if not u.coords[i].is_zero()]
     if chain and g != rmat_identity(R, len(g)):
         chain = _conjugate_chain(u.pair, R, chain, g, g_inv)
-    return normalize(u.pair, R, [("g", g_inv)] + [("e", a, i) for a, i in chain])
+    start = GammaElement(u.pair, R, g_inv, [R.zero()] * u.pair.t)
+    return normalize(u.pair, R, [start] + [("e", a, i) for a, i in chain])
 
 
 # -- tangent bracket ----------------------------------------------------
@@ -481,7 +485,11 @@ def _straighten(lie, seq):
     field, parities = lie.field, lie.space.parities
     result = {}
     stack = [(seq, field.one)]
+    steps = 0
     while stack:
+        steps += 1
+        if steps > _MAX_REWRITE_STEPS:
+            raise GammaError("straightening did not terminate")
         seq, coeff = stack.pop()
         pos = None
         for k in range(len(seq) - 1):

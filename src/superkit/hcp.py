@@ -13,6 +13,11 @@ Lie(G); and the induced Lie(G) action on V.  Conditions checked:
   (c) [v,v]·v = 0 expanded over formal commuting coefficients (the cubic
       identity; valid uniformly, including characteristic 3).
 
+MatrixGroupModel checks at build that its conditions hold at I, at each
+I + eps X, at each generic point g (whose inverse must be right) and, so
+that gamma may trust products, at g^-1 and at g·h' for the primed copy h'
+of every generic point h; else HCPError (a pair file: exit 1).
+
 Each structure table is derived once, when the group or pair is built,
 and one way.  MatrixGroupModel builds its tangent points once (over
 E = K[eps]/eps^2, I and each I + eps X with its inverse I - eps X) and its
@@ -75,12 +80,18 @@ class GenericPoint:
         self.matrix, self.inverse, self.relations = matrix, inverse, relations
 
     def over(self, field):
-        """The point with Poly entries over field, and the Reducer of its
-        relations, built once."""
+        """The point with Poly entries over field, the Reducer of its
+        relations, and its primed copy (each parameter x renamed x', a name
+        no text can give) with the copy's relations, built once."""
         read = partial(Poly.read, field)
         pt = GenericPoint(*[[[read(e) for e in row] for row in M] for M in (self.matrix, self.inverse)],
                           [read(r) for r in self.relations])
         pt.reducer = Reducer(pt.relations)
+        one = Poly.const(field, field.one)
+        names = {v for e in _flatten(pt.matrix) + pt.relations for m in e.terms for v, _ in m}
+        primed = {v: Poly(field, {((v + "'", 1),): field.one}) for v in names}
+        pt.primed = [[eval_at(e, primed, one) for e in row] for row in pt.matrix]
+        pt.primed_relations = [eval_at(r, primed, one) for r in pt.relations]
         return pt
 
 
@@ -136,6 +147,12 @@ class MatrixGroupModel:
                 raise HCPError("generic point fails a membership condition")
             if not _is_identity(mat_mul(pt.matrix, pt.inverse), pt.reducer, one):
                 raise HCPError("generic point inverse is wrong")
+            for qt in self.generic_points:  # G(R) is a group: g^-1 and g·h' are in it
+                both = Reducer(pt.relations + qt.primed_relations)
+                for mat in (pt.inverse, mat_mul(pt.matrix, qt.primed)):
+                    at = self.entries(mat)
+                    if not all(both.is_zero(eval_at(c, at, one)) for c in self.closed_conditions):
+                        raise HCPError("G is not closed under products and inverses")
         # the structure constants {(a, b): the nonzero Lie coordinates of
         # [X_a, X_b]}; terms_field raises when the basis does not close
         rows = [row_entries(X) for X in self.lie_basis]
@@ -362,15 +379,10 @@ class HarishChandraPair:
 
 def _represents(pair, point):
     """Whether rho(g) rho(h) = rho(gh) for a matrix-mode pair, g the generic
-    point and h a copy of it with each parameter x renamed x' (a name no
-    text can give), modulo the relations of both."""
-    field = pair.field
-    one = Poly.const(field, field.one)
-    g = point.matrix
-    names = {v for e in _flatten(g) + point.relations for m in e.terms for v, _ in m}
-    primed = {v: Poly(field, {((v + "'", 1),): field.one}) for v in names}
-    h = [[eval_at(e, primed, one) for e in row] for row in g]
-    reducer = Reducer(point.relations + [eval_at(r, primed, one) for r in point.relations])
+    point and h its primed copy, modulo the relations of both."""
+    one = Poly.const(pair.field, pair.field.one)
+    g, h = point.matrix, point.primed
+    reducer = Reducer(point.relations + point.primed_relations)
     lhs = mat_mul(pair._act(g, one), pair._act(h, one))
     rhs = pair._act(mat_mul(g, h), one)
     return all(reducer.is_zero(x - y) for x, y in zip(_flatten(lhs), _flatten(rhs)))

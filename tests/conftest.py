@@ -1,5 +1,6 @@
 import random
 from pathlib import Path
+from unittest import mock
 
 import float_guard
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from superkit.algebra import Element
 from superkit.fields import PrimeField, Rationals
 from superkit.fixtures import BUILTIN_PAIRS, load_fixture
-from superkit.gamma import GammaError, rmat_inverse
+from superkit.gamma import GammaElement, GammaError, rmat_inverse
 from superkit.hcp import HarishChandraPair, pseudoabelian_example
 from superkit.linalg import identity_matrix, mat_mul, transpose
 
@@ -59,6 +60,34 @@ def no_float_scalars():
     float_guard.HITS.clear()
     yield
     assert not float_guard.HITS, float_guard.HITS[0]
+
+
+def check_normal_form(u):
+    """The referee of a normal form: GammaError unless every entry of the
+    even part is even, every chain coefficient odd, and the even part in
+    G(R) and invertible.  gamma checks the tokens a normal form is built
+    from, not the normal form itself."""
+    if any(x.parity() != 0 for row in u.even for x in row):
+        raise GammaError("even part has an odd entry")
+    if any(not a.is_zero() and a.parity() != 1 for a in u.coords):
+        raise GammaError("odd coordinate is not odd")
+    if not u.pair.group.membership_over(u.R, u.even):
+        raise GammaError("even part fails the membership predicate")
+    rmat_inverse(u.R, u.even)  # GammaError when singular
+
+
+@pytest.fixture(scope="session", autouse=True)
+def referee_every_normal_form():
+    """Every GammaElement built in a test, by gamma or by the test, passes
+    check_normal_form as it is built."""
+    init = GammaElement.__init__
+
+    def checked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        check_normal_form(self)
+
+    with mock.patch.object(GammaElement, "__init__", checked):
+        yield
 
 
 @pytest.fixture

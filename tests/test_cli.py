@@ -170,6 +170,19 @@ class TestRepresentation:
         assert code == 1
         assert out.splitlines()[1:] == self.FAILS
 
+    def test_group_model_that_is_no_group_fails_at_load(self, capsys, tmp_path):
+        # the symmetric 2x2 matrices: g g' is not symmetric
+        path = _abelian_pseudoabelian(tmp_path, "symmetric.pair.json", {
+            "closed_conditions": ["m_0_1 - m_1_0"],
+            "generic_points": [{"matrix": [["a", "b"], ["b", "d"]],
+                                "inverse": [["d*T", "-b*T"], ["-b*T", "a*T"]],
+                                "relations": ["(a*d - b*b)*T - 1"]}],
+            "lie_basis": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]],
+            "bracket_gv": None})
+        code, out, err = run(capsys, ["validate", path])
+        assert code == 1 and out == ""
+        assert err.startswith("check failed: G is not closed under products and inverses")
+
     @pytest.mark.parametrize("field", ["q", "p=3", "p=5"])
     def test_cube_fails_unless_the_characteristic_is_3(self, capsys, tmp_path, field):
         # rho(g) rho(g^-1) = I for the cube (s^3 + (-s)^3 = 0), but

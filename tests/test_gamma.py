@@ -850,18 +850,34 @@ def test_field_point_conjugates_as_rho_over_R(spec, field_name, rng):
     assert len(pair.field_rho) == len(points)
 
 
+def residue(R, mat):
+    """The field matrix of the unit coefficients of a matrix over R."""
+    return [[x.terms.get(R.unit_index, R.field.zero) for x in row] for row in mat]
+
+
+def point_case(pair, R, mat):
+    """Which case a group point, with field entries or entries in R, is: an
+    odd entry, a singular residue (R is local, so that is singularity over
+    R), outside G or in G."""
+    if not isinstance(mat[0][0], Element):
+        mat = lift_matrix(R, mat)
+    if any(x.parity() != 0 for row in mat for x in row):
+        return "odd entry"
+    if invert_matrix(residue(R, mat), pair.field) is None:
+        return "singular"
+    return "in G" if pair.group.membership_over(R, mat) else "outside G"
+
+
 def token_referee(pair, R, tok):
     """Whether a token lies in Gamma(R), by the criteria cli.parse_word
     checked before normalize took them over: an odd e-coefficient, an even
-    f-coefficient of square zero, and a group point that is invertible
-    over the field and passes the membership conditions once lifted to R."""
+    f-coefficient of square zero, and a group point in G."""
     kind, x = tok[0], tok[1]
     if kind == "e":
         return x.is_zero() or x.parity() == 1
     if kind == "f":
         return x.parity() == 0 and R.multiply(x, x).is_zero()
-    return (invert_matrix(x, pair.field) is not None
-            and pair.group.membership_over(R, lift_matrix(R, x)))
+    return point_case(pair, R, x) == "in G"
 
 
 @pytest.mark.parametrize("field_name", sorted(FIELDS))
@@ -869,13 +885,17 @@ def token_referee(pair, R, tok):
 def test_token_error_exactly_when_the_referee_rejects(spec, field_name):
     """normalize raises TokenError for a token exactly when token_referee
     rejects it, whatever the e-token before it: field points near the
-    identity (in G, outside G, singular), e-coefficients of any parity and
+    identity (in G, outside G, singular), points over R (each field point
+    times I + bX for a Lie basis vector X and b = a1·a2, or with a3 added
+    to one entry: in G, outside G, singular only in the residue, with an
+    odd entry), each case seen, e-coefficients of any parity and
     f-coefficients odd, of nonzero square or of square zero."""
     field = FIELDS[field_name]
     pair = shipped_pair(spec, field)
     R = grassmann(field, ["a1", "a2", "a3"])
-    rng = random.Random(61)
-    n, a1 = pair.group.size, odd(R, "a1")
+    rng, rng_R = random.Random(61), random.Random(62)
+    n, a1, a3 = pair.group.size, odd(R, "a1"), odd(R, "a3")
+    even = R.multiply(a1, odd(R, "a2"))
     lie = (field.one,) + (field.zero,) * (pair.lie_dim - 1)
     seen = set()
     toks = []
@@ -885,24 +905,33 @@ def test_token_error_exactly_when_the_referee_rejects(spec, field_name):
             mat[rng.randrange(n)][rng.randrange(n)] = field.from_int(rng.choice((-1, 0, 1, 2)))
         toks.append(("g", mat))
         toks.append(("e", random_element(rng, R, bound=1), 0))
-    even = R.multiply(a1, odd(R, "a2"))
+        if rng_R.random() < 0.8:
+            point = G.rmat_mul(R, lift_matrix(R, mat), [
+                [(R.unit if i == j else R.zero()) + even.scale(x) for j, x in enumerate(row)]
+                for i, row in enumerate(rng_R.choice(pair.group.lie_basis))])
+        else:
+            point = lift_matrix(R, mat)
+            i, j = rng_R.randrange(n), rng_R.randrange(n)
+            point[i][j] = point[i][j] + a3
+        toks.append(("g", point))
     toks += [("f", b, lie) for b in (a1, R.unit + even, even, a1 + even)]
     for tok in toks:
         want = token_referee(pair, R, tok)
         if tok[0] == "g":
-            seen.add("in G" if want else "singular" if invert_matrix(tok[1], field) is None
-                     else "outside G")
+            seen.add(("R" if isinstance(tok[1][0][0], Element) else "field",
+                      point_case(pair, R, tok[1])))
         for word in ([tok], [("e", a1, pair.t - 1), tok]):
             if want:
                 G.normalize(pair, R, word)
             else:
                 with pytest.raises(G.TokenError, match="token %d \\(%s\\): " % (len(word), tok[0])):
                     G.normalize(pair, R, word)
-    assert seen == {"in G", "outside G", "singular"}
+    assert seen == {("field", "in G"), ("field", "outside G"), ("field", "singular"),
+                    ("R", "in G"), ("R", "outside G"), ("R", "singular"), ("R", "odd entry")}
 
 
 class TestFieldPointChecks:
-    """A field point outside G or singular raises the same GammaError
+    """A group point outside G or singular raises the same TokenError
     whatever the word holds before it."""
 
     OUTSIDE = [[Q.one, Q.one], [Q.zero, Q.one]]
@@ -918,27 +947,50 @@ class TestFieldPointChecks:
     def test_singular_point(self, R):
         pair = gl11_pair(Q)
         for word in ([("g", self.SINGULAR)], [("e", odd(R, "a1"), 1), ("g", self.SINGULAR)]):
-            with pytest.raises(G.GammaError, match="even part is not invertible over R"):
+            with pytest.raises(G.GammaError, match="group point is not invertible"):
                 G.normalize(pair, R, word)
 
     def test_point_over_R_outside_G(self, pair, R):
-        """A point over R takes no memo; the element's own check rejects it."""
-        with pytest.raises(G.GammaError, match="even part fails the membership predicate"):
-            G.normalize(pair, R, [("g", lift_matrix(R, self.OUTSIDE))])
+        """A point over R takes no memo; normalize checks it as it enters."""
+        word = [("e", odd(R, "a1"), 0), ("g", lift_matrix(R, self.OUTSIDE))]
+        for k in (1, 2):
+            with pytest.raises(G.TokenError, match="token %d \\(g\\): even part fails the "
+                               "membership predicate" % k):
+                G.normalize(pair, R, word[2 - k:])
+
+    def test_singular_point_over_R(self, pair):
+        """diag(0, 1) satisfies the conditions of gl(1|1), which only ask the
+        odd blocks to vanish; it is rejected where it enters, whether or not
+        an e-chain comes before it."""
+        R = grassmann(Q, ["a1", "a2"])
+        point = ("g", lift_matrix(R, [[0, 0], [0, 1]]))
+        for word in ([point], [("e", odd(R, "a1"), 0), point]):
+            with pytest.raises(G.TokenError, match="token %d \\(g\\): group point is not "
+                               "invertible" % len(word)):
+                G.normalize(pair, R, word)
 
 
 class TestRaises:
     """The checks of gamma that no other test sees fail."""
 
     def test_odd_entry_in_even_part(self, pair, R):
+        """The referee rejects a normal form whose even part has an odd
+        entry; normalize rejects such a point over R where it enters."""
         one, zero, a1 = R.unit, R.zero(), odd(R, "a1")
+        point = [[one, a1], [zero, one]]
         with pytest.raises(G.GammaError, match="even part has an odd entry"):
-            G.GammaElement(pair, R, [[one, a1], [zero, one]], [zero, zero])
+            G.GammaElement(pair, R, point, [zero, zero])
+        with pytest.raises(G.TokenError, match="token 1 \\(g\\): even part has an odd entry"):
+            G.normalize(pair, R, [("g", point)])
 
     def test_even_odd_coordinate(self, pair, R):
+        """The referee rejects a normal form with an even chain coefficient;
+        normalize rejects such an e-token where it enters."""
         ident, zero = G.rmat_identity(R, 2), R.zero()
         with pytest.raises(G.GammaError, match="odd coordinate is not odd"):
             G.GammaElement(pair, R, ident, [R.unit, zero])
+        with pytest.raises(G.TokenError, match="token 1 \\(e\\): e-coefficient must be odd"):
+            G.normalize(pair, R, [("e", R.unit, 0)])
 
     def test_no_trace(self, pair, R):
         u = G.GammaElement(pair, R, G.rmat_identity(R, 2), [odd(R, "a1"), R.zero()])
@@ -972,3 +1024,27 @@ class TestRaises:
             G.normalize(pair, R, [("e", a1, 0), ("e", a2, 1)])
             with pytest.raises(G.GammaError, match="rewriting did not terminate"):
                 G.normalize(pair, R, [("e", a1, 1), ("e", a2, 0)])
+
+    def test_straightening_bound(self):
+        """One pop of a sorted sequence ends the loop; a swap needs more.  A
+        fresh pair keeps no straightening yet."""
+        oracle = G.EnvelopingOracle(gl11_pair(Q), grassmann(Q, ["a1"]))
+        with mock.patch.object(G, "_MAX_REWRITE_STEPS", 1):
+            assert oracle.straighten((0, 2)) == (((0, 2), Q.one),)
+            with pytest.raises(G.GammaError, match="straightening did not terminate"):
+                oracle.straighten((2, 0))
+
+    def test_distinct_normal_forms_unequal(self, pair, R):
+        """Normal forms differing in the even part, the chain, R or the pair
+        compare unequal."""
+        a1, a2 = odd(R, "a1"), odd(R, "a2")
+        R2 = grassmann(Q, ["a1", "a2", "a3", "a4"])
+        u = G.normalize(pair, R, [("e", a1, 0)])
+        assert u == G.normalize(pair, R, [("e", a1, 0)])
+        scaled = G.normalize(pair, R, [("g", [[Q.from_int(2), Q.zero], [Q.zero, Q.one]]),
+                                       ("e", a1, 0)])
+        assert scaled.coords == u.coords
+        for other in (scaled, G.normalize(pair, R, [("e", a2, 0)]),
+                      G.normalize(pair, R2, [("e", odd(R2, "a1"), 0)]),
+                      G.normalize(gl11_pair(Q), R, [("e", a1, 0)])):
+            assert u != other

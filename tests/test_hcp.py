@@ -65,6 +65,27 @@ class TestValidation:
         with pytest.raises(HCPError, match="generic point fails a membership condition"):
             _ga_group(Q, point=hcp.GenericPoint([[2, "s"], [0, 1]], [[1, "-s"], [0, 1]], []))
 
+    def test_conditions_not_closed_under_products_rejected(self):
+        """The symmetric 2x2 matrices contain I, their tangent vectors and
+        the inverse of each point, but not the product of two points.  The
+        union of the diagonal torus and the unipotent upper triangle holds
+        each generic point's own products, but not diag(a, d)·[[1, s'], [0, 1]]."""
+        e00, e11, e01 = ([[Q.one if (i, j) == ij else Q.zero for j in range(2)] for i in range(2)]
+                         for ij in ((0, 0), (1, 1), (0, 1)))
+        symmetric = ([hcp.GenericPoint([["a", "b"], ["b", "d"]],
+                                       [["d*T", "-b*T"], ["-b*T", "a*T"]], ["(a*d - b*b)*T - 1"])],
+                     ["m_0_1 - m_1_0"], [e00, e11])
+        torus = hcp.GenericPoint([["a", 0], [0, "d"]], [["a_i", 0], [0, "d_i"]],
+                                 ["a*a_i - 1", "d*d_i - 1"])
+        unipotent = hcp.GenericPoint([[1, "s"], [0, 1]], [[1, "-s"], [0, 1]], [])
+        union = ([torus, unipotent], ["m_1_0", "m_0_1*(m_0_0 - 1)", "m_0_1*(m_1_1 - 1)"],
+                 [e00, e11, e01])
+        for points, conditions, lie_basis in (symmetric, union):
+            with pytest.raises(HCPError, match="G is not closed under products and inverses"):
+                hcp.MatrixGroupModel(Q, 2, conditions, lie_basis, points)
+        for pt in union[0]:  # either chart alone passes: only the product across them fails
+            hcp.MatrixGroupModel(Q, 2, union[1], union[2], [pt])
+
     def test_generic_action_escaping_the_module_reported(self):
         # Lie basis {I}: [g,V] = 0 derives, but diag(alpha, delta) moves
         # E01 + E10 off its span
@@ -132,10 +153,23 @@ class TestRadical:
         assert lie_hr.contains([Q.one, Q.one])
 
     def test_brute_force_agrees(self):
+        """The oracle's best coordinate span lies in the closure's W, and is W
+        whenever W is spanned by coordinate vectors: the whole of V, nothing,
+        or span{z} for a vector z that brackets to 0 with all of V."""
+        def with_z():
+            group = pseudoabelian_example(Q, 1).group
+            return HarishChandraPair(group, ["w1", "phi1", "z"], {(1, 0): (Q.one,)})
+
+        dims = []
         for mk, lie_rows in [
             (lambda: pseudoabelian_example(Q, 1), None),
+            (lambda: pseudoabelian_example(Q, 1), []),
             (lambda: pseudoabelian_example(Q, 2), None),
+            (lambda: pseudoabelian_example(Q, 2), []),
             (lambda: gl11_pair(Q), [[Q.one, Q.one]]),
+            (lambda: gl11_pair(Q), [[Q.one, Q.zero]]),
+            (with_z, None),
+            (with_z, []),
         ]:
             pair = mk()
             lie_r = (
@@ -148,6 +182,14 @@ class TestRadical:
             assert best.dim <= W.sub.dim
             for row in best.rows:
                 assert W.sub.contains(row)
+            if all(sum(1 for x in row if x) == 1 for row in W.sub.rows):
+                assert best == W.sub
+                dims.append((W.sub.dim, pair.t))
+        assert {(0, 2), (2, 2), (0, 4), (4, 4), (1, 3), (3, 3)} <= set(dims)
+
+    def test_brute_force_needs_small_dim(self):
+        with pytest.raises(HCPError, match="dim V <= 4"):
+            brute_force_largest_subordinated(pseudoabelian_example(Q, 3), Subspace(Q, 1))
 
 
 def closure_referee(pair, lie_r):
@@ -262,6 +304,14 @@ class TestExactSequence:
             _make_quotient_pair(Q), [[Q.zero, Q.one]],
         )
         assert "(1) W -> V is not injective" in report.failures
+
+    def test_matrices_of_the_wrong_shape_rejected(self):
+        mid = pseudoabelian_example(Q, 1)
+        inner, outer = _make_submodule_pair(Q), _make_quotient_pair(Q)
+        for w_to_v, v_to_u, what in (([[Q.one]], [[Q.zero, Q.one]], "embedding"),
+                                     ([[Q.one], [Q.zero]], [[Q.zero]], "projection")):
+            with pytest.raises(HCPError, match="%s matrix has wrong shape" % what):
+                check_exact_sequence(inner, w_to_v, [[Q.one]], mid, outer, v_to_u)
 
     def test_fixture_flag_propagates(self):
         mid = pseudoabelian_example(Q, 1)
