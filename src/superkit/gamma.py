@@ -21,7 +21,7 @@ per pair for a field point, on every token for a point over R).  A normal
 form is a token of its own, as multiply and inverse pass them: normalize
 checks that its pair and R are the word's and trusts the rest, a product of
 checked factors.  GammaElement() checks nothing; hcp.MatrixGroupModel checks
-that G is closed under products.
+that G is closed under products and inverses.
 
 f-factors and group points are absorbed into the even part immediately as
 matrix factors; moving them left conjugates the e-chain via (5) (clean,
@@ -46,10 +46,10 @@ field matrix M.  A g-token while g is still the identity replaces it, and
 the inverse of a normal form's even part is computed only when there is
 an e-chain to conjugate.  The remaining products of two matrices over R
 (rmat_mul) are algebra.mat_mul_over; rho_over's g M g^-1 and the
-enveloping oracle's product hand their coefficient products to algebra.sum_products.  All of
-them contract every product of coefficients into one terms dict per
-output entry or PBW monomial and make an Element only for the finished
-sum.
+enveloping oracle's product hand their coefficient products to
+algebra.sum_products.  All of them contract every product of coefficients
+into one terms dict per output entry or PBW monomial and make an Element
+only for the finished sum.
 
 Termination: every (1)/(4) correction coefficient has strictly larger
 degree in the odd generators of R, and the odd part of R generates a

@@ -6,7 +6,7 @@ from operator import add
 import pytest
 import sympy
 
-from conftest import REALISED, SHIPPED_PAIRS, mat_bracket, random_point, shear_pair
+from conftest import REALISED, SHIPPED_PAIRS, mat_bracket, osp12_pair, random_point, shear_pair
 from superkit import hcp
 from superkit.algebra import Element, grassmann, lift_matrix, mat_mul_over, sum_products
 from superkit.fields import PrimeField, Rationals
@@ -155,7 +155,9 @@ class TestRadical:
     def test_brute_force_agrees(self):
         """The oracle's best coordinate span lies in the closure's W, and is W
         whenever W is spanned by coordinate vectors: the whole of V, nothing,
-        or span{z} for a vector z that brackets to 0 with all of V."""
+        or span{z} for a vector z that brackets to 0 with all of V.  For
+        osp(1|2) and Lie(R) = span{h, e}, [v1, V] lies in Lie(R) but
+        [[v1, v2], v2] is not in span{v1}, and [v2, v2] is not in Lie(R)."""
         def with_z():
             group = pseudoabelian_example(Q, 1).group
             return HarishChandraPair(group, ["w1", "phi1", "z"], {(1, 0): (Q.one,)})
@@ -170,6 +172,7 @@ class TestRadical:
             (lambda: gl11_pair(Q), [[Q.one, Q.zero]]),
             (with_z, None),
             (with_z, []),
+            (lambda: osp12_pair(Q), [[Q.one, Q.zero, Q.zero], [Q.zero, Q.one, Q.zero]]),
         ]:
             pair = mk()
             lie_r = (
