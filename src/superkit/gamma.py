@@ -21,7 +21,8 @@ per pair for a field point, on every token for a point over R).  A normal
 form is a token of its own, as multiply and inverse pass them: normalize
 checks that its pair and R are the word's and trusts the rest, a product of
 checked factors.  GammaElement() checks nothing; hcp.MatrixGroupModel checks
-that G is closed under products and inverses.
+once, on formal entries, that G(R) is closed under products and inverses for
+every R.
 
 f-factors and group points are absorbed into the even part immediately as
 matrix factors; moving them left conjugates the e-chain via (5) (clean,

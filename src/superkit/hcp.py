@@ -14,9 +14,11 @@ Lie(G); and the induced Lie(G) action on V.  Conditions checked:
       identity; valid uniformly, including characteristic 3).
 
 MatrixGroupModel checks at build that its conditions hold at I, at each
-I + eps X, at each generic point g (whose inverse must be right) and, so
-that gamma may trust products, at g^-1 and at g·h' for the primed copy h'
-of every generic point h; else HCPError (a pair file: exit 1).
+I + eps X and at each generic point g (whose inverse must be right), and,
+so that gamma may trust products of points over any R, that they hold at
+M·M' and at M^-1 for the matrices M, M' of formal entries, modulo the
+conditions at both and det·t = 1: G(R) is then a group for every R, not
+only at the generic points; else HCPError (a pair file: exit 1).
 
 Each structure table is derived once, when the group or pair is built,
 and one way.  MatrixGroupModel builds its tangent points once (over
@@ -42,7 +44,7 @@ exactness condition checks for short sequences of pairs.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations_with_replacement, permutations
 from operator import add
 
@@ -80,19 +82,28 @@ class GenericPoint:
         self.matrix, self.inverse, self.relations = matrix, inverse, relations
 
     def over(self, field):
-        """The point with Poly entries over field, the Reducer of its
-        relations, and its primed copy (each parameter x renamed x', a name
-        no text can give) with the copy's relations, built once."""
+        """The point with Poly entries over field, and the Reducer of its
+        relations, built once."""
         read = partial(Poly.read, field)
         pt = GenericPoint(*[[[read(e) for e in row] for row in M] for M in (self.matrix, self.inverse)],
                           [read(r) for r in self.relations])
         pt.reducer = Reducer(pt.relations)
-        one = Poly.const(field, field.one)
-        names = {v for e in _flatten(pt.matrix) + pt.relations for m in e.terms for v, _ in m}
-        primed = {v: Poly(field, {((v + "'", 1),): field.one}) for v in names}
-        pt.primed = [[eval_at(e, primed, one) for e in row] for row in pt.matrix]
-        pt.primed_relations = [eval_at(r, primed, one) for r in pt.relations]
         return pt
+
+
+def _primed(mat, relations, one):
+    """A copy of a square Poly matrix and of its relations with each name x
+    renamed x' (a name no text can give)."""
+    names = {v for p in _flatten(mat) + relations for mono in p.terms for v, _ in mono}
+    at = {v: Poly(one.field, {((v + "'", 1),): one.field.one}) for v in names}
+    return [[eval_at(x, at, one) for x in row] for row in mat], [eval_at(r, at, one) for r in relations]
+
+
+def _det(mat, one):
+    """The determinant of a square Poly matrix, expanded along the first row
+    past its zero entries."""
+    return reduce(add, ((-x if j % 2 else x) * _det([r[:j] + r[j + 1:] for r in mat[1:]], one)
+                        for j, x in enumerate(mat[0]) if x), one - one) if mat else one
 
 
 def _is_identity(mat, reducer, one):
@@ -147,12 +158,28 @@ class MatrixGroupModel:
                 raise HCPError("generic point fails a membership condition")
             if not _is_identity(mat_mul(pt.matrix, pt.inverse), pt.reducer, one):
                 raise HCPError("generic point inverse is wrong")
-            for qt in self.generic_points:  # G(R) is a group: g^-1 and g·h' are in it
-                both = Reducer(pt.relations + qt.primed_relations)
-                for mat in (pt.inverse, mat_mul(pt.matrix, qt.primed)):
-                    at = self.entries(mat)
-                    if not all(both.is_zero(eval_at(c, at, one)) for c in self.closed_conditions):
-                        raise HCPError("G is not closed under products and inverses")
+        # G(R) is a group for every R, not only at the generic points: the
+        # conditions hold at M·M' and at M^-1 = adj(M)·t modulo the
+        # conditions at M and M' and det(M)·t - 1, det(M')·t' - 1 (a Hopf
+        # ideal), for the matrix M of the entry names, each entry fixed by a
+        # condition a·m_i_j + b replaced by -b/a, and its primed copy M'
+        n, t = self.size, Poly(field, {(("1/det", 1),): field.one})
+        M = [[Poly.read(field, "m_%d_%d" % (i, j)) for j in range(n)] for i in range(n)]
+        for c in self.closed_conditions:
+            m, *more = [m for m in c.terms if m] or [()]
+            if not more and len(m) == 1 and m[0][1] == 1:
+                i, j = map(int, m[0][0].split("_")[1:])
+                M[i][j] = Poly.const(field, -c.terms.get((), field.zero) * field.inv(c.terms[m]))
+        minor = lambda i, j: [row[:j] + row[j + 1:] for k, row in enumerate(M) if k != i]
+        inv = [[_det(minor(j, i), one) * (-t if (i + j) % 2 else t) for j in range(n)] for i in range(n)]
+        relations = [eval_at(c, self.entries(M), one) for c in self.closed_conditions]
+        relations.append(_det(M, one) * t - one)
+        M2, relations2 = _primed(M, relations, one)
+        ideal = Reducer(relations + relations2)
+        for mat in (mat_mul(M, M2), inv):
+            at = self.entries(mat)
+            if not all(ideal.is_zero(eval_at(c, at, one)) for c in self.closed_conditions):
+                raise HCPError("G is not closed under products and inverses")
         # the structure constants {(a, b): the nonzero Lie coordinates of
         # [X_a, X_b]}; terms_field raises when the basis does not close
         rows = [row_entries(X) for X in self.lie_basis]
@@ -381,8 +408,9 @@ def _represents(pair, point):
     """Whether rho(g) rho(h) = rho(gh) for a matrix-mode pair, g the generic
     point and h its primed copy, modulo the relations of both."""
     one = Poly.const(pair.field, pair.field.one)
-    g, h = point.matrix, point.primed
-    reducer = Reducer(point.relations + point.primed_relations)
+    g = point.matrix
+    h, relations = _primed(g, point.relations, one)
+    reducer = Reducer(point.relations + relations)
     lhs = mat_mul(pair._act(g, one), pair._act(h, one))
     rhs = pair._act(mat_mul(g, h), one)
     return all(reducer.is_zero(x - y) for x, y in zip(_flatten(lhs), _flatten(rhs)))

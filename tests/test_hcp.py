@@ -66,25 +66,32 @@ class TestValidation:
             _ga_group(Q, point=hcp.GenericPoint([[2, "s"], [0, 1]], [[1, "-s"], [0, 1]], []))
 
     def test_conditions_not_closed_under_products_rejected(self):
-        """The symmetric 2x2 matrices contain I, their tangent vectors and
-        the inverse of each point, but not the product of two points.  The
-        union of the diagonal torus and the unipotent upper triangle holds
-        each generic point's own products, but not diag(a, d)·[[1, s'], [0, 1]]."""
-        e00, e11, e01 = ([[Q.one if (i, j) == ij else Q.zero for j in range(2)] for i in range(2)]
-                         for ij in ((0, 0), (1, 1), (0, 1)))
-        symmetric = ([hcp.GenericPoint([["a", "b"], ["b", "d"]],
-                                       [["d*T", "-b*T"], ["-b*T", "a*T"]], ["(a*d - b*b)*T - 1"])],
-                     ["m_0_1 - m_1_0"], [e00, e11])
+        """The check is on G, not on its generic points.  The symmetric 2x2
+        matrices contain I, their tangent vectors and the inverse of each
+        point, but not the product of two points.  The union of the diagonal
+        torus and the unipotent upper triangle fails with both charts or
+        either one alone (diag(2, 1) and [[1, 1], [0, 1]] are in it, their
+        product is not), and so does the union of the unipotent triangle and
+        {diag(1, d)}, whose entry m_0_0 a condition fixes to 1.  SL(2) builds
+        from the unipotent chart alone."""
+        e00, e11, e01, e10 = ([[Q.one if (i, j) == ij else Q.zero for j in range(2)] for i in range(2)]
+                              for ij in ((0, 0), (1, 1), (0, 1), (1, 0)))
+        symmetric = hcp.GenericPoint([["a", "b"], ["b", "d"]],
+                                     [["d*T", "-b*T"], ["-b*T", "a*T"]], ["(a*d - b*b)*T - 1"])
         torus = hcp.GenericPoint([["a", 0], [0, "d"]], [["a_i", 0], [0, "d_i"]],
                                  ["a*a_i - 1", "d*d_i - 1"])
         unipotent = hcp.GenericPoint([[1, "s"], [0, 1]], [[1, "-s"], [0, 1]], [])
-        union = ([torus, unipotent], ["m_1_0", "m_0_1*(m_0_0 - 1)", "m_0_1*(m_1_1 - 1)"],
-                 [e00, e11, e01])
-        for points, conditions, lie_basis in (symmetric, union):
+        union = ["m_1_0", "m_0_1*(m_0_0 - 1)", "m_0_1*(m_1_1 - 1)"]
+        for conditions, lie_basis, points in (
+                (["m_0_1 - m_1_0"], [e00, e11], [symmetric]),
+                (union, [e00, e11, e01], [torus, unipotent]),
+                (union, [e00, e11, e01], [torus]),
+                (union, [e00, e11, e01], [unipotent]),
+                (["m_0_0 - 1", "m_1_0", "m_0_1*(m_1_1 - 1)"], [e11, e01], [unipotent])):
             with pytest.raises(HCPError, match="G is not closed under products and inverses"):
                 hcp.MatrixGroupModel(Q, 2, conditions, lie_basis, points)
-        for pt in union[0]:  # either chart alone passes: only the product across them fails
-            hcp.MatrixGroupModel(Q, 2, union[1], union[2], [pt])
+        h = [[Q.one, Q.zero], [Q.zero, -Q.one]]
+        hcp.MatrixGroupModel(Q, 2, ["m_0_0*m_1_1 - m_0_1*m_1_0 - 1"], [e01, e10, h], [unipotent])
 
     def test_generic_action_escaping_the_module_reported(self):
         # Lie basis {I}: [g,V] = 0 derives, but diag(alpha, delta) moves
