@@ -96,7 +96,8 @@ def _primed(mat, relations, one):
     renamed x' (a name no text can give)."""
     names = {v for p in _flatten(mat) + relations for mono in p.terms for v, _ in mono}
     at = {v: Poly(one.field, {((v + "'", 1),): one.field.one}) for v in names}
-    return [[eval_at(x, at, one) for x in row] for row in mat], [eval_at(r, at, one) for r in relations]
+    return ([[eval_at(x, at, one) for x in row] for row in mat],
+            [eval_at(r, at, one) for r in relations])
 
 
 def _det(mat, one):
@@ -158,11 +159,9 @@ class MatrixGroupModel:
                 raise HCPError("generic point fails a membership condition")
             if not _is_identity(mat_mul(pt.matrix, pt.inverse), pt.reducer, one):
                 raise HCPError("generic point inverse is wrong")
-        # G(R) is a group for every R, not only at the generic points: the
-        # conditions hold at M·M' and at M^-1 = adj(M)·t modulo the
-        # conditions at M and M' and det(M)·t - 1, det(M')·t' - 1 (a Hopf
-        # ideal), for the matrix M of the entry names, each entry fixed by a
-        # condition a·m_i_j + b replaced by -b/a, and its primed copy M'
+        # G(R) is a group for every R: the conditions at M·M' and adj(M)·t
+        # lie in the ideal of the conditions at M, M' and det·t - 1 (a Hopf
+        # ideal), M the entry names with each a·m_i_j + b = 0 fixed to -b/a
         n, t = self.size, Poly(field, {(("1/det", 1),): field.one})
         M = [[Poly.read(field, "m_%d_%d" % (i, j)) for j in range(n)] for i in range(n)]
         for c in self.closed_conditions:
@@ -171,7 +170,8 @@ class MatrixGroupModel:
                 i, j = map(int, m[0][0].split("_")[1:])
                 M[i][j] = Poly.const(field, -c.terms.get((), field.zero) * field.inv(c.terms[m]))
         minor = lambda i, j: [row[:j] + row[j + 1:] for k, row in enumerate(M) if k != i]
-        inv = [[_det(minor(j, i), one) * (-t if (i + j) % 2 else t) for j in range(n)] for i in range(n)]
+        inv = [[_det(minor(j, i), one) * (-t if (i + j) % 2 else t) for j in range(n)]
+               for i in range(n)]
         relations = [eval_at(c, self.entries(M), one) for c in self.closed_conditions]
         relations.append(_det(M, one) * t - one)
         M2, relations2 = _primed(M, relations, one)
