@@ -71,27 +71,51 @@ class TestValidation:
         point, but not the product of two points.  The union of the diagonal
         torus and the unipotent upper triangle fails with both charts or
         either one alone (diag(2, 1) and [[1, 1], [0, 1]] are in it, their
-        product is not), and so does the union of the unipotent triangle and
-        {diag(1, d)}, whose entry m_0_0 a condition fixes to 1.  SL(2) builds
-        from the unipotent chart alone."""
-        e00, e11, e01, e10 = ([[Q.one if (i, j) == ij else Q.zero for j in range(2)] for i in range(2)]
-                              for ij in ((0, 0), (1, 1), (0, 1), (1, 0)))
+        product is not), and so do the union of the unipotent triangle and
+        {diag(1, d)}, whose entry m_0_0 a condition fixes to 1, the union of
+        the two triangles (m_0_1·m_1_0 = 0) and the unipotent triangle with
+        s^2 = 0 over Q.  Groups build whatever their charts: SL(2) and SL(3)
+        from the unipotent chart alone, and the torus {[[a, a - d], [0, d]]},
+        whose inverse has the off-diagonal entry (d - a)/(ad)."""
+        def units(n):
+            return {(i, j): [[Q.one if (a, b) == (i, j) else Q.zero for b in range(n)]
+                             for a in range(n)] for i in range(n) for j in range(n)}
+
+        e = units(2)
+        e00, e11, e01, e10 = e[0, 0], e[1, 1], e[0, 1], e[1, 0]
         symmetric = hcp.GenericPoint([["a", "b"], ["b", "d"]],
                                      [["d*T", "-b*T"], ["-b*T", "a*T"]], ["(a*d - b*b)*T - 1"])
         torus = hcp.GenericPoint([["a", 0], [0, "d"]], [["a_i", 0], [0, "d_i"]],
                                  ["a*a_i - 1", "d*d_i - 1"])
         unipotent = hcp.GenericPoint([[1, "s"], [0, 1]], [[1, "-s"], [0, 1]], [])
+        square_zero = hcp.GenericPoint([[1, "s"], [0, 1]], [[1, "-s"], [0, 1]], ["s^2"])
         union = ["m_1_0", "m_0_1*(m_0_0 - 1)", "m_0_1*(m_1_1 - 1)"]
         for conditions, lie_basis, points in (
                 (["m_0_1 - m_1_0"], [e00, e11], [symmetric]),
                 (union, [e00, e11, e01], [torus, unipotent]),
                 (union, [e00, e11, e01], [torus]),
                 (union, [e00, e11, e01], [unipotent]),
-                (["m_0_0 - 1", "m_1_0", "m_0_1*(m_1_1 - 1)"], [e11, e01], [unipotent])):
+                (["m_0_0 - 1", "m_1_0", "m_0_1*(m_1_1 - 1)"], [e11, e01], [unipotent]),
+                (["m_0_1*m_1_0"], [e00, e11], [torus]),
+                (["m_0_0 - 1", "m_1_1 - 1", "m_1_0", "m_0_1^2"], [e01], [square_zero])):
             with pytest.raises(HCPError, match="G is not closed under products and inverses"):
                 hcp.MatrixGroupModel(Q, 2, conditions, lie_basis, points)
         h = [[Q.one, Q.zero], [Q.zero, -Q.one]]
         hcp.MatrixGroupModel(Q, 2, ["m_0_0*m_1_1 - m_0_1*m_1_0 - 1"], [e01, e10, h], [unipotent])
+        shifted = hcp.GenericPoint([["a", "a - d"], [0, "d"]], [["a_i", "(d - a)*a_i*d_i"], [0, "d_i"]],
+                                   ["a*a_i - 1", "d*d_i - 1"])
+        hcp.MatrixGroupModel(Q, 2, ["m_1_0", "m_0_1 - m_0_0 + m_1_1"],
+                             [[[Q.one, Q.one], [Q.zero, Q.zero]], [[Q.zero, -Q.one], [Q.zero, Q.one]]],
+                             [shifted])
+        e3 = units(3)
+        det3 = ("m_0_0*(m_1_1*m_2_2 - m_1_2*m_2_1) - m_0_1*(m_1_0*m_2_2 - m_1_2*m_2_0)"
+                " + m_0_2*(m_1_0*m_2_1 - m_1_1*m_2_0) - 1")
+        sl3 = [M for (i, j), M in e3.items() if i != j] + [
+            [[e3[i, i][a][b] - e3[i + 1, i + 1][a][b] for b in range(3)] for a in range(3)]
+            for i in range(2)]
+        heisenberg = hcp.GenericPoint([[1, "x", "y"], [0, 1, "z"], [0, 0, 1]],
+                                      [[1, "-x", "x*z - y"], [0, 1, "-z"], [0, 0, 1]], [])
+        hcp.MatrixGroupModel(Q, 3, [det3], sl3, [heisenberg])
 
     def test_generic_action_escaping_the_module_reported(self):
         # Lie basis {I}: [g,V] = 0 derives, but diag(alpha, delta) moves
