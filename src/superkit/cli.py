@@ -11,18 +11,22 @@
 Exit status: 0 on success, 1 when a mathematical check fails, 2 on
 malformed input (one line on stderr).  Scalars print exactly, rationals
 as a/b.
+
+A process imports only the superkit modules its command runs: at the top
+this module loads fields alone.  Each command imports its fixtures and
+checks in its body, symbolic is loaded by parse_coeff_algebra and
+parse_element, linalg by _parse_lie_r and json by _emit under --json.
+Without a bytecode cache every module a process loads is compiled from
+source, so a module that is loaded and not run costs its compile time.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
 from .fields import FieldError, parse_field
-from .linalg import identity_matrix
-from .symbolic import ParseError, is_name, parse
 
 
 class CLIError(ValueError):
@@ -55,6 +59,7 @@ def render_element(el):
 
 def parse_coeff_algebra(field, spec):
     from .algebra import grassmann
+    from .symbolic import is_name
 
     m = re.fullmatch(r"Lambda\(([^)]*)\)", spec.strip())
     if not m:
@@ -72,6 +77,8 @@ def parse_coeff_algebra(field, spec):
 
 def parse_element(R, text):
     """A polynomial in the generators, e.g. "a1*a2 - 2*a3*a4", over R."""
+    from .symbolic import parse
+
     def generator(name):
         if name not in R.space.labels:
             raise CLIError("unknown generator %r" % name)
@@ -148,6 +155,8 @@ def parse_word(pair, R, text):
 
 def _emit(args, data, text_lines):
     if args.json:
+        import json
+
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
         for line in text_lines:
@@ -241,7 +250,7 @@ def cmd_gr(args, field):
 
 
 def _parse_lie_r(pair, spec):
-    from .linalg import Subspace
+    from .linalg import Subspace, identity_matrix
 
     field = pair.field
     l = pair.lie_dim
@@ -408,6 +417,15 @@ def build_parser():
     return p
 
 
+def _malformed(exc):
+    """Whether an error reports malformed input.  symbolic is looked up, not
+    imported: a process that never loaded it cannot have raised its
+    ParseError, whichever module called the parser."""
+    symbolic = sys.modules.get(__package__ + ".symbolic")
+    return isinstance(exc, (CLIError, FieldError)) or (
+        symbolic is not None and isinstance(exc, symbolic.ParseError))
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -418,10 +436,10 @@ def main(argv=None):
         return 2
     try:
         return args.func(args, field)
-    except (CLIError, FieldError, ParseError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except ValueError as exc:
+        if _malformed(exc):
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
         print("check failed: %s" % exc, file=sys.stderr)
         return 1
     except Exception as exc:

@@ -5,23 +5,22 @@ gl(1|1) and gl(2|1) come from one builder, _gl_pair, which derives [V,V]
 once from matrix units with linalg.supercommutator; hcp derives the Lie(G)
 and [g,V] tables once.  A pair file gives module_matrices or an action,
 not both, row_parities only with module_matrices, and its optional
-"bracket_gv" is checked against the derived [g,V]."""
+"bracket_gv" is checked against the derived [g,V].
+
+Each fixture loads only the modules it is built from, so that a process
+compiles no module its command does not run: hcp (with liesuper and
+symbolic) is imported by the pair builders, pair_from_json and
+resolve_pair, hopf by the Hopf builders, hyp only for the add<m> names
+and the tensor fixtures, filtration by resolve_filtered and json by
+load_fixture."""
 
 from __future__ import annotations
 
-import json
 import os
 import re
 
 from .algebra import (
     SuperAlgebra, SuperIdeal, dual_numbers, grassmann, ground_algebra, odd_ideal,
-)
-from .hcp import (
-    GenericPoint,
-    HCPError,
-    HarishChandraPair,
-    MatrixGroupModel,
-    pseudoabelian_example,
 )
 from .linalg import dense, row_entries, supercommutator
 
@@ -32,6 +31,8 @@ def _gl_pair(field, m, n, labels, point, group_name, name):
     labels), G is cut out by m_i_j = 0 at the odd positions and takes the
     generic point, and [V,V] is the anticommutator expanded with the
     group's own lie_expander.  [g,V] is derived by HarishChandraPair."""
+    from .hcp import HarishChandraPair, MatrixGroupModel
+
     size = m + n
     parities = [0] * m + [1] * n
     even, odd = [], []
@@ -59,6 +60,8 @@ def _gl_pair(field, m, n, labels, point, group_name, name):
 
 def gl11_pair(field):
     """G = invertible diagonal 2x2, V = span{v+, v-} (the odd part of gl(1|1))."""
+    from .hcp import GenericPoint
+
     point = GenericPoint(
         [["alpha", 0], [0, "delta"]],
         [["alpha_i", 0], [0, "delta_i"]],
@@ -69,6 +72,8 @@ def gl11_pair(field):
 
 def gl21_pair(field):
     """G = GL(2) x GL(1) block-diagonal in 3x3, V = odd part of gl(2|1)."""
+    from .hcp import GenericPoint
+
     point = GenericPoint(
         [["a", "b", 0], ["c", "d", 0], [0, 0, "u"]],
         [["d*T", "-b*T", 0], ["-c*T", "a*T", 0], [0, 0, "u_i"]],
@@ -77,11 +82,17 @@ def gl21_pair(field):
     return _gl_pair(field, 2, 1, ["v13", "v23", "v31", "v32"], point, "GL2xGL1", "gl21")
 
 
+def _pseudoabelian_pair(field, t):
+    from .hcp import pseudoabelian_example
+
+    return pseudoabelian_example(field, t)
+
+
 BUILTIN_PAIRS = {
     "gl11": gl11_pair,
     "gl21": gl21_pair,
-    "pseudoabelian": lambda field: pseudoabelian_example(field, 1),
-    "pseudoabelian2": lambda field: pseudoabelian_example(field, 2),
+    "pseudoabelian": lambda field: _pseudoabelian_pair(field, 1),
+    "pseudoabelian2": lambda field: _pseudoabelian_pair(field, 2),
 }
 
 
@@ -236,6 +247,8 @@ def pair_to_json(pair):
 
 
 def pair_from_json(field, data):
+    from .hcp import GenericPoint, HCPError, HarishChandraPair, MatrixGroupModel
+
     size = int(_entry(data, "size", (int, str)))
 
     def field_matrix(M, what):
@@ -293,6 +306,8 @@ def pair_from_json(field, data):
 
 
 def load_fixture(field, path):
+    import json
+
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -312,6 +327,8 @@ def load_fixture(field, path):
 
 
 def resolve_pair(field, spec):
+    from .hcp import HarishChandraPair
+
     if spec in BUILTIN_PAIRS:
         return BUILTIN_PAIRS[spec](field)
     if os.path.exists(spec):
@@ -338,7 +355,6 @@ def _named_hopf_factors(field, spec):
     B is K[T]/(T^m) with the binomial coproduct (None for L<t>) and Λ the
     Grassmann Hopf algebra on t generators (None for add<m>)."""
     from .hopf import grassmann_hopf
-    from .hyp import additive_truncation
 
     m = re.fullmatch(r"L(\d+)|add(\d+)(?:xL(\d+))?", spec)
     if m is None:
@@ -346,18 +362,22 @@ def _named_hopf_factors(field, spec):
     if m.group(2) and int(m.group(2)) == 0:
         raise ValueError("add<m> needs m >= 1")
     t = m.group(1) or m.group(3)
-    B = additive_truncation(field, int(m.group(2))).as_hopf() if m.group(2) else None
+    B = None
+    if m.group(2):
+        from .hyp import additive_truncation
+
+        B = additive_truncation(field, int(m.group(2))).as_hopf()
     L = grassmann_hopf(field, ["th%d" % (i + 1) for i in range(int(t))]) if t else None
     return B, L
 
 
 def resolve_hopf(field, spec):
-    from .hyp import tensor_hopf
-
     factors = _named_hopf_factors(field, spec)
     if factors is not None:
         B, L = factors
         if B is not None and L is not None:
+            from .hyp import tensor_hopf
+
             return tensor_hopf(B, L)
         return L if B is None else B
     if os.path.exists(spec):

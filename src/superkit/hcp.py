@@ -159,6 +159,18 @@ class MatrixGroupModel:
                 raise HCPError("generic point fails a membership condition")
             if not _is_identity(mat_mul(pt.matrix, pt.inverse), pt.reducer, one):
                 raise HCPError("generic point inverse is wrong")
+        # the structure constants {(a, b): the nonzero Lie coordinates of
+        # [X_a, X_b]}; terms_field raises when the basis does not close
+        rows = [row_entries(X) for X in self.lie_basis]
+        self.lie_table = {}
+        for a, x in enumerate(rows):
+            for b, y in enumerate(rows):
+                terms = self.lie_expander.terms_field(supercommutator(x, y, field.one, field))
+                if terms:
+                    self.lie_table[(a, b)] = terms
+        # with no conditions G is GL(n), a group: there is nothing to close
+        if not self.closed_conditions:
+            return
         # G(R) is a group for every R: the conditions at M·M' and adj(M)·t
         # lie in the ideal of the conditions at M, M' and det·t - 1 (a Hopf
         # ideal), M the entry names with each a·m_i_j + b = 0 fixed to -b/a
@@ -180,15 +192,6 @@ class MatrixGroupModel:
             at = self.entries(mat)
             if not all(ideal.is_zero(eval_at(c, at, one)) for c in self.closed_conditions):
                 raise HCPError("G is not closed under products and inverses")
-        # the structure constants {(a, b): the nonzero Lie coordinates of
-        # [X_a, X_b]}; terms_field raises when the basis does not close
-        rows = [row_entries(X) for X in self.lie_basis]
-        self.lie_table = {}
-        for a, x in enumerate(rows):
-            for b, y in enumerate(rows):
-                terms = self.lie_expander.terms_field(supercommutator(x, y, field.one, field))
-                if terms:
-                    self.lie_table[(a, b)] = terms
 
     def membership_over(self, R, gmat):
         """All closed conditions vanish at a matrix with entries in R."""

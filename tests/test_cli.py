@@ -313,6 +313,11 @@ class TestAxioms:
         code, out, _ = run(capsys, ["--field", "p=3", "axioms", "add3"])
         assert code == 0
 
+    def test_char_p_tensor_passes(self, capsys):
+        # add3xL1 is K[T]/(T^3) ⊗ Λ(1), built by hyp.tensor_hopf
+        code, out, _ = run(capsys, ["--field", "p=3", "axioms", "add3xL1"])
+        assert (code, out) == (0, "axioms add3xL1: PASS\n")
+
     def test_file_fixture(self, capsys):
         code, out, _ = run(capsys, ["axioms", "fixtures/grassmann3.hopf.json"])
         assert code == 0
@@ -485,6 +490,15 @@ class TestMalformedFixture:
         "pair-row-parity-2-nf": ("gl11.pair.json", _set("row_parities", [0, 2]),
                                  ["nf", PATH, "e(a1,v-) e(a2,v+)", "--coeffs", "Lambda(a1,a2)",
                                   "--check-oracle"]),
+        # a file of no known kind, or of a kind the command does not take
+        "unknown-kind": ("gl11.pair.json", _set("kind", "lattice"), ["validate"]),
+        "hopf-file-as-pair": (None, None, ["validate", "fixtures/grassmann3.hopf.json"]),
+        "pair-file-as-hopf": (None, None, ["axioms", "fixtures/gl11.pair.json"]),
+        "pair-file-as-algebra": (None, None, ["gr", "fixtures/gl11.pair.json"]),
+        # a name that is neither a builtin fixture nor a file
+        "unknown-hopf": (None, None, ["axioms", "L2x"]),
+        "unknown-decomposable": (None, None, ["hyp-decompose", "Lambda2", "1"]),
+        "unknown-filtered": (None, None, ["gr", "L2"]),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -520,22 +534,85 @@ def test_action_fixture_mutation_is_well_formed(capsys, tmp_path):
     assert code in (0, 1), err
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def fresh_cli(argv, importtime=False):
+    """The finished `python -m superkit.cli` process of argv, run in a fresh
+    interpreter (a pytest session already holds every superkit module)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    flags = ["-X", "importtime"] if importtime else []
+    return subprocess.run([sys.executable] + flags + ["-m", "superkit.cli"] + argv,
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def imported_modules(proc):
+    """The modules a process run with -X importtime imported, in order."""
+    return [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")]
+
+
 class TestNoSympyAtRuntime:
     @pytest.mark.parametrize("argv", [["validate", "gl11"], ["axioms", "L2"]],
                              ids=["validate", "axioms"])
     def test_command_imports_no_sympy(self, argv):
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "superkit.cli"] + argv,
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = fresh_cli(argv, importtime=True)
         assert proc.returncode == 0, proc.stderr
-        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-                    if line.startswith("import time:")]
+        imported = imported_modules(proc)
         assert "superkit.algebra" in imported
         assert not [name for name in imported if name.split(".")[0] == "sympy"]
+
+
+class TestModulesLoaded:
+    """Each command imports only the superkit modules it runs.  With no
+    bytecode cache, every module a process loads is compiled from source,
+    so a module loaded and not run costs its compile time on every call."""
+
+    PAIR = "algebra fields fixtures hcp liesuper linalg symbolic"
+    HOPF = "algebra fields fixtures hopf linalg"
+    CASES = {
+        "validate": (["validate", "gl11"], PAIR),
+        "validate-file": (["validate", "fixtures/gl21.pair.json"], PAIR),
+        "nf": (["nf", "gl11", "--coeffs", "Lambda(a1,a2)", "e(a1,v-) e(a2,v+)",
+                "--check-oracle"], PAIR + " gamma"),
+        "gr": (["--json", "gr", "Lambda3", "--with", "Lambda2"],
+               "algebra fields filtration fixtures linalg"),
+        "radical": (["--json", "radical", "pseudoabelian", "--lie-r", "full", "--check-oracle"],
+                    PAIR),
+        "hyp-decompose": (["--field", "p=3", "hyp-decompose", "add3xL1", "0,1,0,0,0,0"],
+                          HOPF + " filtration hyp"),
+        "axioms": (["axioms", "L2"], HOPF),
+        "coinvariants": (["coinvariants", "L2", "--mode", "regular"], HOPF),
+        # a field spec that is no odd prime fails before any command runs
+        "bad-field": (["--field", "p=4", "validate", "gl11"], "fields"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_command_loads_only_what_it_runs(self, case):
+        argv, want = self.CASES[case]
+        proc = fresh_cli(argv, importtime=True)
+        assert proc.returncode == (2 if case == "bad-field" else 0)
+        loaded = {name.split(".", 1)[1] for name in imported_modules(proc)
+                  if name.startswith("superkit.")}
+        assert loaded == set(want.split())
+
+    @pytest.mark.parametrize("where", ["word", "pair-file"])
+    def test_parse_error_exits_2_with_one_line(self, tmp_path, where):
+        """A symbolic.ParseError is malformed input whichever module raised
+        it: cli reading a word, or hcp reading a condition of a pair file."""
+        if where == "word":
+            argv = ["nf", "gl11", "--coeffs", "Lambda(a1)", "e(a1*,v+)"]
+        else:
+            with open("fixtures/gl11.pair.json") as fh:
+                data = json.load(fh)
+            _condition("m_0_1 +")(data)
+            path = tmp_path / "condition.pair.json"
+            path.write_text(json.dumps(data))
+            argv = ["validate", str(path)]
+        proc = fresh_cli(argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
 
 class TestInternalError:

@@ -117,6 +117,21 @@ class TestValidation:
                                       [[1, "-x", "x*z - y"], [0, 1, "-z"], [0, 0, 1]], [])
         hcp.MatrixGroupModel(Q, 3, [det3], sl3, [heisenberg])
 
+    def test_condition_free_model_skips_the_closure_check(self, monkeypatch):
+        """With no conditions G is GL(n), a group, so the closure check is not
+        computed: its formal determinant by first-row expansion would cost
+        (n - 1)!·n² products, about 5·10^5 Poly products at n = 8."""
+        def det(mat, one):
+            raise AssertionError("the closure check ran on a model with no conditions")
+
+        monkeypatch.setattr(hcp, "_det", det)
+        n = 8
+        units = [[[Q.one if (a, b) == (i, j) else Q.zero for b in range(n)] for a in range(n)]
+                 for i in range(n) for j in range(n)]
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        group = hcp.MatrixGroupModel(Q, n, [], units, [hcp.GenericPoint(ident, ident, [])])
+        assert group.lie_dim == n * n and group.closed_conditions == []
+
     def test_generic_action_escaping_the_module_reported(self):
         # Lie basis {I}: [g,V] = 0 derives, but diag(alpha, delta) moves
         # E01 + E10 off its span
