@@ -1,11 +1,12 @@
 """Built-in pair fixtures: gl(1|1), gl(2|1) and the pseudoabelian example;
 JSON fixtures; and the named fixtures of the command line.
 
-gl(1|1) and gl(2|1) come from one builder, _gl_pair, which derives [V,V]
-once from matrix units with linalg.supercommutator; hcp derives the Lie(G)
-and [g,V] tables once.  A pair file gives module_matrices or an action,
-not both, row_parities only with module_matrices, and its optional
-"bracket_gv" is checked against the derived [g,V].
+gl(1|1) and gl(2|1) come from one builder, _gl_pair, which gives the
+matrix units and their row parities; hcp derives the Lie(G), [g,V] and
+[V,V] tables once.  A pair file gives module_matrices or an action, not
+both, row_parities only with module_matrices, and its optional
+"bracket_gv" is checked against the derived [g,V]; with row_parities its
+"bracket_vv" is optional too and checked against the derived [V,V].
 
 Each fixture loads only the modules it is built from, so that a process
 compiles no module its command does not run: hcp (with liesuper and
@@ -22,15 +23,14 @@ import re
 from .algebra import (
     SuperAlgebra, SuperIdeal, dual_numbers, grassmann, ground_algebra, odd_ideal,
 )
-from .linalg import dense, row_entries, supercommutator
 
 
 def _gl_pair(field, m, n, labels, point, group_name, name):
     """The pair of gl(m|n) on its (m+n)x(m+n) matrix units in row-major
     order: the even units span Lie(G), the odd units are V (labelled by
     labels), G is cut out by m_i_j = 0 at the odd positions and takes the
-    generic point, and [V,V] is the anticommutator expanded with the
-    group's own lie_expander.  [g,V] is derived by HarishChandraPair."""
+    generic point.  HarishChandraPair derives [V,V] (the anticommutator, as
+    the row parities make the units a supermatrix realisation) and [g,V]."""
     from .hcp import HarishChandraPair, MatrixGroupModel
 
     size = m + n
@@ -45,17 +45,8 @@ def _gl_pair(field, m, n, labels, point, group_name, name):
         field, size, ["m_%d_%d" % ij for ij, _ in odd], [M for _, M in even], [point],
         name=group_name,
     )
-    module = [M for _, M in odd]
-    rows = [row_entries(M) for M in module]
-    vv = {}
-    for i, x in enumerate(rows):
-        for j, y in enumerate(rows):
-            terms = group.lie_expander.terms_field(supercommutator(x, y, -field.one, field))
-            if terms:
-                vv[(i, j)] = tuple(dense(terms, group.lie_dim, field.zero))
-    return HarishChandraPair(
-        group, labels, vv, module_matrices=module, row_parities=parities, name=name
-    )
+    return HarishChandraPair(group, labels, module_matrices=[M for _, M in odd],
+                             row_parities=parities, name=name)
 
 
 def gl11_pair(field):
@@ -272,8 +263,8 @@ def pair_from_json(field, data):
     t, l = len(labels), len(lie)
     vv = {
         _key(key, (t, t), "bracket_vv"): tuple(_scalars(field, coords, l, "bracket_vv entry"))
-        for key, coords in _entry(data, "bracket_vv", dict, optional=True).items()
-    }
+        for key, coords in _entry(data, "bracket_vv", dict).items()
+    } if "bracket_vv" in data else None
     row_parities = data.get("row_parities")
     if row_parities is not None:
         row_parities = _parities(row_parities, size, "row_parities")

@@ -413,14 +413,7 @@ def tangent_algebra(field):
         "e0p": tensor_pure(R, D.basis_element(0), D.basis_element(1)),
         "e1p": tensor_pure(R, D.basis_element(0), D.basis_element(2)),
     }
-    # index in R of the product eps_i * eps_j'
-    prod_index = {
-        (0, 0): 1 * 3 + 1,
-        (0, 1): 1 * 3 + 2,
-        (1, 0): 2 * 3 + 1,
-        (1, 1): 2 * 3 + 2,
-    }
-    return R, eps, prod_index
+    return R, eps
 
 
 def _exp_tokens(pair, eps_elem, parity, gcoords):
@@ -446,28 +439,21 @@ def tangent_bracket(pair, px, x_coords, py, y_coords):
     divides by (-1)^{|x||y|}.
     """
     field = pair.field
-    R, eps, prod_index = tangent_algebra(field)
+    R, eps = tangent_algebra(field)
     l, t = pair.lie_dim, pair.t
     ex = eps["e0"] if px == 0 else eps["e1"]
     ey = eps["e0p"] if py == 0 else eps["e1p"]
     u = normalize(pair, R, _exp_tokens(pair, ex, px, x_coords))
     w = normalize(pair, R, _exp_tokens(pair, ey, py, y_coords))
     c = multiply(multiply(u, w), multiply(inverse(u), inverse(w)))
-    mono = prod_index[(px, py)]
+    # the basis element of R that is the monomial eps·eps'
+    (mono,) = R.multiply(ex, ey).terms
     sign = -field.one if px * py == 1 else field.one
     out = [field.zero] * (l + t)
     if (px + py) % 2 == 0:
         # even result: even part is I + s·eps·eps'·X_{[x,y]}
-        n = pair.group.size
-        mat = [[c.even[i][j].terms.get(mono, field.zero) for j in range(n)] for i in range(n)]
-        ident_dev = [
-            [sign * mat[i][j] for j in range(n)] for i in range(n)
-        ]
-        coords = pair.group.lie_expander.coords_field(
-            [x for row in ident_dev for x in row]
-        )
-        for k, v in enumerate(coords):
-            out[k] = v
+        out[:l] = pair.group.lie_expander.coords_field(
+            [sign * x.terms.get(mono, field.zero) for row in c.even for x in row])
         if any(mono in a.terms for a in c.coords):
             raise GammaError("unexpected odd part in an even commutator")
     else:

@@ -23,19 +23,21 @@ only at the generic points; else HCPError (a pair file: exit 1).
 Each structure table is derived once, when the group or pair is built,
 and one way.  MatrixGroupModel builds its tangent points once (over
 E = K[eps]/eps^2, I and each I + eps X with its inverse I - eps X) and its
-sparse lie_table {(a, b): terms of [X_a, X_b]} from linalg.supercommutator.
+sparse lie_table {(a, b): terms of [X_a, X_b]} by linalg.bracket_table.
 HarishChandraPair derives [g,V] in both modes as the eps-coefficient of
 rho(I + eps X_k) at those points ([X_k, M_i] for module matrices); the
-action must send I to I, and no caller supplies the table.  [V,V] is the
-caller's (fixtures._gl_pair derives it for gl(m|n)); assembled_lie is
-Lie(G) ⊕ V from the three tables, built with the pair, and column i of
-the action rho(X) of a Lie element X is apply_gv(X, i).  row_parities,
+action must send I to I, and no caller supplies the table.  row_parities,
 given only with module matrices, must make the Lie basis even and the
 module matrices odd: the supermatrix oracle's twist diag((-1)^p(j))
-relies on it.  The pair also keeps two values that depend on it alone,
-for every coefficient algebra, once gamma has computed them: straightened
-PBW sequences and rho at points with field entries (over the pair's
-ground algebra K).
+relies on it.  The module matrices are then a supermatrix realisation,
+and the pair derives [V,V] as their anticommutators M_i·M_j + M_j·M_i in
+Lie(G), by linalg.bracket_table; a caller's table is only compared with
+it.  Without row parities [V,V] is the caller's.  assembled_lie is
+Lie(G) ⊕ V from the three tables, built with the pair, and column i of
+the action rho(X) of a Lie element X is apply_gv(X, i).  The pair also
+keeps two values that depend on it alone, for every coefficient algebra,
+once gamma has computed them: straightened PBW sequences and rho at
+points with field entries (over the pair's ground algebra K).
 
 Also: the largest R-subordinated submodule W_R by fixpoint iteration,
 the radical data (W_R, Lie(H_R)), the pseudoabelian example, and the
@@ -54,8 +56,8 @@ from .algebra import (
 )
 from .liesuper import LieSuperAlgebra, is_homogeneous
 from .linalg import (
-    Subspace, apply_columns, dense, identity_matrix, kernel, mat_mul, rank, row_entries, sparse,
-    supercommutator, transpose,
+    Subspace, apply_columns, bracket_table, dense, identity_matrix, kernel, mat_mul, rank, sparse,
+    transpose,
 )
 from .symbolic import Poly, Reducer, eval_at
 
@@ -161,13 +163,7 @@ class MatrixGroupModel:
                 raise HCPError("generic point inverse is wrong")
         # the structure constants {(a, b): the nonzero Lie coordinates of
         # [X_a, X_b]}; terms_field raises when the basis does not close
-        rows = [row_entries(X) for X in self.lie_basis]
-        self.lie_table = {}
-        for a, x in enumerate(rows):
-            for b, y in enumerate(rows):
-                terms = self.lie_expander.terms_field(supercommutator(x, y, field.one, field))
-                if terms:
-                    self.lie_table[(a, b)] = terms
+        self.lie_table = bracket_table(self.lie_expander, self.lie_basis, [0] * self.lie_dim)
         # with no conditions G is GL(n), a group: there is nothing to close
         if not self.closed_conditions:
             return
@@ -254,15 +250,17 @@ class HarishChandraPair:
     row_parities: parities of the rows of a matrix realization, needed by
     the supermatrix oracle (None when there is none).  Only module
     matrices take them, and HCPError is raised unless each Lie basis
-    matrix is even and each module matrix odd for them.  Every table and
-    the assembled Lie superalgebra are built here, once.
+    matrix is even and each module matrix odd for them.  With them [V,V] is
+    derived (_anticommutators) and a given bracket_vv only checked; without
+    them bracket_vv (None: 0) is [V,V], completed symmetrically.  Every
+    table and the assembled Lie superalgebra are built here, once.
     straightened and field_rho start empty and are filled by gamma on
     first use, keyed by pair data alone (a PBW sequence; the entries of a
     field point), so every coefficient algebra shares them; ground is the
     algebra K over which field_rho is computed.
     """
 
-    def __init__(self, group, module_labels, bracket_vv, *, module_matrices=None,
+    def __init__(self, group, module_labels, bracket_vv=None, *, module_matrices=None,
                  action_expr=None, row_parities=None, name=None):
         self.group = group
         self.field = group.field
@@ -293,14 +291,13 @@ class HarishChandraPair:
             self.action_expr = [
                 [Poly.read(self.field, e, group.entry_names) for e in row] for row in action_expr
             ]
-        self._vv = {}
-        for (i, j), coords in bracket_vv.items():
-            self._vv[(i, j)] = tuple(coords)
+        self._zero_lie = tuple([self.field.zero] * group.lie_dim)
+        self._vv = {key: tuple(coords) for key, coords in (bracket_vv or {}).items()}
         # symmetric completion for unspecified mirror entries
         for (i, j) in list(self._vv):
-            if (j, i) not in self._vv:
-                self._vv[(j, i)] = self._vv[(i, j)]
-        self._zero_lie = tuple([self.field.zero] * group.lie_dim)
+            self._vv.setdefault((j, i), self._vv[(i, j)])
+        if self.row_parities is not None:
+            self._vv = self._anticommutators(None if bracket_vv is None else self._vv)
         self._zero_v = tuple([self.field.zero] * t)
         self._gv = {key: v for key, v in self._differentiate().items() if any(v)}
         l = group.lie_dim
@@ -316,6 +313,23 @@ class HarishChandraPair:
         self.ground = ground_algebra(self.field)
         self.straightened = {}
         self.field_rho = {}
+
+    def _anticommutators(self, given):
+        """[V,V] of a supermatrix realisation, {(i, j): the Lie coordinates
+        of M_i·M_j + M_j·M_i} over the pairs where it is not 0.  HCPError
+        when one leaves Lie(G), or when the caller's table given (None when
+        there is none) differs from it, naming the first (i, j)."""
+        try:
+            table = bracket_table(self.group.lie_expander, self.module_matrices, [1] * self.t)
+        except HCPError:
+            raise HCPError("an anticommutator of module matrices leaves Lie(G)") from None
+        zero = self._zero_lie
+        vv = {key: tuple(dense(terms, len(zero), self.field.zero)) for key, terms in table.items()}
+        if given is not None:
+            for key in sorted(set(given) | set(vv)):
+                if given.get(key, zero) != vv.get(key, zero):
+                    raise HCPError("bracket_vv at (%d,%d) differs from the derived [V,V]" % key)
+        return vv
 
     def _differentiate(self):
         """{(k, i): [x_k, v_i]} in either mode: column i of the
@@ -606,9 +620,7 @@ def pseudoabelian_example(field, n):
         name="Ga",
     )
     labels = ["w%d" % (i + 1) for i in range(n)] + ["phi%d" % (i + 1) for i in range(n)]
-    bracket_vv = {}
-    for i in range(n):
-        bracket_vv[(n + i, i)] = (one,)
+    bracket_vv = {(n + i, i): (one,) for i in range(n)}
     return HarishChandraPair(group, labels, bracket_vv, name="pseudoabelian(%d)" % n)
 
 

@@ -34,6 +34,12 @@ class HopfError(ValueError):
     pass
 
 
+def apply_functional(phi, elem):
+    """Value of the functional phi (coordinate row) on an algebra element."""
+    field = elem.algebra.field
+    return field.sum(phi[i] * c for i, c in elem.terms.items())
+
+
 class HopfSuperAlgebra:
     """algebra + (delta, eps, s).
 
@@ -78,7 +84,7 @@ class HopfSuperAlgebra:
         return Element._from_terms(self.square, apply_columns(self._delta_cols, elem.terms))
 
     def counit(self, elem):
-        return self.field.sum(c * self.eps[i] for i, c in elem.terms.items())
+        return apply_functional(self.eps, elem)
 
     def apply_antipode(self, elem):
         return Element._from_terms(self.algebra, apply_columns(self._antipode_cols, elem.terms))

@@ -42,7 +42,7 @@ from .algebra import (
     AxiomReport, Element, SuperAlgebra, SuperIdeal, _contract, first_non_multiplicative, tensor,
 )
 from .filtration import FiltrationError, GradedCompanion, GradedReport, adic_filtration
-from .hopf import HopfSuperAlgebra, check_hopf_axioms
+from .hopf import HopfSuperAlgebra, apply_functional, check_hopf_axioms
 from .linalg import (
     Subspace, apply_columns, apply_tensor_columns, dense, invert_matrix, kernel, kron, nullspace,
     sparse,
@@ -51,12 +51,6 @@ from .linalg import (
 
 class HypError(ValueError):
     pass
-
-
-def apply_functional(phi, elem):
-    """Value of the functional phi (coordinate row) on an algebra element."""
-    field = elem.algebra.field
-    return field.sum(phi[i] * c for i, c in elem.terms.items())
 
 
 def annihilator(field, n, sub):

@@ -15,9 +15,10 @@ kernel of every product given by a table.  The sweeps form no dense
 bracket: a double bracket [[e_i,e_j],e_k] is a sum over the support of one
 table entry, accumulated by linalg.add_scaled, so (B4) and (B2) cost
 O(s^2) per sorted triple for at most s terms per entry.  gl(m|n) is built
-from the nonzero matrix entries and one pivot inverse, with
-linalg.supercommutator, the one matrix supercommutator of superkit (the
-Lie(G) table of a pair and the [V,V] of gl(m|n) pairs use it too).
+from the nonzero matrix entries and one pivot inverse, by
+linalg.bracket_table, the one builder of matrix bracket tables (the Lie(G)
+table of a matrix group and the [V,V] a pair with row parities derives
+come from it too).
 is_homogeneous is the one parity test of a matrix for a row grading:
 MatrixLieSuper and the row parities of a pair use it.
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, permutations
 
 from .algebra import AxiomReport, SuperVectorSpace, _contract
-from .linalg import BasisExpander, add_scaled, dense, row_entries, sparse, supercommutator
+from .linalg import BasisExpander, add_scaled, bracket_table, dense, sparse
 
 
 class LieError(ValueError):
@@ -142,7 +143,7 @@ class MatrixLieSuper(LieSuperAlgebra):
     supercommutator of homogeneous supermatrices satisfies (B2)-(B4), as in
     gl(m|n).
 
-    The build stays sparse: linalg.supercommutator forms each
+    The build stays sparse: linalg.bracket_table forms each
     supercommutator from the row_entries of the two matrices as its nonzero
     entries {r·size + c: x}, and BasisExpander.terms_field expands it
     reading only that support, so a pair of matrix units costs a few terms,
@@ -155,19 +156,10 @@ class MatrixLieSuper(LieSuperAlgebra):
                    for m, p in zip(self.matrices, parities)):
             raise LieError("matrix is not homogeneous of its parity")
         expander = _MatrixBasis(field, [[x for row in m for x in row] for m in self.matrices])
-        entries = [row_entries(m) for m in self.matrices]
-        brackets = {}
-        n, one, minus_one = len(labels), field.one, -field.one
-        for i in range(n):
-            for j in range(n):
-                sign = minus_one if parities[i] and parities[j] else one
-                comm = supercommutator(entries[i], entries[j], sign, field)
-                try:
-                    terms = expander.terms_field(comm)
-                except LieError:
-                    raise LieError("matrix basis does not close under the supercommutator")
-                if terms:
-                    brackets[(i, j)] = terms
+        try:
+            brackets = bracket_table(expander, self.matrices, parities)
+        except LieError:
+            raise LieError("matrix basis does not close under the supercommutator") from None
         super().__init__(field, labels, parities, brackets, check=False)
 
 

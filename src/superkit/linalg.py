@@ -2,7 +2,8 @@
 
 Vectors are tuples/lists of field scalars, matrices are lists of rows; a
 sparse vector is a dict {index: nonzero entry}, and a sparse matrix its
-row_entries.  supercommutator is the one matrix supercommutator of superkit.
+row_entries.  supercommutator is the one matrix supercommutator of superkit,
+and bracket_table, its one caller, the one builder of matrix bracket tables.
 Everything is deterministic: pivots are chosen left to right, echelon
 bases are reduced row echelon forms, complements are taken on non-pivot
 coordinates in index order.
@@ -185,6 +186,22 @@ def supercommutator(a, b, sign, field):
             for k, x in row:
                 add_scaled(out, s * x, {r * size + c: y for c, y in y_rows[k]})
     return {t: v for t, v in out.items() if v}
+
+
+def bracket_table(expander, matrices, parities):
+    """{(i, j): terms} of the nonzero supercommutators M_i·M_j - (-1)^{p_i p_j}
+    M_j·M_i of square matrices of parities p, expanded by a BasisExpander,
+    which raises when one leaves its span."""
+    field, table = expander.field, {}
+    one, minus_one = field.one, -field.one
+    rows = [row_entries(m) for m in matrices]
+    for i, x in enumerate(rows):
+        for j, y in enumerate(rows):
+            sign = minus_one if parities[i] and parities[j] else one
+            terms = expander.terms_field(supercommutator(x, y, sign, field))
+            if terms:
+                table[(i, j)] = terms
+    return table
 
 
 def apply_columns(cols, vec):

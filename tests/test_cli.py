@@ -154,6 +154,36 @@ class TestDerivedGv:
         assert "oracle: ok" in out
 
 
+class TestDerivedVv:
+    """A pair file with row_parities has its [V,V] derived from its module
+    matrices, the anticommutators; a file's bracket_vv is only compared
+    with it."""
+
+    NF = ["e(a1,v-) e(a2,v+)", "--coeffs", "Lambda(a1,a2)", "--check-oracle"]
+
+    @pytest.mark.parametrize("field", ["q", "p=3", "p=5"])
+    def test_doubled_table_fails_at_load(self, capsys, tmp_path, field):
+        with open("fixtures/gl11.pair.json") as fh:
+            data = json.load(fh)
+        data["bracket_vv"] = {key: ["2", "2"] for key in data["bracket_vv"]}
+        path = tmp_path / "doubled.pair.json"
+        path.write_text(json.dumps(data))
+        for argv in (["validate", str(path)], ["nf", str(path)] + self.NF):
+            code, out, err = run(capsys, ["--field", field] + argv)
+            assert code == 1 and out == ""
+            assert err == "check failed: bracket_vv at (0,1) differs from the derived [V,V]\n"
+
+    @pytest.mark.parametrize("field", ["q", "p=3", "p=5"])
+    def test_file_without_the_table_loads(self, capsys, tmp_path, field):
+        with open("fixtures/gl11.pair.json") as fh:
+            data = json.load(fh)
+        del data["bracket_vv"]
+        path = tmp_path / "derived.pair.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, ["--field", field, "nf", str(path)] + self.NF)
+        assert code == 0 and "oracle: ok" in out
+
+
 class TestRepresentation:
     """validate checks rho(g) rho(h) = rho(gh) at each generic point g, h a
     copy of g with its parameters renamed."""

@@ -138,12 +138,14 @@ class TestOracles:
             G.oracle_supermatrix(pair, [("e", odd(R, "a1"), 0)], R=R)
 
     def test_row_parities_making_a_module_matrix_even_rejected(self, pair):
-        # gl(1|1) with both rows even: v+ = E12 would be even
+        # gl(1|1) with both rows even: v+ = E12 would be even.  The parities
+        # are checked before [V,V] is derived, so the doubled table, which
+        # the derived one would reject, is never compared
         t = pair.t
         with pytest.raises(HCPError, match="row parities"):
             HarishChandraPair(
                 pair.group, pair.module_labels,
-                {(i, j): pair.vv(i, j) for i in range(t) for j in range(t)},
+                {(i, j): tuple(2 * c for c in pair.vv(i, j)) for i in range(t) for j in range(t)},
                 module_matrices=pair.module_matrices, row_parities=(0, 0),
             )
 

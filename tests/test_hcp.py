@@ -1,5 +1,7 @@
+import json
 import os
 import random
+import re
 from functools import partial
 from operator import add
 
@@ -538,6 +540,69 @@ def test_lie_table_matches_dense_commutators(spec, field_name, monkeypatch):
             terms = group.lie_table.get((a, b), {})
             assert tuple(dense(terms, group.lie_dim, field.zero)) == want, (a, b)
             assert all(terms.values()) and ((a, b) in group.lie_table) == any(want)
+
+
+@pytest.mark.parametrize("field_name", sorted(CONJUGATION_FIELDS))
+@pytest.mark.parametrize("spec", REALISED)
+def test_derived_vv_matches_dense_anticommutators(spec, field_name, monkeypatch):
+    """The [V,V] a pair with row parities derives against the Lie
+    coordinates of M_i·M_j + M_j·M_i from the dense anticommutator; only
+    the nonzero brackets are stored."""
+    monkeypatch.chdir(os.path.dirname(FIXTURES))
+    field = CONJUGATION_FIELDS[field_name]
+    pair = resolve_pair(field, spec)
+    expander = pair.group.lie_expander
+    for i, M in enumerate(pair.module_matrices):
+        for j, N in enumerate(pair.module_matrices):
+            want = expander.coords_field(_flatten(mat_bracket(M, N, -field.one)))
+            assert pair.vv(i, j) == want and ((i, j) in pair._vv) == any(want), (i, j)
+
+
+class TestDerivedVv:
+    """With row parities the pair derives [V,V] from its module matrices;
+    a given table is only compared with it."""
+
+    @pytest.mark.parametrize("field_name", sorted(CONJUGATION_FIELDS))
+    @pytest.mark.parametrize("name", ["gl11.pair.json", "gl21.pair.json", "osp12.pair.json"])
+    def test_file_without_the_table_gives_the_shipped_pair(self, name, field_name):
+        field = CONJUGATION_FIELDS[field_name]
+        with open(os.path.join(FIXTURES, name)) as fh:
+            data = json.load(fh)
+        want = pair_to_json(pair_from_json(field, data))
+        del data["bracket_vv"]
+        assert pair_to_json(pair_from_json(field, data)) == want
+
+    @pytest.mark.parametrize("field_name", sorted(CONJUGATION_FIELDS))
+    def test_given_table_compared_after_symmetric_completion(self, field_name):
+        field = CONJUGATION_FIELDS[field_name]
+        pair = gl11_pair(field)
+        one, zero = field.one, field.zero
+
+        def build(vv):
+            return HarishChandraPair(pair.group, pair.module_labels, vv,
+                                     module_matrices=pair.module_matrices, row_parities=(0, 1))
+
+        # one of the two mirror entries, and a zero bracket stated
+        assert build({(0, 1): (one, one), (0, 0): (zero, zero)})._vv == pair._vv
+        # no table, a bracket the anticommutator lacks, a key outside V x V
+        for vv, key in (({}, (0, 1)), ({(0, 1): (one, one), (1, 1): (one, zero)}, (1, 1)),
+                        ({(0, 1): (one, one), (1, 2): (one, one)}, (1, 2))):
+            with pytest.raises(HCPError, match=re.escape("bracket_vv at (%d,%d)" % key)):
+                build(vv)
+
+    @pytest.mark.parametrize("field_name", sorted(CONJUGATION_FIELDS))
+    def test_anticommutator_outside_lie_rejected(self, field_name):
+        # G = diag(a, 1): E12·E21 + E21·E12 = I is not in Lie(G) = span{E11}
+        field = CONJUGATION_FIELDS[field_name]
+        one, zero = field.one, field.zero
+        group = hcp.MatrixGroupModel(
+            field, 2, ["m_0_1", "m_1_0", "m_1_1 - 1"], [[[one, zero], [zero, zero]]],
+            [hcp.GenericPoint([["a", 0], [0, 1]], [["a_i", 0], [0, 1]], ["a*a_i - 1"])])
+        units = [[[zero, one], [zero, zero]], [[zero, zero], [one, zero]]]
+        with pytest.raises(HCPError, match="anticommutator of module matrices leaves Lie"):
+            HarishChandraPair(group, ["v+", "v-"], module_matrices=units, row_parities=(0, 1))
+        # without row parities the caller's [V,V] stands
+        assert HarishChandraPair(group, ["v+", "v-"], module_matrices=units)._vv == {}
 
 
 # -- rho(g) rho(h) = rho(gh) in both modes ------------------------------------
